@@ -13,8 +13,7 @@ only run-dependent value is isolated in the single "generated_at" key.
 CSV floats are written in Python's shortest round-trip form, so float(cell)
 gives back the exact float64 that was computed.  In paths.csv "nan" marks a
 killed (cemetery) row and "inf"/"-inf" a value that overflowed.
-Thread count for grid sweeps is taken from AFFINE_KIT_THREADS (default 1);
-there are no other environment knobs.
+There are no environment knobs.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +39,7 @@ from .simulate import (
     simulate_parabola_ensemble,
     stopped_ensemble,
 )
-from .state_space import CanonicalOrthantPlane, HalfLine, Parabola, space_from_config
+from .state_space import Parabola, random_u_in_domain, space_from_config
 from .transform import (
     TransformError,
     boundedness_probe,
@@ -67,21 +65,6 @@ class ConfigParseError(Exception):
 
 class ConfigValidationError(Exception):
     pass
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("AFFINE_KIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _tmap(fn, items):
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_complex_vector(entry, d: int) -> np.ndarray:
@@ -265,8 +248,7 @@ def run_transform(cfg: RunConfig, out_dir: str) -> int:
     header = (["t"] + _complex_cols("u", d) + ["re_phi", "im_phi"]
               + _complex_cols("psi", d) + ["status"])
     rows = []
-    results = _tmap(lambda u: evaluate_grid(cfg.params, u, cfg.t_grid, cfg.ode_tol),
-                    cfg.u_grid)
+    results = [evaluate_grid(cfg.params, u, cfg.t_grid, cfg.ode_tol) for u in cfg.u_grid]
     for u, res in zip(cfg.u_grid, results):
         # Python floats, not numpy scalars: csv writes float cells with repr
         u_cols = u.real.tolist() + u.imag.tolist()
@@ -331,29 +313,13 @@ def _check(name: str, prop: str, statistic: float, threshold: float, ok: bool,
     return entry
 
 
-def _rng_u_in_domain(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
-    """Random transform-domain point for the configured space."""
-    d = cfg.params.dim
-    y = rng.uniform(-1.5, 1.5, size=d)
-    space = cfg.space
-    re = np.zeros(d)
-    if isinstance(space, Parabola):
-        re = np.array([rng.uniform(-1.0, 1.0), -rng.uniform(0.2, 1.5)])
-    elif isinstance(space, HalfLine):
-        re[0] = -rng.uniform(0.0, 1.5)
-    elif isinstance(space, CanonicalOrthantPlane) and space.m:
-        re[: space.m] = -rng.uniform(0.0, 1.5, size=space.m)
-    return re + 1j * y
-
-
 def _suite_semiflow(cfg: RunConfig) -> list:
     n_triples = int(cfg.tolerances.get("semiflow_triples", 100))
     thr = float(cfg.tolerances.get("semiflow", 1e-7))
     rng = np.random.default_rng(cfg.seed)
-    triples = [(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3), _rng_u_in_domain(cfg, rng))
-               for _ in range(n_triples)]
-    residuals = _tmap(lambda ts: semiflow_residual(cfg.params, ts[0], ts[1], ts[2],
-                                                   cfg.ode_tol), triples)
+    triples = [(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3),
+                random_u_in_domain(cfg.space, rng)) for _ in range(n_triples)]
+    residuals = [semiflow_residual(cfg.params, t, s, u, cfg.ode_tol) for t, s, u in triples]
     worst = float(np.max(residuals))
     return [_check("semiflow", "transform composition law phi(t+s,u) = phi(t,u) + "
                    "phi(s,psi(t,u)), psi(t+s,u) = psi(s,psi(t,u))",

@@ -119,16 +119,6 @@ def jump_integral(measure: LevyMeasure, u) -> complex:
     return complex(measure.weights @ terms)
 
 
-def _merge_atoms(weights: np.ndarray, locations: np.ndarray):
-    """Sum weights of coinciding locations; result sorted by location."""
-    if locations.shape[0] == 0:
-        return weights, locations
-    uniq, inverse = np.unique(locations, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse, weights)
-    return merged, uniq
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str            # "diffusion_not_psd" | "negative_jump_weight" | "negative_killing_rate"
@@ -163,6 +153,18 @@ class AffineParams:
     b (d,); beta (d,d) with beta[i] the i-th coefficient vector; c scalar;
     gamma (d,); m_measure the base jump measure; mu_measures a tuple of d
     signed per-coordinate jump measures.
+
+    The constructor stores the tuple once, as tables whose row 0 is the
+    constant part and row 1+i the coefficient of x_i, so that every
+    characteristic at x is (1, x) @ table:
+
+        A = [a; alpha]  (d+1, d, d)      B = [b; beta]  (d+1, d)
+        C = [c; gamma]  (d+1,)
+        L  (k, d)    the k distinct atom locations of m and of every mu^i
+        W  (d+1, k)  W[0] the weights of m at L, W[1+i] those of mu^i
+        small (k,)   |L[j]| <= 1: the atoms where the truncation h applies
+
+    a, alpha, b, beta and gamma are read-only views of these rows.
     """
 
     space: StateSpace
@@ -177,26 +179,43 @@ class AffineParams:
 
     def __post_init__(self):
         d = self.space.dim
-        a = np.asarray(self.a, dtype=float).reshape(d, d)
-        alpha = np.asarray(self.alpha, dtype=float).reshape(d, d, d)
-        b = np.asarray(self.b, dtype=float).reshape(d)
-        beta = np.asarray(self.beta, dtype=float).reshape(d, d)
-        gamma = np.asarray(self.gamma, dtype=float).reshape(d)
-        for name, mat in [("a", a)] + [(f"alpha[{i}]", alpha[i]) for i in range(d)]:
+        A = np.empty((d + 1, d, d))
+        A[0] = np.asarray(self.a, dtype=float).reshape(d, d)
+        A[1:] = np.asarray(self.alpha, dtype=float).reshape(d, d, d)
+        B = np.empty((d + 1, d))
+        B[0] = np.asarray(self.b, dtype=float).reshape(d)
+        B[1:] = np.asarray(self.beta, dtype=float).reshape(d, d)
+        C = np.empty(d + 1)
+        C[0] = float(self.c)
+        C[1:] = np.asarray(self.gamma, dtype=float).reshape(d)
+        for name, mat in zip(["a"] + [f"alpha[{i}]" for i in range(d)], A):
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
         if np.any(self.m_measure.weights < 0.0):
             raise ValueError("base jump measure m must have nonnegative weights")
         if len(self.mu_measures) != d:
             raise ValueError(f"expected {d} per-coordinate jump measures")
-        for arr in (a, alpha, b, beta, gamma):
-            arr.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "beta", beta)
+        measures = (self.m_measure, *self.mu_measures)
+        L, cols = np.unique(
+            np.vstack([m.locations for m in measures if len(m)] or [np.zeros((0, d))]),
+            axis=0, return_inverse=True)
+        W = np.zeros((d + 1, len(L)))
+        rows = np.repeat(np.arange(d + 1), [len(m) for m in measures])
+        np.add.at(W, (rows, cols.ravel()), np.concatenate([m.weights for m in measures]))
+        small = np.linalg.norm(L, axis=1) <= 1.0
+        for name, table in (("A", A), ("B", B), ("C", C), ("L", L), ("W", W), ("small", small)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        # the exponent reads complex copies, with A halved for <u, A u>/2:
+        # u is complex, and a float table would be cast again at every call
+        object.__setattr__(self, "_exponent_tables",
+                           tuple(t.astype(complex) for t in (0.5 * A, B, C)))
+        object.__setattr__(self, "a", A[0])
+        object.__setattr__(self, "alpha", A[1:])
+        object.__setattr__(self, "b", B[0])
+        object.__setattr__(self, "beta", B[1:])
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", C[1:])
         object.__setattr__(self, "mu_measures", tuple(self.mu_measures))
 
     @classmethod
@@ -224,66 +243,56 @@ class AffineParams:
 
     @property
     def has_jumps(self) -> bool:
-        return len(self.m_measure) > 0 or any(len(m) > 0 for m in self.mu_measures)
+        return len(self.L) > 0
 
     @property
     def has_killing(self) -> bool:
-        return self.c != 0.0 or np.any(self.gamma != 0.0)
+        return bool(self.C.any())
 
     # -- state-dependent characteristics --------------------------------
-
-    def _merged_jump_atoms(self, x: np.ndarray):
-        parts_w = [self.m_measure.weights]
-        parts_loc = [self.m_measure.locations]
-        for xi, mu in zip(x, self.mu_measures):
-            if len(mu):
-                parts_w.append(xi * mu.weights)
-                parts_loc.append(mu.locations)
-        w = np.concatenate(parts_w) if parts_w else np.zeros(0)
-        loc = np.vstack(parts_loc) if parts_loc else np.zeros((0, self.dim))
-        return _merge_atoms(w, loc)
 
     def characteristics_at(self, x, check: bool = True):
         """(A(x), B(x), C(x), nu(x, .)) at a state x of D.
 
         Raises AdmissibilityError when x is outside D or the merged jump
         measure picks up a negative weight; pass check=False to inspect
-        characteristics at arbitrary states (used by validate()).
+        characteristics at arbitrary states.
         """
         x = np.asarray(x, dtype=float).reshape(self.dim)
         if check and not self.space.contains(x):
             raise AdmissibilityError(f"state {x} is not in the state space")
-        A = self.a + np.tensordot(x, self.alpha, axes=1)
-        B = self.b + x @ self.beta
-        C = self.c + float(self.gamma @ x)
-        w, loc = self._merged_jump_atoms(x)
+        xt = np.concatenate(([1.0], x))
+        w = xt @ self.W
         if check and w.size and w.min() < -_WEIGHT_TOL * max(1.0, np.abs(w).max()):
             raise AdmissibilityError(
                 f"merged jump measure at x={x} has negative weight {w.min():.3e}"
             )
         keep = w != 0.0
-        return A, B, C, LevyMeasure(w[keep], loc[keep]) if w.size else LevyMeasure.empty(self.dim)
+        return (np.tensordot(xt, self.A, axes=1), xt @ self.B, float(xt @ self.C),
+                LevyMeasure(w[keep], self.L[keep]))
 
     # -- Levy-Khintchine exponents ---------------------------------------
 
+    def _exponent(self, u, rows):
+        """Rows `rows` of the exponent table at u: row 0 is F(u), row 1+i is R_i(u)."""
+        u = np.asarray(u, dtype=complex).reshape(self.dim)
+        half_A, B, C = self._exponent_tables
+        out = u @ half_A[rows] @ u + B[rows] @ u - C[rows]
+        if len(self.L):
+            z = self.L @ u
+            terms = np.exp(z) - 1.0 - np.where(self.small, z, 0.0)
+            w = self.W[rows]
+            # a zero weight adds exactly 0, also where exp(z) overflows
+            out = out + (w * np.where(w != 0.0, terms, 0.0)).sum(axis=-1)
+        return out
+
     def F_eval(self, u) -> complex:
         """Constant part of the exponent: <u,au>/2 + <b,u> - c + jump integral of m."""
-        u = np.asarray(u, dtype=complex).reshape(self.dim)
-        return complex(0.5 * (u @ self.a @ u) + self.b @ u - self.c
-                       + jump_integral(self.m_measure, u))
+        return complex(self._exponent(u, 0))
 
     def R_eval(self, u) -> np.ndarray:
         """State-coefficient part: component i uses (alpha^i, beta^i, gamma^i, mu^i)."""
-        u = np.asarray(u, dtype=complex).reshape(self.dim)
-        out = np.empty(self.dim, dtype=complex)
-        for i in range(self.dim):
-            out[i] = (0.5 * (u @ self.alpha[i] @ u) + self.beta[i] @ u - self.gamma[i]
-                      + jump_integral(self.mu_measures[i], u))
-        return out
-
-    def killing_rate(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        return self.c + float(self.gamma @ x)
+        return self._exponent(u, np.s_[1:])
 
     # -- validation -------------------------------------------------------
 
@@ -294,27 +303,28 @@ class AffineParams:
         (min eigenvalue >= -1e-10), merged jump weights nonnegative, and the
         killing rate c + <gamma, x> >= -1e-12 at every checked state.
         """
-        pts = [np.asarray(p, dtype=float) for p in self.space.affine_basis()]
+        pts = np.asarray(self.space.affine_basis(), dtype=float)
         if samples > 0:
-            pts.extend(self.space.sample_points(samples, radius=box_radius))
+            pts = np.vstack([pts, self.space.sample_points(samples, radius=box_radius)])
+        xt = np.hstack([np.ones((len(pts), 1)), pts])
+        lam_min = np.linalg.eigvalsh(np.tensordot(xt, self.A, axes=1))[:, 0]
+        rates = xt @ self.C
+        # initial=0: only a negative weight can be a violation, and k may be 0
+        w_min = (xt @ self.W).min(axis=1, initial=0.0)
         violations = []
-        for x in pts:
-            A = self.a + np.tensordot(x, self.alpha, axes=1)
-            lam_min = float(np.linalg.eigvalsh(A)[0])
-            if lam_min < -_PSD_TOL:
+        for x, lam, rate, w in zip(pts, lam_min, rates, w_min):
+            if lam < -_PSD_TOL:
                 violations.append(Violation(
-                    "diffusion_not_psd", x, lam_min,
-                    f"min eigenvalue of A(x) is {lam_min:.3e}"))
-            C = self.c + float(self.gamma @ x)
-            if C < -_KILL_TOL:
+                    "diffusion_not_psd", x, float(lam),
+                    f"min eigenvalue of A(x) is {lam:.3e}"))
+            if rate < -_KILL_TOL:
                 violations.append(Violation(
-                    "negative_killing_rate", x, C,
-                    f"killing rate c + <gamma,x> is {C:.3e}"))
-            w, _ = self._merged_jump_atoms(x)
-            if w.size and w.min() < -_WEIGHT_TOL:
+                    "negative_killing_rate", x, float(rate),
+                    f"killing rate c + <gamma,x> is {rate:.3e}"))
+            if w < -_WEIGHT_TOL:
                 violations.append(Violation(
-                    "negative_jump_weight", x, float(w.min()),
-                    f"merged jump weight {w.min():.3e}"))
+                    "negative_jump_weight", x, float(w),
+                    f"merged jump weight {w:.3e}"))
         notes = (
             "killing rate convention: C(x) = c + <gamma, x> is required to be "
             "nonnegative on D (equivalently F(0) = -c, R(0) = -gamma); the "

@@ -185,25 +185,12 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
     if constant_diffusion:
         sqrt_a = _psd_sqrt(p.a)
     if has_jumps:
-        # union atom list with affine weights w(x) = W0 + x @ W1
-        locs = [p.m_measure.locations] + [m.locations for m in p.mu_measures]
-        all_locs = np.vstack([l for l in locs if l.size] or [np.zeros((0, d))])
-        atom_locs = np.unique(all_locs, axis=0) if all_locs.size else all_locs
-        k_atoms = atom_locs.shape[0]
-        W0 = np.zeros(k_atoms)
-        W1 = np.zeros((d, k_atoms))
-
-        def _accumulate(target, measure):
-            for w, loc in zip(measure.weights, measure.locations):
-                j = np.nonzero(np.all(atom_locs == loc, axis=1))[0][0]
-                target[j] += w
-
-        _accumulate(W0, p.m_measure)
-        for i, mu in enumerate(p.mu_measures):
-            _accumulate(W1[i], mu)
+        # jump weights w(x) = W0 + x @ W1 over the atom table, and the
         # truncation compensation int h dnu(x) = hm0 + x @ hm1
-        hm0 = p.m_measure.truncated_mean()
-        hm1 = np.vstack([m.truncated_mean() for m in p.mu_measures])
+        W0, W1 = p.W[0], p.W[1:]
+        atom_locs = p.L
+        hm = (p.W * p.small) @ p.L
+        hm0, hm1 = hm[0], hm[1:]
 
     orth = _orthant_mask(p.space)
     states = np.empty((n_paths, n_steps + 1, d))

@@ -26,6 +26,7 @@ __all__ = [
     "CanonicalOrthantPlane",
     "Parabola",
     "TransformPoint",
+    "random_u_in_domain",
     "space_from_config",
 ]
 
@@ -220,6 +221,23 @@ class TransformPoint:
 
     def in_Uk(self, k: float) -> bool:
         return self.level <= k
+
+
+def random_u_in_domain(space: StateSpace, rng: np.random.Generator) -> np.ndarray:
+    """A random point of the transform domain U for any shipped space.
+
+    Draws the imaginary part first, then the real part, from `rng`.
+    """
+    d = space.dim
+    y = rng.uniform(-1.5, 1.5, size=d)
+    re = np.zeros(d)
+    if isinstance(space, Parabola):
+        re = np.array([rng.uniform(-1.0, 1.0), -rng.uniform(0.2, 1.5)])
+    elif isinstance(space, HalfLine):
+        re[0] = -rng.uniform(0.0, 1.5)
+    elif isinstance(space, CanonicalOrthantPlane) and space.m:
+        re[: space.m] = -rng.uniform(0.0, 1.5, size=space.m)
+    return re + 1j * y
 
 
 def space_from_config(cfg: dict) -> StateSpace:

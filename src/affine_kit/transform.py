@@ -94,6 +94,9 @@ class TransformResult:
     For status 'blow_up', t and the values refer to the last accepted time
     (also exposed as blow_up_time).  status 'ok' guarantees the pair (t, u)
     is inside the maximal domain: integration succeeded and psi stayed in U.
+    The rows of evaluate_grid come from one integration over the whole
+    t-grid, so each row carries the steps and err_est of that whole sweep,
+    not of its own row.
     """
 
     t: float

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 from affine_kit import presets
-from affine_kit.state_space import CanonicalOrthantPlane, HalfLine, Parabola
 
 
 @pytest.fixture
@@ -18,17 +16,3 @@ def cir():
 @pytest.fixture
 def parabola():
     return presets.parabola()
-
-
-def random_u_in_domain(space, rng: np.random.Generator) -> np.ndarray:
-    """A random point of the transform domain U for any shipped space."""
-    d = space.dim
-    y = rng.uniform(-1.5, 1.5, size=d)
-    re = np.zeros(d)
-    if isinstance(space, Parabola):
-        re = np.array([rng.uniform(-1.0, 1.0), -rng.uniform(0.2, 1.5)])
-    elif isinstance(space, HalfLine):
-        re[0] = -rng.uniform(0.0, 1.5)
-    elif isinstance(space, CanonicalOrthantPlane) and space.m:
-        re[: space.m] = -rng.uniform(0.0, 1.5, size=space.m)
-    return re + 1j * y

@@ -156,6 +156,39 @@ class TestExponents:
             scale = 1.0 + abs(lhs) + abs(rhs)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
+    def test_each_row_reads_its_own_jump_measure(self):
+        # m and mu^1 share the atom (0.3, -0.4); mu^1 alone has (1.5, 0.5),
+        # outside the unit ball; mu^2 is empty
+        rng = np.random.default_rng(21)
+        sym = lambda m: 0.5 * (m + m.T)
+        a = sym(rng.standard_normal((2, 2)))
+        alpha = np.stack([sym(rng.standard_normal((2, 2))) for _ in range(2)])
+        b, beta = rng.standard_normal(2), rng.standard_normal((2, 2))
+        c, gamma = 0.3, rng.standard_normal(2)
+        m = LevyMeasure.from_atoms([(0.7, [0.3, -0.4]), (0.2, [-0.6, 0.1])])
+        mus = (LevyMeasure.from_atoms([(-0.4, [0.3, -0.4]), (0.9, [1.5, 0.5])]),
+               LevyMeasure.empty(2))
+        p = AffineParams.zeros(FullSpace(dim=2)).with_(
+            a=a, alpha=alpha, b=b, beta=beta, c=c, gamma=gamma,
+            m_measure=m, mu_measures=mus)
+        for _ in range(5):
+            u = rng.standard_normal(2) * 0.5 + 1j * rng.standard_normal(2)
+            F = 0.5 * (u @ a @ u) + b @ u - c + jump_integral(m, u)
+            assert p.F_eval(u) == pytest.approx(F, rel=1e-14)
+            R = p.R_eval(u)
+            for i in range(2):
+                Ri = (0.5 * (u @ alpha[i] @ u) + beta[i] @ u - gamma[i]
+                      + jump_integral(mus[i], u))
+                assert R[i] == pytest.approx(Ri, rel=1e-14)
+
+    def test_zero_weight_adds_nothing_where_exp_overflows(self):
+        # at u = -800 the mu^1 atom at -1 overflows exp; m has weight 0 there
+        p = AffineParams.zeros(HalfLine()).with_(
+            m_measure=LevyMeasure.from_atoms([(1.0, 0.5)]),
+            mu_measures=(LevyMeasure.from_atoms([(2.0, -1.0)]),))
+        with np.errstate(over="ignore"):
+            assert p.F_eval([-800.0]) == 399.0
+
     @pytest.mark.parametrize("make", [brownian, cir, parabola])
     def test_real_part_maximized_at_zero_frequency(self, make):
         # Re(F(iy) + <x, R(iy)>) <= F(0) + <x, R(0)> for admissible params

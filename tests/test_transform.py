@@ -5,7 +5,7 @@ import pytest
 
 from affine_kit.params import AffineParams
 from affine_kit.presets import brownian, cir, parabola
-from affine_kit.state_space import FullSpace
+from affine_kit.state_space import FullSpace, random_u_in_domain
 from affine_kit.transform import (
     BlowUpError,
     TransformDomainError,
@@ -93,7 +93,6 @@ class TestEvaluate:
 
     def test_psi_stays_in_domain_when_ok(self, parabola, cir, brownian):
         rng = np.random.default_rng(3)
-        from conftest import random_u_in_domain
         for p in (parabola, cir, brownian):
             for _ in range(10):
                 u = random_u_in_domain(p.space, rng)
@@ -158,7 +157,6 @@ class TestCharFn:
 
     def test_modulus_bounded_by_support(self, parabola, cir):
         rng = np.random.default_rng(4)
-        from conftest import random_u_in_domain
         for p, x in ((parabola, [1.0, 1.0]), (cir, [0.7])):
             for _ in range(10):
                 u = random_u_in_domain(p.space, rng)
