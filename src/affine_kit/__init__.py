@@ -10,14 +10,11 @@ from .params import AdmissibilityError, AffineParams, LevyMeasure, jump_integral
 from .simulate import (
     Ensemble,
     McEstimate,
-    PathSample,
     characteristics_check,
     martingale_L_test,
     mc_char_fn,
-    simulate,
     simulate_ensemble,
     simulate_parabola_ensemble,
-    simulate_parabola_exact,
     stopped_ensemble,
 )
 from .state_space import (
@@ -55,14 +52,11 @@ __all__ = [
     "jump_integral",
     "Ensemble",
     "McEstimate",
-    "PathSample",
     "characteristics_check",
     "martingale_L_test",
     "mc_char_fn",
-    "simulate",
     "simulate_ensemble",
     "simulate_parabola_ensemble",
-    "simulate_parabola_exact",
     "stopped_ensemble",
     "CanonicalOrthantPlane",
     "FullSpace",

@@ -97,13 +97,6 @@ class LevyMeasure:
     def dim(self) -> int:
         return self.locations.shape[1]
 
-    def truncated_mean(self) -> np.ndarray:
-        """int h(xi) measure(dxi) with h(xi) = xi * 1{|xi| <= 1}."""
-        if not len(self):
-            return np.zeros(self.dim)
-        small = np.linalg.norm(self.locations, axis=1) <= 1.0
-        return (self.weights[small, None] * self.locations[small]).sum(axis=0)
-
 
 def jump_integral(measure: LevyMeasure, u) -> complex:
     """int (e^<xi,u> - 1 - <h(xi), u>) measure(dxi), exact for atomic measures.

@@ -35,12 +35,9 @@ from .state_space import CanonicalOrthantPlane, HalfLine, Parabola
 from .transform import BlowUpError, evaluate
 
 __all__ = [
-    "PathSample",
     "Ensemble",
     "McEstimate",
-    "simulate",
     "simulate_ensemble",
-    "simulate_parabola_exact",
     "simulate_parabola_ensemble",
     "mc_char_fn",
     "martingale_L_test",
@@ -62,24 +59,6 @@ class McEstimate:
 
     def consistent_with(self, target, n_se: float = 3.0, tol: float = 0.0) -> bool:
         return abs(self.value - target) <= max(n_se * self.std_error, tol)
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One discretized trajectory.
-
-    states[i] is valid for i < alive_until; from alive_until on the path sits
-    in the cemetery (rows are NaN).  alive_until is math.inf when the path is
-    never killed.  jump_marks lists (time index, jump vector) pairs.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    alive_until: float
-    jump_marks: list
-
-    def alive_at(self, i: int) -> bool:
-        return i < self.alive_until
 
 
 @dataclass(frozen=True)
@@ -111,15 +90,6 @@ class Ensemble:
             raise ValueError(f"t={t} is not on the simulation grid")
         return int(idx[0])
 
-    def path(self, i: int, jump_marks: list | None = None) -> PathSample:
-        au = self.alive_until[i]
-        return PathSample(
-            times=self.times,
-            states=self.states[i],
-            alive_until=math.inf if au >= len(self.times) else float(au),
-            jump_marks=list(jump_marks or []),
-        )
-
 
 def _path_rng(seed: int, idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, idx, 0]))
@@ -141,17 +111,16 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 
 def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
-                      n_paths: int, record_jumps: bool = False):
+                      n_paths: int) -> Ensemble:
     """Euler-Maruyama ensemble of n_paths trajectories over [0, T].
 
     Deterministic in (params, x0, T, n_steps, seed); path i depends only on
-    (seed, i).  Returns the Ensemble, plus the recorded jump marks of path 0
-    when record_jumps is set.
+    (seed, i).
     """
     if isinstance(p.space, Parabola):
         raise ValueError(
             "the parabola is a curve and cannot be simulated by Euler; "
-            "use simulate_parabola_exact")
+            "use the exact sampler simulate_parabola_ensemble")
     x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     if not p.space.contains(x0):
         raise ValueError(f"x0={x0} is not in the state space")
@@ -197,7 +166,6 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
     states[:, 0, :] = x0
     alive_until = np.full(n_paths, n_steps + 1, dtype=np.int64)
     hazard = np.zeros(n_paths)
-    jump_marks: list = []
     X = np.broadcast_to(x0, (n_paths, d)).copy()
     alive = np.ones(n_paths, dtype=bool)
     sqdt = math.sqrt(dt)
@@ -243,25 +211,13 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
                 v = jump_u[hit, step, 1 + j] * atom_cdf[hit, -1]
                 idx = (v[:, None] <= atom_cdf[hit]).argmax(axis=1)
                 X_new[hit] += atom_locs[idx]
-                if record_jumps and hit[0] and alive[0]:
-                    v0 = jump_u[0, step, 1 + j] * atom_cdf[0, -1]
-                    i0 = int((v0 <= atom_cdf[0]).argmax())
-                    jump_marks.append((step + 1, atom_locs[i0].copy()))
 
         if orth is not None:
             X_new[:, orth] = np.maximum(X_new[:, orth], 0.0)
         X = np.where(alive[:, None], X_new, X)
         states[:, step + 1, :] = np.where(alive[:, None], X, np.nan)
 
-    ens = Ensemble(times=times, states=states, alive_until=alive_until, x0=x0)
-    return (ens, jump_marks) if record_jumps else ens
-
-
-def simulate(p: AffineParams, x0, T: float, n_steps: int, seed: int) -> PathSample:
-    """Single Euler-Maruyama path (path 0 of the ensemble with this seed)."""
-    ens, marks = simulate_ensemble(p, x0, T, n_steps, seed, n_paths=1,
-                                   record_jumps=True)
-    return ens.path(0, jump_marks=marks)
+    return Ensemble(times=times, states=states, alive_until=alive_until, x0=x0)
 
 
 def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
@@ -289,14 +245,6 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
                     x0=x0)
 
 
-def simulate_parabola_exact(x0, times, seed: int) -> PathSample:
-    return simulate_parabola_ensemble(x0, times, seed, n_paths=1).path(0)
-
-
-def _alive_at(ens: Ensemble, index: int) -> np.ndarray:
-    return index < ens.alive_until
-
-
 def _complex_mean_se(vals: np.ndarray) -> McEstimate:
     n = len(vals)
     if n < 2:
@@ -313,7 +261,7 @@ def mc_char_fn(ens: Ensemble, t: float, u) -> McEstimate:
     """
     u = np.asarray(u, dtype=complex).reshape(ens.dim)
     i = ens.time_index(t)
-    alive = _alive_at(ens, i)
+    alive = i < ens.alive_until
     vals = np.zeros(ens.n_paths, dtype=complex)
     vals[alive] = np.exp(ens.states[alive, i, :] @ u)
     return _complex_mean_se(vals)

@@ -12,9 +12,11 @@ ODE from t = 0 picks the continuous logarithm branch automatically and
 avoids phase unwrapping near the blow-up time.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair running in
-complex arithmetic with combined absolute/relative error control.  Blow-up
-is declared when the accepted step collapses below t*1e-12 or |psi| exceeds
-an overflow guard; the blow-up time reported is the last accepted time.
+complex arithmetic with combined absolute/relative error control; evaluate
+and evaluate_grid share one sweep whose steps land on every requested time,
+so no value is interpolated.  Blow-up is declared when the accepted step
+collapses below t*1e-12 or |psi| exceeds an overflow guard; the blow-up time
+reported is the last accepted time.
 This deliberately conflates a vanishing transform factor with integrator
 failure, which is flagged in the result status rather than resolved.
 """
@@ -149,84 +151,107 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end)
 
 
-def _hermite(s: float, h: float, y0, f0, y1, f1):
-    # cubic Hermite on one accepted step, s in [0, 1]
-    s2, s3 = s * s, s * s * s
-    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
-            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
+def _integrate(f, y0: np.ndarray, t_stops, rtol: float, atol: float):
+    """Adaptive DP54 sweep from 0 through the sorted times t_stops.
 
-
-def _integrate(f, y0: np.ndarray, t_end: float, rtol: float, atol: float,
-               t_eval: np.ndarray | None = None):
-    """Adaptive DP54 sweep from 0 to t_end.
-
-    Returns (status, t_reached, y, steps, err_est, eval_values) where
-    eval_values[i] is the dense-output state at t_eval[i] (cubic Hermite on
-    the accepted step containing it) for every t_eval[i] <= t_reached, else
-    None.  status is 'ok' or 'blow_up'; non-finite right-hand sides only
-    ever reject steps, they never raise.
+    A step that would pass the next stop is shortened to end on it, so
+    steps land on every requested time and the state there is the
+    integrator's own, not an interpolant.  Returns
+    (t_reached, y, steps, err_est, states) where states[i] is the state at
+    t_stops[i] for the stops reached and y the state at t_reached.  The sweep
+    blew up exactly when states is shorter than t_stops; non-finite
+    right-hand sides only ever reject steps, they never raise.
     """
     y = y0.astype(complex)
     t = 0.0
     steps = 0
     err_est = 0.0
+    n_stops = len(t_stops)
+    states: list = []
+    while len(states) < n_stops and t_stops[len(states)] <= 0.0:
+        states.append(y.copy())
+    if len(states) == n_stops:
+        return t, y, steps, err_est, states
+    t_end = float(t_stops[-1])
     h_floor = max(t_end * 1e-12, 5e-324)
-    n_eval = 0 if t_eval is None else len(t_eval)
-    eval_values: list = [None] * n_eval
-    ptr = 0
-    if t_eval is not None:
-        while ptr < n_eval and t_eval[ptr] <= 0.0:
-            eval_values[ptr] = y.copy()
-            ptr += 1
 
     with np.errstate(all="ignore"):
         k1 = f(y)
         if not np.all(np.isfinite(k1)):
-            return STATUS_BLOW_UP, 0.0, y, 0, err_est, eval_values
+            return t, y, steps, err_est, states
         h = _initial_step(f, y, k1, t_end, rtol, atol)
         k = np.empty((7, y.size), dtype=complex)
 
-        while t < t_end:
+        while len(states) < n_stops:
             if steps >= MAX_STEPS or h < h_floor:
-                return STATUS_BLOW_UP, t, y, steps, err_est, eval_values
-            h = min(h, t_end - t)
+                return t, y, steps, err_est, states
+            t_stop = float(t_stops[len(states)])
+            # a step cut short to land on a stop keeps the proposal h, so
+            # nearby stops do not drag the step size down to h_floor
+            landing = h >= t_stop - t
+            h_step = t_stop - t if landing else h
             k[0] = k1
             bad = False
             for i in range(1, 7):
-                k[i] = f(y + h * (_DP_A[i] @ k[:i]))
+                k[i] = f(y + h_step * (_DP_A[i] @ k[:i]))
                 if not np.all(np.isfinite(k[i])):
                     bad = True
                     break
             if not bad:
-                y_new = y + h * (_DP_B5 @ k)
-                err_vec = h * (_DP_E @ k)
+                y_new = y + h_step * (_DP_B5 @ k)
+                err_vec = h_step * (_DP_E @ k)
                 sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
                 err_norm = _rms(err_vec / sc)
                 bad = not (math.isfinite(err_norm) and np.all(np.isfinite(y_new)))
             if bad or err_norm > 1.0:
                 fac = 0.2 if bad else max(0.2, 0.9 * err_norm ** -0.2)
-                h *= fac
+                h = h_step * fac
                 continue
             # accepted
             steps += 1
             err_est += float(np.max(np.abs(err_vec)))
             if np.max(np.abs(y_new[1:])) > PSI_OVERFLOW_GUARD:
                 # report the last state below the guard
-                return STATUS_BLOW_UP, t, y, steps, err_est, eval_values
-            t_new = t + h
-            while ptr < n_eval and t_eval[ptr] <= t_new + 1e-15 * t_end:
-                s = (t_eval[ptr] - t) / h
-                eval_values[ptr] = _hermite(min(max(s, 0.0), 1.0), h, y, k[0], y_new, k[6])
-                ptr += 1
-            y, t, k1 = y_new, t_new, k[6].copy()
+                return t, y, steps, err_est, states
+            # t + h_step can miss the stop by an ulp; land on it exactly
+            y, t, k1 = y_new, (t_stop if landing else t + h_step), k[6].copy()
+            while len(states) < n_stops and t_stops[len(states)] <= t:
+                states.append(y.copy())
             fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h *= fac
+            h = max(h, h_step * fac) if landing else h_step * fac
 
-    return STATUS_OK, t, y, steps, err_est, eval_values
+    return t, y, steps, err_est, states
 
 
 def _domain_tol(tol: float, psi: np.ndarray) -> float:
     return max(1e-9, 100.0 * tol) * (1.0 + float(np.max(np.abs(psi), initial=0.0)))
+
+
+def _sweep(p: AffineParams, u, t_sorted: np.ndarray, tol: float) -> list:
+    """One Riccati sweep from psi(0) = u, phi(0) = 0: a row per sorted time.
+
+    Rows past a blow-up carry the last accepted state with status
+    'blow_up'; the others get the domain check of u and of their psi.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not np.all(t_sorted >= 0):
+        raise ValueError("times must be nonnegative")
+    u = np.asarray(u, dtype=complex).reshape(p.dim)
+    u_in_U = p.space.in_domain(u, tol=_domain_tol(tol, u))
+    y0 = np.concatenate([[0.0 + 0.0j], u])
+    t_reached, y_last, steps, err_est, states = _integrate(
+        _riccati_rhs(p), y0, t_sorted, rtol=tol, atol=tol)
+    rows = []
+    for ti, y in zip(t_sorted, states):
+        psi = y[1:]
+        st = STATUS_OK
+        if not u_in_U or not p.space.in_domain(psi, tol=_domain_tol(tol, psi)):
+            st = STATUS_DOMAIN_EXIT
+        rows.append(TransformResult(float(ti), u, complex(y[0]), psi, st, steps, err_est))
+    blown = TransformResult(t_reached, u, complex(y_last[0]), y_last[1:], STATUS_BLOW_UP,
+                            steps, err_est, blow_up_time=t_reached)
+    return rows + [blown] * (len(t_sorted) - len(rows))
 
 
 def evaluate(p: AffineParams, t: float, u, tol: float = 1e-10) -> TransformResult:
@@ -238,67 +263,31 @@ def evaluate(p: AffineParams, t: float, u, tol: float = 1e-10) -> TransformResul
     integrated anyway -- the ODEs are entire in u for finite-activity jumps
     -- but can never come back with status 'ok'.
     """
-    u = np.asarray(u, dtype=complex).reshape(p.dim)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    u_in_U = p.space.in_domain(u, tol=_domain_tol(tol, u))
-    if t == 0.0:
-        status = STATUS_OK if u_in_U else STATUS_DOMAIN_EXIT
-        return TransformResult(0.0, u, 0.0 + 0.0j, u.copy(), status, 0, 0.0)
-
-    y0 = np.concatenate([[0.0 + 0.0j], u])
-    status, t_reached, y, steps, err_est, _ = _integrate(
-        _riccati_rhs(p), y0, float(t), rtol=tol, atol=tol)
-    phi, psi = complex(y[0]), y[1:]
-    if status == STATUS_BLOW_UP:
-        return TransformResult(t_reached, u, phi, psi, STATUS_BLOW_UP,
-                               steps, err_est, blow_up_time=t_reached)
-    if not u_in_U or not p.space.in_domain(psi, tol=_domain_tol(tol, psi)):
-        status = STATUS_DOMAIN_EXIT
-    return TransformResult(float(t), u, phi, psi, status, steps, err_est)
+    return _sweep(p, u, np.array([float(t)]), tol)[0]
 
 
 def evaluate_grid(p: AffineParams, u, t_list, tol: float = 1e-10) -> list:
-    """evaluate() at several times in one integrator sweep (dense output).
+    """evaluate() at several times in one integrator sweep.
 
+    The sweep's steps land on every requested time, so each row is a DP54
+    state at its own t and the row for a single time equals evaluate().
     Times past a blow-up come back with status 'blow_up' carrying the
-    estimate; other times get the interpolated state with the usual domain
-    check.
+    estimate.
     """
-    u = np.asarray(u, dtype=complex).reshape(p.dim)
-    t_arr = np.asarray(t_list, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("times must be nonnegative")
+    t_arr = np.asarray(t_list, dtype=float).reshape(-1)
     order = np.argsort(t_arr, kind="stable")
-    t_sorted = t_arr[order]
-    u_in_U = p.space.in_domain(u, tol=_domain_tol(tol, u))
-
-    y0 = np.concatenate([[0.0 + 0.0j], u])
-    t_max = float(t_sorted[-1]) if len(t_sorted) else 0.0
-    if t_max == 0.0:
-        status0 = STATUS_OK if u_in_U else STATUS_DOMAIN_EXIT
-        res = [TransformResult(0.0, u, 0j, u.copy(), status0, 0, 0.0) for _ in t_sorted]
-    else:
-        status, t_reached, y_last, steps, err_est, vals = _integrate(
-            _riccati_rhs(p), y0, t_max, rtol=tol, atol=tol, t_eval=t_sorted)
-        res = []
-        for ti, yi in zip(t_sorted, vals):
-            if yi is None:
-                res.append(TransformResult(
-                    t_reached, u, complex(y_last[0]), y_last[1:], STATUS_BLOW_UP,
-                    steps, err_est, blow_up_time=t_reached))
-                continue
-            phi, psi = complex(yi[0]), yi[1:]
-            st = STATUS_OK
-            if not u_in_U or not p.space.in_domain(psi, tol=_domain_tol(tol, psi)):
-                st = STATUS_DOMAIN_EXIT
-            res.append(TransformResult(float(ti), u, phi, psi, st, steps, err_est))
     out: list = [None] * len(t_arr)
-    for pos, r in zip(order, res):
+    for pos, r in zip(order, _sweep(p, u, t_arr[order], tol)):
         out[pos] = r
     return out
+
+
+def _require_ok(r: TransformResult) -> TransformResult:
+    if r.status == STATUS_BLOW_UP:
+        raise BlowUpError(r.blow_up_time)
+    if r.status == STATUS_DOMAIN_EXIT:
+        raise TransformDomainError("transform variable left the domain U")
+    return r
 
 
 def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
@@ -310,12 +299,7 @@ def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
     x = np.asarray(x, dtype=float).reshape(p.dim)
     if not p.space.contains(x):
         raise ValueError(f"initial state {x} is not in the state space")
-    r = evaluate(p, t, u, tol=tol)
-    if r.status == STATUS_BLOW_UP:
-        raise BlowUpError(r.blow_up_time)
-    if r.status == STATUS_DOMAIN_EXIT:
-        raise TransformDomainError(
-            "transform variable left the domain U; the transform value is undefined")
+    r = _require_ok(evaluate(p, t, u, tol=tol))
     return complex(np.exp(r.phi + x @ r.psi))
 
 
@@ -367,14 +351,6 @@ def parabola_FR(u):
 
 
 # -- analytic verification probes -------------------------------------------
-
-
-def _require_ok(r: TransformResult) -> TransformResult:
-    if r.status == STATUS_BLOW_UP:
-        raise BlowUpError(r.blow_up_time)
-    if r.status == STATUS_DOMAIN_EXIT:
-        raise TransformDomainError("transform variable left the domain U")
-    return r
 
 
 def semiflow_residual(p: AffineParams, t: float, s: float, u, tol: float = 1e-10) -> float:

@@ -46,10 +46,6 @@ class TestLevyMeasure:
         with pytest.raises(ValueError):
             LevyMeasure.from_atoms([(1.0, [0.0, 0.0])])
 
-    def test_truncated_mean_uses_unit_ball_only(self):
-        m = LevyMeasure.from_atoms([(2.0, [0.5]), (7.0, [3.0])])
-        assert m.truncated_mean() == pytest.approx([1.0])
-
 
 class TestJumpIntegral:
     def test_empty_measure(self):

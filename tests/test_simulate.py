@@ -9,10 +9,8 @@ from affine_kit.simulate import (
     characteristics_check,
     martingale_L_test,
     mc_char_fn,
-    simulate,
     simulate_ensemble,
     simulate_parabola_ensemble,
-    simulate_parabola_exact,
     stopped_ensemble,
 )
 from affine_kit.state_space import FullSpace, HalfLine
@@ -43,11 +41,10 @@ def cbi_with_killing():
 class TestEulerScheme:
     def test_zero_params_constant_path(self):
         p = AffineParams.zeros(FullSpace(dim=2))
-        path = simulate(p, [0.3, -0.7], T=1.0, n_steps=16, seed=4)
-        np.testing.assert_array_equal(path.states,
+        ens = simulate_ensemble(p, [0.3, -0.7], T=1.0, n_steps=16, seed=4, n_paths=1)
+        np.testing.assert_array_equal(ens.states[0],
                                       np.tile([0.3, -0.7], (17, 1)))
-        assert path.alive_until == math.inf
-        assert path.jump_marks == []
+        assert ens.alive_until[0] == 17
 
     def test_seed_determinism(self):
         p = brownian(2)
@@ -79,23 +76,15 @@ class TestEulerScheme:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            simulate(brownian(1), [0.0], T=-1.0, n_steps=10, seed=0)
+            simulate_ensemble(brownian(1), [0.0], T=-1.0, n_steps=10, seed=0, n_paths=1)
         with pytest.raises(ValueError):
-            simulate(cir(), [-1.0], T=1.0, n_steps=10, seed=0)
+            simulate_ensemble(cir(), [-1.0], T=1.0, n_steps=10, seed=0, n_paths=1)
 
     def test_invalid_params_rejected(self):
         from affine_kit.presets import invalid_negative_diffusion
         with pytest.raises(ValueError, match="validation"):
-            simulate(invalid_negative_diffusion(), [0.0], 1.0, 10, seed=0)
-
-    def test_jump_marks_recorded(self):
-        p = levy_jump_diffusion().with_(
-            m_measure=LevyMeasure.from_atoms([(30.0, [1.0])]))
-        path = simulate(p, [0.0], T=1.0, n_steps=100, seed=8)
-        assert path.jump_marks, "high-intensity process should jump"
-        idx, vec = path.jump_marks[0]
-        assert vec == pytest.approx([1.0])
-        assert 0 < idx <= 100
+            simulate_ensemble(invalid_negative_diffusion(), [0.0], 1.0, 10, seed=0,
+                              n_paths=1)
 
 
 class TestParabolaExact:
@@ -106,8 +95,8 @@ class TestParabolaExact:
                                       ens.states[:, :, 0] ** 2)
 
     def test_degenerate_grid(self):
-        path = simulate_parabola_exact([1.0, 1.0], [0.0], seed=0)
-        np.testing.assert_array_equal(path.states, [[1.0, 1.0]])
+        ens = simulate_parabola_ensemble([1.0, 1.0], [0.0], seed=0, n_paths=1)
+        np.testing.assert_array_equal(ens.states[0], [[1.0, 1.0]])
 
     def test_brownian_mean(self):
         times = np.linspace(0.0, 1.0, 5)
@@ -118,7 +107,7 @@ class TestParabolaExact:
 
     def test_off_curve_start_rejected(self):
         with pytest.raises(ValueError):
-            simulate_parabola_exact([1.0, 2.0], [0.0, 0.5], seed=0)
+            simulate_parabola_ensemble([1.0, 2.0], [0.0, 0.5], seed=0, n_paths=1)
 
 
 class TestMcCharFn:

@@ -141,6 +141,34 @@ class TestEvaluateGrid:
         # pre-blow-up values are still delivered (flagged as out of domain)
         assert statuses[0] == statuses[1] == "domain_exit"
 
+    def test_rows_meet_the_closed_form(self, parabola):
+        ts = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
+        for u in ([0.5 + 0.5j, -0.8 + 0.2j], [1j, -0.3], [0.3j, -1 + 0.5j]):
+            grid = evaluate_grid(parabola, u, ts, tol=1e-10)
+            for t, r in zip(ts, grid):
+                phi_c, psi_c = closed_form_parabola(t, u)
+                assert r.ok
+                assert r.phi == pytest.approx(phi_c, rel=1e-9)
+                assert r.psi == pytest.approx(psi_c, rel=1e-9)
+                single = evaluate(parabola, t, u, tol=1e-10)
+                row = evaluate_grid(parabola, u, [t], tol=1e-10)[0]
+                assert (row.t, row.phi, row.status, row.steps, row.err_est) == (
+                    single.t, single.phi, single.status, single.steps, single.err_est)
+                assert np.array_equal(row.psi, single.psi)
+
+    def test_intermediate_stops_land_exactly(self):
+        # t + h can miss a stop by an ulp, and a step cut short by a nearby
+        # stop is tiny; neither may trip the step-size floor that signals
+        # blow-up
+        p = AffineParams.zeros(FullSpace(dim=1))
+        for ts in ([0.428, 1.0], [0.5, 0.5 + 1e-14, 1.0], [1e-14, 1.0]):
+            grid = evaluate_grid(p, [0.5j], ts)
+            assert [r.t for r in grid] == ts
+            for r in grid:
+                assert r.status == "ok"
+                assert r.phi == 0
+                assert np.array_equal(r.psi, [0.5j])
+
 
 class TestCharFn:
     def test_time_zero_is_plain_exponential(self, parabola):
