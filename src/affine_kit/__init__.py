@@ -29,6 +29,7 @@ from .state_space import (
 from .transform import (
     BlowUpError,
     TransformDomainError,
+    TransformBatch,
     TransformError,
     TransformResult,
     boundedness_probe,
@@ -36,6 +37,7 @@ from .transform import (
     closed_form_parabola,
     cp_limit_check,
     evaluate,
+    evaluate_batch,
     evaluate_grid,
     fd_regularity,
     parabola_FR,
@@ -67,6 +69,7 @@ __all__ = [
     "space_from_config",
     "BlowUpError",
     "TransformDomainError",
+    "TransformBatch",
     "TransformError",
     "TransformResult",
     "boundedness_probe",
@@ -74,6 +77,7 @@ __all__ = [
     "closed_form_parabola",
     "cp_limit_check",
     "evaluate",
+    "evaluate_batch",
     "evaluate_grid",
     "fd_regularity",
     "parabola_FR",

@@ -45,7 +45,7 @@ from .transform import (
     boundedness_probe,
     char_fn,
     cp_limit_check,
-    evaluate_grid,
+    evaluate_batch,
     fd_regularity,
     semiflow_residual,
 )
@@ -228,6 +228,8 @@ def _validate_config(cfg: RunConfig) -> None:
     for x in cfg.x_grid:
         if not cfg.space.contains(x):
             raise ConfigValidationError(f"grid point x={x} is not in the state space")
+    if not (math.isfinite(cfg.ode_tol) and cfg.ode_tol > 0):
+        raise ConfigValidationError(f"the ODE tolerance must be finite and > 0, got {cfg.ode_tol}")
     report = cfg.params.validate(samples=64)
     if not report.valid:
         raise ConfigValidationError(f"parameters are not admissible:\n{report}")
@@ -247,16 +249,13 @@ def run_transform(cfg: RunConfig, out_dir: str) -> int:
     d = cfg.params.dim
     header = (["t"] + _complex_cols("u", d) + ["re_phi", "im_phi"]
               + _complex_cols("psi", d) + ["status"])
-    rows = []
-    results = [evaluate_grid(cfg.params, u, cfg.t_grid, cfg.ode_tol) for u in cfg.u_grid]
-    for u, res in zip(cfg.u_grid, results):
-        # Python floats, not numpy scalars: csv writes float cells with repr
-        u_cols = u.real.tolist() + u.imag.tolist()
-        for r in res:
-            rows.append([float(r.t)] + u_cols
-                        + [float(r.phi.real), float(r.phi.imag)]
-                        + r.psi.real.tolist() + r.psi.imag.tolist()
-                        + [r.status])
+    b = evaluate_batch(cfg.params, cfg.t_grid, np.reshape(cfg.u_grid, (-1, d)), cfg.ode_tol)
+    u_cols = np.broadcast_to(np.hstack([b.u.real, b.u.imag])[:, None], b.t.shape + (2 * d,))
+    num = np.concatenate([b.t[..., None], u_cols, b.phi.real[..., None], b.phi.imag[..., None],
+                          b.psi.real, b.psi.imag], axis=-1)
+    # Python floats, not numpy scalars: csv writes float cells with repr
+    rows = [r + [st] for r, st in zip(num.reshape(-1, num.shape[-1]).tolist(),
+                                      b.status.ravel().tolist())]
     path = os.path.join(out_dir, "transform.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

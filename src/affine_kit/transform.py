@@ -12,11 +12,12 @@ ODE from t = 0 picks the continuous logarithm branch automatically and
 avoids phase unwrapping near the blow-up time.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair running in
-complex arithmetic with combined absolute/relative error control; evaluate
-and evaluate_grid share one sweep whose steps land on every requested time,
-so no value is interpolated.  Blow-up is declared when the accepted step
-collapses below t*1e-12 or |psi| exceeds an overflow guard; the blow-up time
-reported is the last accepted time.
+complex arithmetic with combined absolute/relative error control, one lane
+per transform variable u: evaluate_batch sweeps N lanes as one (N, d+1)
+array, and evaluate and evaluate_grid are one-lane batches.  Steps land on
+every requested time, so no value is interpolated.  Blow-up is declared when
+a lane's accepted step collapses below t*1e-12 or |psi| exceeds an overflow
+guard; the blow-up time reported is the lane's last accepted time.
 This deliberately conflates a vanishing transform factor with integrator
 failure, which is flagged in the result status rather than resolved.
 """
@@ -33,10 +34,12 @@ from .state_space import StateSpace
 
 __all__ = [
     "TransformResult",
+    "TransformBatch",
     "TransformError",
     "BlowUpError",
     "TransformDomainError",
     "evaluate",
+    "evaluate_batch",
     "evaluate_grid",
     "char_fn",
     "closed_form_parabola",
@@ -57,22 +60,17 @@ STATUS_DOMAIN_EXIT = "domain_exit"
 PSI_OVERFLOW_GUARD = 1e8
 MAX_STEPS = 10 ** 6
 
-# Dormand-Prince 5(4) tableau; the last row doubles as the 5th-order weights
-# (FSAL: stage 7 is the derivative at the accepted point).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b5 - b4: local truncation error estimate
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau, complex like the stages (no nodes: the system is
+# autonomous); the last row of _DP_A is the 5th-order weights (FSAL: k7 = f(y_new)).
+_DP_A = [np.array(row, dtype=complex) for row in (
+    [], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])]
+# row 0: the 5th-order weights b5; row 1: b5 - b4, the local error estimate
+_DP_BE = np.array([[35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+                   [71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                    -17253 / 339200, 22 / 525, -1 / 40]], dtype=complex)
 
 
 class TransformError(RuntimeError):
@@ -96,9 +94,8 @@ class TransformResult:
     For status 'blow_up', t and the values refer to the last accepted time
     (also exposed as blow_up_time).  status 'ok' guarantees the pair (t, u)
     is inside the maximal domain: integration succeeded and psi stayed in U.
-    The rows of evaluate_grid come from one integration over the whole
-    t-grid, so each row carries the steps and err_est of that whole sweep,
-    not of its own row.
+    steps and err_est are those of the row's lane: every row of evaluate_grid
+    carries the accepted steps and summed error estimate of its one lane.
     """
 
     t: float
@@ -120,138 +117,169 @@ class TransformResult:
         return self.psi - self.u
 
 
-def _riccati_rhs(p: AffineParams):
-    def f(y: np.ndarray) -> np.ndarray:
-        psi = y[1:]
-        out = np.empty_like(y)
-        out[0] = p.F_eval(psi)
-        out[1:] = p.R_eval(psi)
-        return out
-    return f
+@dataclass(frozen=True)
+class TransformBatch:
+    """evaluate() for N transform variables at n_t times, from one sweep.
+
+    Row (i, j) is lane i (u[i]) at the j-th time; on a 'blow_up' row t[i, j] is the
+    lane's blow-up time, as in TransformResult.  steps, err_est and blow_up_time
+    (nan if none) are per lane, shared by the lane's rows.
+    """
+
+    t: np.ndarray               # (N, n_t)
+    u: np.ndarray               # (N, d)
+    phi: np.ndarray             # (N, n_t) complex
+    psi: np.ndarray             # (N, n_t, d) complex
+    status: np.ndarray          # (N, n_t) str
+    steps: np.ndarray           # (N,) accepted steps
+    err_est: np.ndarray         # (N,) sum of the accepted steps' max |error estimate|
+    blow_up_time: np.ndarray    # (N,)
+
+    def lane(self, i: int) -> list:
+        """Lane i as one TransformResult per requested time."""
+        steps, err, bt = int(self.steps[i]), float(self.err_est[i]), float(self.blow_up_time[i])
+        return [TransformResult(t, self.u[i], phi, psi, st, steps, err,
+                                bt if st == STATUS_BLOW_UP else None)
+                for t, phi, psi, st in zip(self.t[i].tolist(), self.phi[i].tolist(),
+                                           self.psi[i], self.status[i].tolist())]
 
 
-def _rms(z: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(z) ** 2)))
+def _rhs(p: AffineParams, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Riccati right-hand side (F(psi), R(psi)) of lanes y = (phi, psi), shape (n, d+1)."""
+    psi = y[:, 1:]
+    out[:, 0] = p.F_eval(psi)
+    out[:, 1:] = p.R_eval(psi)
+    return out
 
 
-def _initial_step(f, y0, f0, t_end, rtol, atol):
+def _rms(z: np.ndarray) -> np.ndarray:
+    return np.sqrt((np.abs(z) ** 2).sum(axis=-1) / z.shape[-1])
+
+
+def _initial_step(p, y0, f0, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = 1e-6 * t_end if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
-    with np.errstate(all="ignore"):
-        f1 = f(y0 + h0 * f0)
-    if not np.all(np.isfinite(f1)):
-        return max(h0 * 1e-3, t_end * 1e-12)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6 * t_end, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    h0 = np.where(np.minimum(d0, d1) < 1e-5, 1e-6 * t_end, np.minimum(0.01 * d0 / d1, t_end))
+    f1 = _rhs(p, y0 + h0[:, None] * f0, np.empty_like(y0))
+    d12 = np.maximum(d1, _rms((f1 - f0) / scale) / h0)
+    h1 = np.where(d12 <= 1e-15, np.maximum(1e-6 * t_end, h0 * 1e-3), (0.01 / d12) ** 0.2)
+    return np.where(np.isfinite(f1).all(axis=1), np.minimum(np.minimum(100 * h0, h1), t_end),
+                    np.maximum(h0 * 1e-3, t_end * 1e-12))
 
 
-def _integrate(f, y0: np.ndarray, t_stops, rtol: float, atol: float):
-    """Adaptive DP54 sweep from 0 through the sorted times t_stops.
+def _integrate(p: AffineParams, y0: np.ndarray, t_stops, rtol: float, atol: float):
+    """Adaptive DP54 sweep of the lanes y0 (n, d+1) from 0 through the sorted t_stops.
 
-    A step that would pass the next stop is shortened to end on it, so
-    steps land on every requested time and the state there is the
-    integrator's own, not an interpolant.  Returns
-    (t_reached, y, steps, err_est, states) where states[i] is the state at
-    t_stops[i] for the stops reached and y the state at t_reached.  The sweep
-    blew up exactly when states is shorter than t_stops; non-finite
-    right-hand sides only ever reject steps, they never raise.
+    Each lane has its own t, step h, next stop, counters and outcome, and
+    only t_stops is shared: a step runs on the live lanes as one array and
+    masks accept or reject it per lane.  Steps are shortened to land on
+    every stop, so no state is interpolated.  Returns (states, t, steps,
+    err_est, reached), the last four per lane: states[i, j] is lane i at
+    t_stops[j] for j < reached[i], else its last accepted state, at t[i].  Lane i blew
+    up iff reached[i] < len(t_stops): a non-finite derivative at t = 0, a
+    step below the floor, MAX_STEPS steps or |psi| past the overflow guard.
     """
-    y = y0.astype(complex)
-    t = 0.0
-    steps = 0
-    err_est = 0.0
-    n_stops = len(t_stops)
-    states: list = []
-    while len(states) < n_stops and t_stops[len(states)] <= 0.0:
-        states.append(y.copy())
-    if len(states) == n_stops:
-        return t, y, steps, err_est, states
+    (n, m), n_stops = y0.shape, len(t_stops)
+    states = np.empty((n, n_stops, m), dtype=complex)
+    n_zero = int(np.searchsorted(t_stops, 0.0, side="right"))
+    states[:, :n_zero] = y0[:, None]
+    # per-lane results (t, steps, err_est, reached), filled as lanes retire
+    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n), np.full(n, n_zero)]
+    if n == 0 or n_zero == n_stops:
+        return (states, *out)
     t_end = float(t_stops[-1])
     h_floor = max(t_end * 1e-12, 5e-324)
-
+    fac_scale = 0.9 * m ** 0.1      # 0.9 * rms**-0.2 = fac_scale * err_sum**-0.1
+    ids, y, t_next = np.arange(n), y0.copy(), t_stops[out[3]]
+    t, steps, err_est, ptr = (a.copy() for a in out)
     with np.errstate(all="ignore"):
-        k1 = f(y)
-        if not np.all(np.isfinite(k1)):
-            return t, y, steps, err_est, states
-        h = _initial_step(f, y, k1, t_end, rtol, atol)
-        k = np.empty((7, y.size), dtype=complex)
-
-        while len(states) < n_stops:
-            if steps >= MAX_STEPS or h < h_floor:
-                return t, y, steps, err_est, states
-            t_stop = float(t_stops[len(states)])
+        # the stages, lane by lane (a sum over stages then never depends on
+        # the other lanes); k[:, 0] is the derivative at y (FSAL)
+        k = np.empty((n, 7, m), dtype=complex)
+        _rhs(p, y, k[:, 0])
+        h = _initial_step(p, y, k[:, 0], t_end, rtol, atol)
+        done = ~(np.isfinite(k[:, 0]).all(axis=1) & (h >= h_floor))
+        while True:
+            if done.any():
+                # retire: rows past a blow-up get the last accepted state
+                for i in np.flatnonzero(done):
+                    states[ids[i], ptr[i]:] = y[i]
+                gone, keep = ids[done], ~done
+                for full, live in zip(out, (t, steps, err_est, ptr)):
+                    full[gone] = live[done]
+                if not keep.any():
+                    return (states, *out)
+                ids, t, y, h, ptr, t_next, steps, err_est, k = (
+                    a[keep] for a in (ids, t, y, h, ptr, t_next, steps, err_est, k))
+            gap = t_next - t
             # a step cut short to land on a stop keeps the proposal h, so
             # nearby stops do not drag the step size down to h_floor
-            landing = h >= t_stop - t
-            h_step = t_stop - t if landing else h
-            k[0] = k1
-            bad = False
+            landing = h >= gap
+            h_step = np.where(landing, gap, h)
+            hs = h_step[:, None]
             for i in range(1, 7):
-                k[i] = f(y + h_step * (_DP_A[i] @ k[:i]))
-                if not np.all(np.isfinite(k[i])):
-                    bad = True
-                    break
-            if not bad:
-                y_new = y + h_step * (_DP_B5 @ k)
-                err_vec = h_step * (_DP_E @ k)
-                sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = _rms(err_vec / sc)
-                bad = not (math.isfinite(err_norm) and np.all(np.isfinite(y_new)))
-            if bad or err_norm > 1.0:
-                fac = 0.2 if bad else max(0.2, 0.9 * err_norm ** -0.2)
-                h = h_step * fac
-                continue
-            # accepted
-            steps += 1
-            err_est += float(np.max(np.abs(err_vec)))
-            if np.max(np.abs(y_new[1:])) > PSI_OVERFLOW_GUARD:
-                # report the last state below the guard
-                return t, y, steps, err_est, states
+                _rhs(p, y + hs * (_DP_A[i] @ k[:, :i]), k[:, i])
+            inc = hs[:, None] * (_DP_BE @ k)
+            y_new = y + inc[:, 0]
+            abs_new = np.abs(y_new)
+            # + 0 * |y_new|: NaN where y_new is not finite, so the step is rejected
+            err = np.abs(inc[:, 1]) + 0.0 * abs_new
+            err_sum = ((err / (atol + rtol * np.maximum(np.abs(y), abs_new))) ** 2).sum(axis=1)
+            acc = err_sum <= m
+            # fmax: a NaN error (non-finite step) shrinks h by 0.2
+            h_new = h_step * np.minimum(5.0, np.fmax(0.2, fac_scale * err_sum ** -0.1))
+            h = np.where(acc & landing, np.maximum(h, h_new), h_new)
+            steps += acc
+            err_est += np.where(acc, err.max(axis=1), 0.0)
+            # past the guard, a lane stops at its last state below it
+            done = acc & (abs_new[:, 1:].max(axis=1) > PSI_OVERFLOW_GUARD)
+            move = acc & ~done
             # t + h_step can miss the stop by an ulp; land on it exactly
-            y, t, k1 = y_new, (t_stop if landing else t + h_step), k[6].copy()
-            while len(states) < n_stops and t_stops[len(states)] <= t:
-                states.append(y.copy())
-            fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h = max(h, h_step * fac) if landing else h_step * fac
-
-    return t, y, steps, err_est, states
+            t = np.where(move, np.where(landing, t_next, t + h_step), t)
+            np.copyto(y, y_new, where=move[:, None])
+            np.copyto(k[:, 0], k[:, 6], where=move[:, None])
+            done |= ~(h >= h_floor) | (steps >= MAX_STEPS)
+            for i in np.flatnonzero(t >= t_next):
+                j = t_stops.searchsorted(t[i], side="right")
+                states[ids[i], ptr[i]:j] = y[i]
+                ptr[i], done[i] = j, done[i] or j == n_stops
+                t_next[i] = t_stops[min(j, n_stops - 1)]
 
 
 def _domain_tol(tol: float, psi: np.ndarray) -> float:
-    return max(1e-9, 100.0 * tol) * (1.0 + float(np.max(np.abs(psi), initial=0.0)))
+    return max(1e-9, 100.0 * tol) * (1.0 + float(np.abs(psi).max(initial=0.0)))
 
 
-def _sweep(p: AffineParams, u, t_sorted: np.ndarray, tol: float) -> list:
-    """One Riccati sweep from psi(0) = u, phi(0) = 0: a row per sorted time.
-
-    Rows past a blow-up carry the last accepted state with status
-    'blow_up'; the others get the domain check of u and of their psi.
-    """
-    if tol <= 0:
+# evaluate_batch's body: evaluate and evaluate_grid call it directly, so traced calls never nest
+def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if not np.all(t_sorted >= 0):
+    t_arr = np.asarray(t_grid, dtype=float).reshape(-1)
+    if not (t_arr >= 0).all():
         raise ValueError("times must be nonnegative")
-    u = np.asarray(u, dtype=complex).reshape(p.dim)
-    u_in_U = p.space.in_domain(u, tol=_domain_tol(tol, u))
-    y0 = np.concatenate([[0.0 + 0.0j], u])
-    t_reached, y_last, steps, err_est, states = _integrate(
-        _riccati_rhs(p), y0, t_sorted, rtol=tol, atol=tol)
-    rows = []
-    for ti, y in zip(t_sorted, states):
-        psi = y[1:]
-        st = STATUS_OK
-        if not u_in_U or not p.space.in_domain(psi, tol=_domain_tol(tol, psi)):
-            st = STATUS_DOMAIN_EXIT
-        rows.append(TransformResult(float(ti), u, complex(y[0]), psi, st, steps, err_est))
-    blown = TransformResult(t_reached, u, complex(y_last[0]), y_last[1:], STATUS_BLOW_UP,
-                            steps, err_est, blow_up_time=t_reached)
-    return rows + [blown] * (len(t_sorted) - len(rows))
+    U = np.asarray(U, dtype=complex).reshape(-1, p.dim)
+    y0 = np.hstack([np.zeros((len(U), 1)), U])
+    order = t_arr.argsort(kind="stable")
+    states, t_last, steps, err_est, reached = _integrate(p, y0, t_arr[order], tol, tol)
+    rank = order.argsort()      # back to the caller's order
+    y, blown = states[:, rank], rank >= reached[:, None]
+    status = np.where(blown, STATUS_BLOW_UP, STATUS_OK).astype(object)
+    u_in_U = [p.space.in_domain(u, tol=_domain_tol(tol, u)) for u in U]
+    for i, j in zip(*np.nonzero(~blown)):
+        if not (u_in_U[i] and p.space.in_domain(y[i, j, 1:], tol=_domain_tol(tol, y[i, j, 1:]))):
+            status[i, j] = STATUS_DOMAIN_EXIT
+    return TransformBatch(np.where(blown, t_last[:, None], t_arr), U, y[..., 0], y[..., 1:],
+                          status, steps, err_est,
+                          np.where(reached < len(t_arr), t_last, math.nan))
+
+
+def evaluate_batch(p: AffineParams, t_grid, U, tol: float = 1e-10) -> TransformBatch:
+    """evaluate() at every time of t_grid (unsorted, repeats allowed) for every row u of U.
+
+    One DP54 loop runs a lane per u; a lane keeps its own steps, counters
+    and status, so it takes the same steps as a batch of its u alone.
+    """
+    return _batch(p, t_grid, U, tol)
 
 
 def evaluate(p: AffineParams, t: float, u, tol: float = 1e-10) -> TransformResult:
@@ -261,25 +289,19 @@ def evaluate(p: AffineParams, t: float, u, tol: float = 1e-10) -> TransformResul
     tolerance).  The result status records blow-up (with the last accepted
     time) and exits from the transform domain U; out-of-domain inputs are
     integrated anyway -- the ODEs are entire in u for finite-activity jumps
-    -- but can never come back with status 'ok'.
+    -- but can never come back with status 'ok'.  Lane 0 of a batch over [t].
     """
-    return _sweep(p, u, np.array([float(t)]), tol)[0]
+    return _batch(p, [float(t)], [u], tol).lane(0)[0]
 
 
 def evaluate_grid(p: AffineParams, u, t_list, tol: float = 1e-10) -> list:
-    """evaluate() at several times in one integrator sweep.
+    """evaluate() at several times in one integrator sweep: lane 0 of a batch.
 
     The sweep's steps land on every requested time, so each row is a DP54
     state at its own t and the row for a single time equals evaluate().
-    Times past a blow-up come back with status 'blow_up' carrying the
-    estimate.
+    Times past a blow-up come back with status 'blow_up' carrying the estimate.
     """
-    t_arr = np.asarray(t_list, dtype=float).reshape(-1)
-    order = np.argsort(t_arr, kind="stable")
-    out: list = [None] * len(t_arr)
-    for pos, r in zip(order, _sweep(p, u, t_arr[order], tol)):
-        out[pos] = r
-    return out
+    return _batch(p, t_list, [u], tol).lane(0)
 
 
 def _require_ok(r: TransformResult) -> TransformResult:
@@ -442,22 +464,23 @@ def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> Boun
 
     The suprema must stay bounded as t decreases (they converge to
     sup |F| + ||R|| over the grid); a >2x increase across the last three
-    times raises the divergence flag.
+    times raises the divergence flag.  Each time is one evaluate_batch
+    over the grid, so each u is a single-stop sweep to that time.
     """
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
         raise ValueError("t_list must be decreasing and positive")
-    us = [np.asarray(u, dtype=complex).reshape(p.dim) for u in grid]
-    for u in us:
+    U = np.array([np.asarray(u, dtype=complex).reshape(p.dim) for u in grid]).reshape(-1, p.dim)
+    for u in U:
         if p.space.support(u) == math.inf:
             raise ValueError(f"grid point {u} lies outside the transform domain U")
     sups = np.empty(len(t_arr))
     for j, t in enumerate(t_arr):
-        best = 0.0
-        for u in us:
-            r = _require_ok(evaluate(p, float(t), u, tol))
-            best = max(best, abs(r.phi) / t + float(np.linalg.norm(r.rho)) / t)
-        sups[j] = best
+        b = evaluate_batch(p, [t], U, tol)
+        for i in range(len(U)):
+            _require_ok(b.lane(i)[0])
+        sups[j] = np.max(np.abs(b.phi[:, 0]) / t + np.linalg.norm(b.psi[:, 0] - U, axis=1) / t,
+                         initial=0.0)
     diverging = len(sups) >= 3 and sups[-1] > 2.0 * sups[-3]
     return BoundednessTable(t_arr, sups, bool(diverging))
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from affine_kit import cli, presets
+from affine_kit import cli, presets, transform
 from affine_kit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -13,7 +13,7 @@ from affine_kit.cli import (
     main,
 )
 from affine_kit.simulate import Ensemble, simulate_ensemble
-from affine_kit.transform import evaluate_grid
+from affine_kit.transform import evaluate_batch, evaluate_grid
 
 
 def write_config(tmp_path, name, payload):
@@ -146,6 +146,14 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
 
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1e-10", "inf"])
+    def test_bad_ode_tolerance_is_validation_error(self, tmp_path, tol):
+        # a NaN tolerance used to hang the integrator, 0 to end in a traceback
+        code, _ = run(tmp_path, "transform", {"task": "transform", "preset": "cir"},
+                      extra=(f"--tol={tol}",))
+        assert code == EXIT_VALIDATION_ERROR
+
+
 class TestTransformTask:
     def test_csv_layout_and_values(self, tmp_path):
         code, out_dir = run(tmp_path, "transform", {
@@ -188,6 +196,34 @@ class TestTransformTask:
                 want[f"im_psi{i+1}"] = res.psi[i].imag
             assert {k: float(row[k]) for k in want} == {k: float(v) for k, v in want.items()}
             assert row["status"] == res.status
+
+
+    def test_one_integration_for_every_u(self, tmp_path, monkeypatch):
+        lanes = []
+        integrate = transform._integrate
+
+        def counted(p, y0, *args, **kwargs):
+            lanes.append(len(y0))
+            return integrate(p, y0, *args, **kwargs)
+
+        monkeypatch.setattr(transform, "_integrate", counted)
+        t_grid = [0.3, 0.0, 0.7]
+        u_grid = [[[-0.5, 1.0]], [[0.0, -2.0]], [[-1.5, 0.3]]]
+        code, out_dir = run(tmp_path, "transform", {
+            "task": "transform", "preset": "cir", "grids": {"t": t_grid, "u": u_grid}})
+        assert code == EXIT_OK
+        assert lanes == [3]
+        with open(out_dir / "transform.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        U = np.array([[complex(*u[0])] for u in u_grid])
+        b = evaluate_batch(presets.get("cir"), t_grid, U, 1e-10)
+        assert len(rows) == 9
+        for (i, j), row in zip(np.ndindex(3, 3), rows):
+            want = {"t": b.t[i, j], "re_u1": U[i, 0].real, "im_u1": U[i, 0].imag,
+                    "re_phi": b.phi[i, j].real, "im_phi": b.phi[i, j].imag,
+                    "re_psi1": b.psi[i, j, 0].real, "im_psi1": b.psi[i, j, 0].imag}
+            assert {k: float(row[k]) for k in want} == {k: float(v) for k, v in want.items()}
+            assert row["status"] == b.status[i, j]
 
 
 class TestSimulateTask:

@@ -185,6 +185,38 @@ class TestExponents:
         with np.errstate(over="ignore"):
             assert p.F_eval([-800.0]) == 399.0
 
+    @pytest.mark.parametrize("name", ["brownian", "cir", "parabola", "svj"])
+    def test_batched_exponents_equal_row_by_row(self, name, request):
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(31)
+        U = rng.standard_normal((3, 4, p.dim)) * 0.7 + 1j * rng.standard_normal((3, 4, p.dim))
+        F, R = p.F_eval(U), p.R_eval(U)
+        assert F.shape == (3, 4) and R.shape == (3, 4, p.dim)
+        np.testing.assert_allclose(p.F_eval(U[1]), F[1], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(p.R_eval(U[1]), R[1], rtol=1e-14, atol=0)
+        for idx in np.ndindex(3, 4):
+            assert F[idx] == pytest.approx(p.F_eval(U[idx]), rel=1e-14)
+            np.testing.assert_allclose(R[idx], p.R_eval(U[idx]), rtol=1e-14, atol=0)
+
+    def test_zero_weight_is_masked_per_row_of_a_batch(self):
+        # the row [-800] overflows exp at the mu^1 atom, where m has weight 0;
+        # the other rows do not overflow anywhere
+        p = AffineParams.zeros(HalfLine()).with_(
+            m_measure=LevyMeasure.from_atoms([(1.0, 0.5)]),
+            mu_measures=(LevyMeasure.from_atoms([(2.0, -1.0)]),))
+        U = np.array([[0.3 + 1j], [-800.0], [-1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            F, R = p.F_eval(U), p.R_eval(U)
+        assert F[1] == 399.0
+        assert np.isinf(R[1, 0].real)
+        for row, u in zip(F[[0, 2]], U[[0, 2]]):
+            assert row == pytest.approx(p.F_eval(u), rel=1e-14)
+
+    def test_single_point_keeps_return_types(self, svj):
+        F, R = svj.F_eval([-0.3 + 1j, 0.5j]), svj.R_eval([-0.3 + 1j, 0.5j])
+        assert type(F) is complex
+        assert isinstance(R, np.ndarray) and R.shape == (2,)
+
     @pytest.mark.parametrize("make", [brownian, cir, parabola])
     def test_real_part_maximized_at_zero_frequency(self, make):
         # Re(F(iy) + <x, R(iy)>) <= F(0) + <x, R(0)> for admissible params

@@ -14,6 +14,7 @@ from affine_kit.transform import (
     closed_form_parabola,
     cp_limit_check,
     evaluate,
+    evaluate_batch,
     evaluate_grid,
     fd_regularity,
     parabola_FR,
@@ -120,6 +121,10 @@ class TestEvaluate:
             evaluate(brownian, -0.1, [1j, 1j])
         with pytest.raises(ValueError):
             evaluate(brownian, 0.1, [1j, 1j], tol=0.0)
+        # a NaN tolerance gave a NaN first step that never fell below the
+        # step floor, so the sweep did not return
+        with pytest.raises(ValueError):
+            evaluate(brownian, 0.1, [1j, 1j], tol=float("nan"))
 
 
 class TestEvaluateGrid:
@@ -168,6 +173,72 @@ class TestEvaluateGrid:
                 assert r.status == "ok"
                 assert r.phi == 0
                 assert np.array_equal(r.psi, [0.5j])
+
+
+def assert_lane_matches(batch, i, rows, rtol=1e-13):
+    """Lane i of a batch against the single-lane rows of the same u and times."""
+    assert list(batch.status[i]) == [r.status for r in rows]
+    assert all(r.steps == batch.steps[i] for r in rows)
+    for j, r in enumerate(rows):
+        assert batch.t[i, j] == pytest.approx(r.t, rel=rtol)
+        if r.status == "blow_up":
+            assert batch.blow_up_time[i] == pytest.approx(r.blow_up_time, rel=rtol)
+        else:
+            assert r.blow_up_time is None
+        assert batch.phi[i, j] == pytest.approx(r.phi, rel=rtol)
+        np.testing.assert_allclose(batch.psi[i, j], r.psi, rtol=rtol, atol=0)
+
+
+class TestEvaluateBatch:
+    # unsorted, with t = 0 and a repeated time
+    TIMES = [0.4, 0.0, 0.1, 0.4, 0.25]
+
+    @pytest.mark.parametrize("name", ["parabola", "cir", "brownian", "svj"])
+    def test_each_lane_matches_its_own_grid(self, name, request):
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(14)
+        U = np.array([random_u_in_domain(p.space, rng) for _ in range(6)])
+        batch = evaluate_batch(p, self.TIMES, U)
+        assert batch.psi.shape == (6, 5, p.dim) and batch.steps.shape == (6,)
+        assert np.array_equal(batch.u, U)
+        assert (batch.phi[:, 1] == 0).all() and np.array_equal(batch.psi[:, 1], U)
+        assert np.array_equal(batch.phi[:, 0], batch.phi[:, 3])
+        for i, u in enumerate(U):
+            assert_lane_matches(batch, i, evaluate_grid(p, u, self.TIMES))
+
+    def test_lanes_keep_their_own_outcome(self, parabola):
+        # lane 0 is an ordinary lane, lane 1 starts outside U and lives past
+        # the grid (to t = 2.5), lanes 2 and 3 start outside U and blow up at
+        # t = 1/2 and t = 1/4, lane 3 while the others are still stepping
+        ts = [0.1, 2.0, 0.3, 0.45]
+        U = np.array([[0.3j, -0.5 + 0.2j], [0.5, 0.2], [0.0, 1.0], [0.0, 2.0]])
+        batch = evaluate_batch(parabola, ts, U)
+        assert list(batch.status[0]) == ["ok"] * 4
+        assert list(batch.status[1]) == ["domain_exit"] * 4
+        assert list(batch.status[2]) == ["domain_exit", "blow_up", "domain_exit", "domain_exit"]
+        assert list(batch.status[3]) == ["domain_exit", "blow_up", "blow_up", "blow_up"]
+        assert batch.blow_up_time[2:] == pytest.approx([0.5, 0.25], abs=1e-3)
+        assert batch.t[2, 1] == batch.blow_up_time[2]
+        assert np.isnan(batch.blow_up_time[:2]).all()
+        for i, u in enumerate(U):
+            assert_lane_matches(batch, i, evaluate_grid(parabola, u, ts))
+        alone = evaluate_batch(parabola, ts, U[:1])
+        assert alone.steps[0] == batch.steps[0]
+        np.testing.assert_allclose(alone.phi[0], batch.phi[0], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(alone.psi[0], batch.psi[0], rtol=1e-13, atol=0)
+
+    def test_empty_batch(self, svj):
+        batch = evaluate_batch(svj, [0.1, 0.2], np.empty((0, 2)))
+        assert batch.t.shape == batch.phi.shape == batch.status.shape == (0, 2)
+        assert batch.psi.shape == (0, 2, 2)
+        assert batch.steps.shape == batch.err_est.shape == batch.blow_up_time.shape == (0,)
+
+    def test_rejects_bad_tolerance_and_times(self, cir):
+        for tol in (0.0, -1e-10, float("nan")):
+            with pytest.raises(ValueError):
+                evaluate_batch(cir, [0.1], [[-1.0]], tol=tol)
+        with pytest.raises(ValueError):
+            evaluate_batch(cir, [0.1, float("nan")], [[-1.0]])
 
 
 class TestCharFn:
