@@ -23,7 +23,6 @@ from .state_space import (
     HalfLine,
     Parabola,
     StateSpace,
-    TransformPoint,
     space_from_config,
 )
 from .transform import (
@@ -65,7 +64,6 @@ __all__ = [
     "HalfLine",
     "Parabola",
     "StateSpace",
-    "TransformPoint",
     "space_from_config",
     "BlowUpError",
     "TransformDomainError",

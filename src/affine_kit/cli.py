@@ -92,19 +92,10 @@ def _measure_from_json(entries, d: int) -> LevyMeasure:
 def _params_from_json(space, spec: dict) -> AffineParams:
     d = space.dim
     base = AffineParams.zeros(space)
-    kw = {}
-    if "a" in spec:
-        kw["a"] = np.asarray(spec["a"], dtype=float)
-    if "alpha" in spec:
-        kw["alpha"] = np.asarray(spec["alpha"], dtype=float)
-    if "b" in spec:
-        kw["b"] = np.asarray(spec["b"], dtype=float)
-    if "beta" in spec:
-        kw["beta"] = np.asarray(spec["beta"], dtype=float)
+    kw = {k: np.asarray(spec[k], dtype=float)
+          for k in ("a", "alpha", "b", "beta", "gamma") if k in spec}
     if "c" in spec:
         kw["c"] = float(spec["c"])
-    if "gamma" in spec:
-        kw["gamma"] = np.asarray(spec["gamma"], dtype=float)
     if "m" in spec:
         kw["m_measure"] = _measure_from_json(spec["m"], d)
     if "mu" in spec:
@@ -185,7 +176,9 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     x_grid = [np.asarray(x, dtype=float).reshape(d) for x in grids.get("x", x_default)]
 
     mc = raw.get("mc", {})
-    seed = int(mc.get("seed", 0)) if seed_override is None else int(seed_override)
+    if not isinstance(mc, dict):
+        raise ConfigParseError("mc must be a JSON object")
+    seed = _integer("mc.seed", mc.get("seed", 0) if seed_override is None else seed_override)
     tols = raw.get("tolerances", {})
     ode_tol = float(tols.get("ode", 1e-10)) if tol_override is None else float(tol_override)
     cfg = RunConfig(
@@ -196,8 +189,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         t_grid=t_grid,
         u_grid=u_grid,
         x_grid=x_grid,
-        n_paths=int(mc.get("paths", 10000)),
-        n_steps=int(mc.get("steps", 400)),
+        n_paths=_integer("mc.paths", mc.get("paths", 10000)),
+        n_steps=_integer("mc.steps", mc.get("steps", 400)),
         horizon=float(mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
         seed=seed,
         ode_tol=ode_tol,
@@ -206,6 +199,14 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     )
     _validate_config(cfg)
     return cfg
+
+
+def _integer(name: str, value) -> int:
+    """An integral JSON number as an int; anything else does not parse."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ConfigParseError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _default_u_grid(d: int) -> list:
@@ -235,6 +236,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigValidationError(f"parameters are not admissible:\n{report}")
     if cfg.n_paths < 2 or cfg.n_steps < 1 or cfg.horizon <= 0:
         raise ConfigValidationError("mc settings must satisfy paths>=2, steps>=1, T>0")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigValidationError(f"the seed must lie in [0, 2**64), got {cfg.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "HalfLine",
     "CanonicalOrthantPlane",
     "Parabola",
-    "TransformPoint",
     "random_u_in_domain",
     "space_from_config",
 ]
@@ -201,26 +200,6 @@ class Parabola(StateSpace):
         p, q = u.real
         # q < 0 is interior for any p; near the origin corner use the band
         return bool(q < 0.0 or (abs(q) <= tol and abs(p) <= tol) or (q == 0.0 and p == 0.0))
-
-
-@dataclass(frozen=True)
-class TransformPoint:
-    """A transform variable u together with its support level sup_{x in D} Re<u,x>."""
-
-    u: np.ndarray
-    level: float
-
-    @classmethod
-    def of(cls, space: StateSpace, u) -> "TransformPoint":
-        u = np.asarray(u, dtype=complex)
-        return cls(u=u, level=space.support(u))
-
-    @property
-    def in_U(self) -> bool:
-        return self.level < math.inf
-
-    def in_Uk(self, k: float) -> bool:
-        return self.level <= k
 
 
 def random_u_in_domain(space: StateSpace, rng: np.random.Generator) -> np.ndarray:

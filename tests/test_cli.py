@@ -145,6 +145,31 @@ class TestErrorStatuses:
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION_ERROR
 
+    @pytest.mark.parametrize("task", ["simulate", "verify"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**128)])
+    def test_seed_outside_philox_range_is_validation_error(self, tmp_path, task, seed):
+        # such a seed used to end in a numpy traceback and exit 1
+        code, _ = run(tmp_path, task, {"task": task, "preset": "cir"},
+                      extra=("--seed", seed))
+        assert code == EXIT_VALIDATION_ERROR
+
+    def test_largest_seed_and_integral_floats_run(self, tmp_path):
+        code, _ = run(tmp_path, "simulate", {
+            "task": "simulate", "preset": "cir",
+            "mc": {"paths": 2.0, "steps": 1, "seed": 2**64 - 1}})
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("key", ["seed", "paths", "steps"])
+    @pytest.mark.parametrize("value", ["abc", "12", 1.5, True, None, [3]])
+    def test_non_integer_mc_setting_is_parse_error(self, tmp_path, key, value):
+        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",
+                                             "mc": {key: value}})
+        assert code == EXIT_PARSE_ERROR
+
+    def test_mc_that_is_not_an_object_is_parse_error(self, tmp_path):
+        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",
+                                             "mc": [400]})
+        assert code == EXIT_PARSE_ERROR
 
     @pytest.mark.parametrize("tol", ["0", "nan", "-1e-10", "inf"])
     def test_bad_ode_tolerance_is_validation_error(self, tmp_path, tol):

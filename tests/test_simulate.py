@@ -6,6 +6,8 @@ import pytest
 from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
+    _JUMPS_PER_STEP_CAP,
+    _psd_sqrt,
     characteristics_check,
     martingale_L_test,
     mc_char_fn,
@@ -13,7 +15,7 @@ from affine_kit.simulate import (
     simulate_parabola_ensemble,
     stopped_ensemble,
 )
-from affine_kit.state_space import FullSpace, HalfLine
+from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
 from affine_kit.transform import char_fn
 
 
@@ -36,6 +38,41 @@ def cbi_with_killing():
         gamma=np.array([0.1]),
         mu_measures=(LevyMeasure.from_atoms([(0.8, [0.3])]),),
     )
+
+
+def diagonal_plane():
+    """R_+ x R tuple whose a and alpha^i are all diagonal."""
+    return AffineParams.zeros(CanonicalOrthantPlane(1, 1)).with_(
+        a=np.diag([0.0, 0.3]),
+        alpha=np.array([np.diag([0.4, 0.9]), np.zeros((2, 2))]),
+        b=np.array([0.5, 0.1]),
+        beta=np.array([[-1.0, 0.2], [0.0, -0.3]]),
+    )
+
+
+def pinned_stream(seed, i):
+    """The documented stream of path i."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
+
+
+def euler_reference(p, x0, T, n_steps, seed, n_paths):
+    """Step-by-step Euler paths of a jump- and killing-free tuple, with every
+    A(X) rooted by the batched eigh of _psd_sqrt."""
+    d = p.dim
+    dt = T / n_steps
+    normals = np.stack([pinned_stream(seed, i).standard_normal((n_steps, d))
+                        for i in range(n_paths)])
+    orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
+                           else int(isinstance(p.space, HalfLine)))
+    X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    out = [X]
+    for k in range(n_steps):
+        A = p.a + np.einsum("pi,ijk->pjk", X, p.alpha)
+        noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), normals[:, k, :])
+        X = X + (p.b + X @ p.beta) * dt + math.sqrt(dt) * noise
+        X[:, orth] = np.maximum(X[:, orth], 0.0)
+        out.append(X)
+    return np.stack(out, axis=1)
 
 
 class TestEulerScheme:
@@ -287,3 +324,141 @@ class TestCharacteristicsCheck:
         ens2 = simulate_ensemble(pk, [0.0], 0.5, 10, seed=1, n_paths=50)
         with pytest.raises(ValueError, match="killing"):
             characteristics_check(ens2, pk)
+
+
+class TestPathStreams:
+    """Path i reads the stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])):
+    its normals, then its jump uniforms, then its kill clock."""
+
+    @pytest.mark.parametrize("make, x0", [(cbi_with_killing, [1.0]),
+                                          (levy_jump_diffusion, [0.0]),
+                                          (None, [0.04, 0.0])],
+                             ids=["cbi_with_killing", "levy_jump_diffusion", "svj"])
+    def test_jump_and_kill_paths_do_not_depend_on_ensemble_size(self, make, x0, svj):
+        # 37 steps: a path's draws are not a whole number of 4-word Philox blocks
+        p = make() if make else svj
+        small = simulate_ensemble(p, x0, 1.0, 37, seed=3, n_paths=3)
+        large = simulate_ensemble(p, x0, 1.0, 37, seed=3, n_paths=8)
+        np.testing.assert_array_equal(small.states, large.states[:3])
+        np.testing.assert_array_equal(small.alive_until, large.alive_until[:3])
+
+    def test_parabola_paths_do_not_depend_on_ensemble_size(self):
+        times = np.linspace(0.0, 1.0, 8)
+        small = simulate_parabola_ensemble([0.5, 0.25], times, seed=3, n_paths=3)
+        large = simulate_parabola_ensemble([0.5, 0.25], times, seed=3, n_paths=8)
+        np.testing.assert_array_equal(small.states, large.states[:3])
+
+    def test_each_path_reads_its_own_counter_block(self):
+        # unit diffusion, two atoms outside the unit ball (no compensating
+        # drift) and constant killing: every draw shows in the path
+        seed, n_steps, c, dt = 11, 20, 1.0, 1.0 / 20
+        atoms = [(1.0, -2.5), (2.0, 1.5)]      # the atom table's order: by location
+        p = AffineParams.zeros(FullSpace(dim=1)).with_(
+            a=np.array([[1.0]]), c=c,
+            m_measure=LevyMeasure.from_atoms([(w, [xi]) for w, xi in atoms]))
+        ens = simulate_ensemble(p, [0.0], 1.0, n_steps, seed=seed, n_paths=6)
+        lam = sum(w for w, _ in atoms) * dt
+        for i in range(ens.n_paths):
+            rng = pinned_stream(seed, i)
+            z = rng.standard_normal(n_steps)
+            u = rng.random((n_steps, 1 + _JUMPS_PER_STEP_CAP))
+            clock = rng.standard_exponential()
+            want = np.full(n_steps + 1, np.nan)
+            want[0] = x = hazard = 0.0
+            alive_until = n_steps + 1
+            for k in range(n_steps):
+                hazard += c * dt
+                if hazard >= clock:
+                    alive_until = k + 1
+                    break
+                x = x + math.sqrt(dt) * z[k]
+                count, pk = 0, math.exp(-lam)
+                cdf = pk
+                for j in range(1, _JUMPS_PER_STEP_CAP + 1):
+                    if u[k, 0] > cdf:
+                        count = j
+                    pk = pk * lam / j
+                    cdf += pk
+                for j in range(count):
+                    x += atoms[0][1] if u[k, 1 + j] * lam / dt <= atoms[0][0] else atoms[1][1]
+                want[k + 1] = x
+            assert ens.alive_until[i] == alive_until
+            np.testing.assert_array_equal(ens.states[i, :, 0], want)
+
+    def test_parabola_path_reads_its_own_counter_block(self):
+        seed, times = 8, np.linspace(0.0, 1.0, 10)   # 9 draws: a part-used block
+        ens = simulate_parabola_ensemble([0.5, 0.25], times, seed=seed, n_paths=4)
+        for i in range(ens.n_paths):
+            z = pinned_stream(seed, i).standard_normal(len(times) - 1)
+            w = 0.5 + np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(times)) * z)])
+            np.testing.assert_array_equal(ens.states[i], np.stack([w, w * w], axis=1))
+
+
+class TestDiffusionRoot:
+    """The closed-form root of a diagonal A(X) gives the floats of the eigh root."""
+
+    @pytest.mark.parametrize("make, x0", [(cir, [0.04]), (diagonal_plane, [0.1, 0.0])],
+                             ids=["cir", "diagonal_plane"])
+    def test_diagonal_tuples_match_the_eigh_reference(self, make, x0):
+        p = make()
+        ens = simulate_ensemble(p, x0, 1.0, 60, seed=5, n_paths=300)
+        np.testing.assert_array_equal(ens.states, euler_reference(p, x0, 1.0, 60, 5, 300))
+
+    def test_off_diagonal_tuple_matches_the_eigh_reference(self, svj):
+        # the svj diffusion (off-diagonal alpha^1) without its jumps and killing
+        p = svj.with_(c=0.0, gamma=np.zeros(2), m_measure=LevyMeasure.empty(2),
+                      mu_measures=(LevyMeasure.empty(2),) * 2)
+        ens = simulate_ensemble(p, [0.04, 0.0], 1.0, 60, seed=5, n_paths=300)
+        np.testing.assert_array_equal(ens.states,
+                                      euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300))
+
+    def test_tiny_negative_diagonal_clamps_to_zero(self):
+        # A(0) = -1e-12 passes validation; its root is 0, as the eigh clamp gives
+        p = AffineParams.zeros(HalfLine()).with_(
+            a=np.array([[-1e-12]]), alpha=np.array([[[0.25]]]), b=np.array([0.3]))
+        ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=1, n_paths=20)
+        np.testing.assert_array_equal(ens.states[:, 1, 0], 0.3 * 0.1)
+        np.testing.assert_array_equal(ens.states, euler_reference(p, [0.0], 1.0, 10, 1, 20))
+
+
+def recount_jump_overflows(p, ens, seed):
+    """Live path-steps whose Poisson uniform lies above P(N <= cap), with the
+    per-step rate summed from the measures at the step's start state."""
+    n_steps = len(ens.times) - 1
+    dt = ens.times[1] - ens.times[0]
+    mu_mass = np.array([mu.weights.sum() for mu in p.mu_measures])
+    total = 0
+    for i in range(ens.n_paths):
+        rng = pinned_stream(seed, i)
+        rng.standard_normal((n_steps, p.dim))
+        u = rng.random((n_steps, 1 + _JUMPS_PER_STEP_CAP))[:, 0]
+        for k in range(min(n_steps, ens.alive_until[i] - 1)):
+            lam = (p.m_measure.weights.sum() + ens.states[i, k] @ mu_mass) * dt
+            cdf = math.exp(-lam) * sum(lam ** j / math.factorial(j)
+                                       for j in range(_JUMPS_PER_STEP_CAP + 1))
+            total += u[k] > cdf
+    return total
+
+
+class TestJumpOverflows:
+    def test_high_rate_tuple_overflows(self):
+        p = AffineParams.zeros(FullSpace(dim=1)).with_(
+            m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
+        ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=200)
+        assert ens.jump_overflows > 0
+        assert ens.jump_overflows == recount_jump_overflows(p, ens, 4)
+
+    def test_svj_matches_recount(self, svj):
+        ens = simulate_ensemble(svj, [0.04, 0.0], 1.0, 100, seed=6, n_paths=100)
+        assert ens.jump_overflows == recount_jump_overflows(svj, ens, 6)
+
+    def test_jump_free_and_parabola_ensembles_have_none(self):
+        assert simulate_ensemble(cir(), [0.04], 1.0, 10, seed=1, n_paths=5).jump_overflows == 0
+        assert simulate_parabola_ensemble([0.0, 0.0], [0.0, 1.0], 1, 5).jump_overflows == 0
+
+    @pytest.mark.parametrize("radius", [0.5, math.inf])
+    def test_stopped_ensemble_carries_the_count(self, radius):
+        p = AffineParams.zeros(FullSpace(dim=1)).with_(
+            m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
+        ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=50)
+        assert stopped_ensemble(ens, radius).jump_overflows == ens.jump_overflows > 0

@@ -10,7 +10,6 @@ from affine_kit.state_space import (
     FullSpace,
     HalfLine,
     Parabola,
-    TransformPoint,
     space_from_config,
 )
 
@@ -130,11 +129,6 @@ class TestSamplingAndConfig:
     def test_samples_lie_in_space(self, space):
         for x in space.sample_points(50):
             assert space.contains(x)
-
-    def test_transform_point_levels(self):
-        tp = TransformPoint.of(Parabola(), [1.0, -1.0])
-        assert tp.in_U and tp.in_Uk(0.25) and not tp.in_Uk(0.2)
-        assert not TransformPoint.of(Parabola(), [0.0, 1.0]).in_U
 
     def test_space_from_config_round_trip(self):
         assert space_from_config({"kind": "full", "d": 3}).dim == 3
