@@ -10,16 +10,16 @@ preset, grid point outside the transform domain, invalid parameters, ...).
 
 Reports are reproducible byte for byte for a fixed config and seed; the
 only run-dependent value is isolated in the single "generated_at" key.
-CSV floats are written in Python's shortest round-trip form, so float(cell)
-gives back the exact float64 that was computed.  In paths.csv "nan" marks a
-killed (cemetery) row and "inf"/"-inf" a value that overflowed.
+CSV lines end in "\r\n" and floats are written in Python's shortest
+round-trip form, so float(cell) gives back the exact float64 that was
+computed.  In paths.csv "nan" marks a killed (cemetery) row and "inf"/"-inf"
+a value that overflowed.
 There are no environment knobs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -168,19 +168,22 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
 
     grids = raw.get("grids", {})
     d = params.dim
-    t_grid = np.asarray(grids.get("t", [0.05, 0.1, 0.2, 0.4]), dtype=float)
-    if t_grid.ndim != 1 or np.any(t_grid < 0):
-        raise ConfigParseError("grids.t must be a list of nonnegative times")
+    t_grid = _parsed("grids.t", lambda v: np.asarray(v, dtype=float),
+                     grids.get("t", [0.05, 0.1, 0.2, 0.4]))
+    if t_grid.ndim != 1 or not np.all((t_grid >= 0) & (t_grid < np.inf)):
+        raise ConfigParseError("grids.t must be a list of finite nonnegative times")
     u_grid = [_parse_complex_vector(e, d) for e in grids.get("u", _default_u_grid(d))]
     x_default = [params.space.affine_basis()[-1].tolist()]
-    x_grid = [np.asarray(x, dtype=float).reshape(d) for x in grids.get("x", x_default)]
+    x_grid = _parsed("grids.x", lambda v: [np.asarray(x, dtype=float).reshape(d) for x in v],
+                     grids.get("x", x_default))
 
     mc = raw.get("mc", {})
     if not isinstance(mc, dict):
         raise ConfigParseError("mc must be a JSON object")
     seed = _integer("mc.seed", mc.get("seed", 0) if seed_override is None else seed_override)
     tols = raw.get("tolerances", {})
-    ode_tol = float(tols.get("ode", 1e-10)) if tol_override is None else float(tol_override)
+    ode_tol = (_parsed("tolerances.ode", float, tols.get("ode", 1e-10))
+               if tol_override is None else float(tol_override))
     cfg = RunConfig(
         task=task,
         params=params,
@@ -191,7 +194,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         x_grid=x_grid,
         n_paths=_integer("mc.paths", mc.get("paths", 10000)),
         n_steps=_integer("mc.steps", mc.get("steps", 400)),
-        horizon=float(mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
+        horizon=_parsed("mc.T", float, mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
         seed=seed,
         ode_tol=ode_tol,
         tolerances=tols,
@@ -207,6 +210,14 @@ def _integer(name: str, value) -> int:
             isinstance(value, float) and value.is_integer())):
         raise ConfigParseError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _parsed(name: str, convert, value):
+    """convert(value); a value it cannot convert does not parse."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigParseError(f"{name} cannot be read from {value!r}: {e}") from e
 
 
 def _default_u_grid(d: int) -> list:
@@ -234,8 +245,8 @@ def _validate_config(cfg: RunConfig) -> None:
     report = cfg.params.validate(samples=64)
     if not report.valid:
         raise ConfigValidationError(f"parameters are not admissible:\n{report}")
-    if cfg.n_paths < 2 or cfg.n_steps < 1 or cfg.horizon <= 0:
-        raise ConfigValidationError("mc settings must satisfy paths>=2, steps>=1, T>0")
+    if cfg.n_paths < 2 or cfg.n_steps < 1 or not 0 < cfg.horizon < math.inf:
+        raise ConfigValidationError("mc settings must satisfy paths>=2, steps>=1, 0<T<inf")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigValidationError(f"the seed must lie in [0, 2**64), got {cfg.seed}")
 
@@ -256,14 +267,13 @@ def run_transform(cfg: RunConfig, out_dir: str) -> int:
     u_cols = np.broadcast_to(np.hstack([b.u.real, b.u.imag])[:, None], b.t.shape + (2 * d,))
     num = np.concatenate([b.t[..., None], u_cols, b.phi.real[..., None], b.phi.imag[..., None],
                           b.psi.real, b.psi.imag], axis=-1)
-    # Python floats, not numpy scalars: csv writes float cells with repr
-    rows = [r + [st] for r, st in zip(num.reshape(-1, num.shape[-1]).tolist(),
-                                      b.status.ravel().tolist())]
+    # Python floats, not numpy scalars: repr is the shortest round-trip form
+    rows = num.reshape(-1, num.shape[-1]).tolist()
     path = os.path.join(out_dir, "transform.csv")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, r)) + f",{st}\r\n"
+                      for r, st in zip(rows, b.status.ravel().tolist()))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -284,16 +294,16 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     x0 = cfg.x_grid[0]
     ens = _build_ensemble(cfg, x0, cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
     path = os.path.join(out_dir, "paths.csv")
-    d = ens.dim
+    d, n_t = ens.dim, len(ens.times)
+    t_cells = [f",{t!r}," for t in ens.times.tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "t"] + [f"x_{i+1}" for i in range(d)] + ["alive"])
-        times = ens.times.tolist()
-        for i in range(ens.n_paths):
+        fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]) + "\r\n")
+        for i in range(ens.n_paths):    # one write per path; each line starts with its id
+            x_cells = map(",".join, zip(*[map(repr, ens.states[i].ravel().tolist())] * d))
             au = int(ens.alive_until[i])
-            w.writerows([i, t, *x, int(j < au)]
-                        for j, (t, x) in enumerate(zip(times, ens.states[i].tolist())))
-    print(f"wrote {path} ({ens.n_paths} paths x {len(ens.times)} times)")
+            alive = [",1\r\n"] * au + [",0\r\n"] * (n_t - au)
+            fh.write(str(i) + str(i).join(map("".join, zip(t_cells, x_cells, alive))))
+    print(f"wrote {path} ({ens.n_paths} paths x {n_t} times)")
     return EXIT_OK
 
 

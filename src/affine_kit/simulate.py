@@ -111,12 +111,13 @@ def _path_streams(seed: int, n_paths: int):
         yield rng
 
 
-def _orthant_mask(space) -> np.ndarray | None:
+def _orthant_dims(space) -> int:
+    """How many leading coordinates are confined to [0, inf)."""
     if isinstance(space, HalfLine):
-        return np.array([True])
+        return 1
     if isinstance(space, CanonicalOrthantPlane):
-        return np.arange(space.dim) < space.m
-    return None
+        return space.m
+    return 0
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
@@ -180,7 +181,7 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
         hm = (p.W * p.small) @ p.L
         hm0, hm1 = hm[0], hm[1:]
 
-    orth = _orthant_mask(p.space)
+    m = _orthant_dims(p.space)
     states = np.empty((n_paths, n_steps + 1, d))
     states[:, 0, :] = x0
     alive_until = np.full(n_paths, n_steps + 1, dtype=np.int64)
@@ -238,10 +239,12 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
                 idx = (v[:, None] <= atom_cdf[hit]).argmax(axis=1)
                 X_new[hit] += atom_locs[idx]
 
-        if orth is not None:
-            X_new[:, orth] = np.maximum(X_new[:, orth], 0.0)
-        X = np.where(alive[:, None], X_new, X)
-        states[:, step + 1, :] = np.where(alive[:, None], X, np.nan)
+        np.maximum(X_new[:, :m], 0.0, out=X_new[:, :m])
+        if has_killing:
+            X = np.where(alive[:, None], X_new, X)
+            states[:, step + 1, :] = np.where(alive[:, None], X, np.nan)
+        else:   # every path stays alive
+            X = states[:, step + 1, :] = X_new
 
     return Ensemble(times=times, states=states, alive_until=alive_until, x0=x0,
                     jump_overflows=jump_overflows)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -166,6 +167,27 @@ class TestErrorStatuses:
                                              "mc": {key: value}})
         assert code == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("extra", [
+        {"mc": {"T": "abc"}},
+        {"tolerances": {"ode": "abc"}},
+        {"grids": {"t": ["a"]}},
+        {"grids": {"x": [[1.0, 2.0]]}},
+    ], ids=["mc.T", "tolerances.ode", "grids.t", "grids.x"])
+    def test_unreadable_config_value_is_parse_error(self, tmp_path, extra):
+        # each of these used to end in a bare ValueError traceback and exit 1
+        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir", **extra})
+        assert code == EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_is_rejected(self, tmp_path, t):
+        # both used to run: T=NaN wrote "nan" times and exit 0, t=inf "blow_up" rows
+        code, _ = run(tmp_path, "transform", {"task": "transform", "preset": "cir",
+                                              "grids": {"t": [0.1, t]}})
+        assert code == EXIT_PARSE_ERROR
+        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",
+                                             "mc": {"paths": 2, "steps": 2, "T": t}})
+        assert code == EXIT_VALIDATION_ERROR
+
     def test_mc_that_is_not_an_object_is_parse_error(self, tmp_path):
         code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",
                                              "mc": [400]})
@@ -250,6 +272,24 @@ class TestTransformTask:
             assert {k: float(row[k]) for k in want} == {k: float(v) for k, v in want.items()}
             assert row["status"] == b.status[i, j]
 
+    def test_csv_bytes_match_a_csv_writer(self, tmp_path):
+        t_grid, u_grid = [0.0, 0.25, 1e-5], [[[-0.5, 1.0]], [[0.0, -2.0]]]
+        code, out_dir = run(tmp_path, "transform", {
+            "task": "transform", "preset": "cir", "grids": {"t": t_grid, "u": u_grid}})
+        assert code == EXIT_OK
+        b = evaluate_batch(presets.get("cir"), t_grid, [[complex(*u[0])] for u in u_grid],
+                           1e-10)
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["t", "re_u1", "im_u1", "re_phi", "im_phi", "re_psi1", "im_psi1",
+                    "status"])
+        for i, j in np.ndindex(b.t.shape):
+            w.writerow([float(b.t[i, j]), float(b.u[i, 0].real), float(b.u[i, 0].imag),
+                        float(b.phi[i, j].real), float(b.phi[i, j].imag),
+                        float(b.psi[i, j, 0].real), float(b.psi[i, j, 0].imag),
+                        b.status[i, j]])
+        assert (out_dir / "transform.csv").read_bytes() == want.getvalue().encode()
+
 
 class TestSimulateTask:
     def test_paths_csv(self, tmp_path):
@@ -303,6 +343,28 @@ class TestSimulateTask:
         assert [(r["x_1"], r["alive"]) for r in rows] == [
             ("1.0", "1"), ("inf", "1"), ("nan", "0"),
             ("1.0", "1"), ("0.25", "1"), ("-inf", "1")]
+
+    @pytest.mark.parametrize("preset,d", [("cir", 1), ("brownian", 2)])
+    def test_paths_csv_bytes_match_a_csv_writer(self, tmp_path, monkeypatch, preset, d):
+        # path 0 is killed at step 1, path 1 never dies, path 2 dies at the last step
+        nan, inf = np.nan, np.inf
+        x_1 = np.array([[1.0, nan, nan, nan], [inf, -inf, -0.0, 5e-324],
+                        [1e300, 1e16, -2.5e-7, nan]])
+        states = np.stack([x_1, -x_1], axis=-1)[..., :d]
+        times = np.array([0.0, 0.1, 1 / 3, 1e16])
+        ens = Ensemble(times=times, states=states, alive_until=np.array([1, 4, 3]),
+                       x0=states[0, 0])
+        monkeypatch.setattr(cli, "_build_ensemble", lambda *args: ens)
+        code, out_dir = run(tmp_path, "simulate", {
+            "task": "simulate", "preset": preset, "mc": {"paths": 3, "steps": 3}})
+        assert code == EXIT_OK
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["path_id", "t"] + [f"x_{k+1}" for k in range(d)] + ["alive"])
+        for i in range(3):
+            for j, t in enumerate(times.tolist()):
+                w.writerow([i, t, *states[i, j].tolist(), int(j < ens.alive_until[i])])
+        assert (out_dir / "paths.csv").read_bytes() == want.getvalue().encode()
 
     def test_parabola_uses_exact_sampler(self, tmp_path):
         code, out_dir = run(tmp_path, "simulate", {
