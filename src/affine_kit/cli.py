@@ -32,14 +32,14 @@ import numpy as np
 from . import presets
 from .params import AffineParams, LevyMeasure
 from .simulate import (
+    SamplerError,
     characteristics_check,
     martingale_L_test,
     mc_char_fn,
     simulate_ensemble,
-    simulate_parabola_ensemble,
     stopped_ensemble,
 )
-from .state_space import Parabola, random_u_in_domain, space_from_config
+from .state_space import random_u_in_domain, space_from_config
 from .transform import (
     TransformError,
     boundedness_probe,
@@ -57,6 +57,23 @@ EXIT_VALIDATION_ERROR = 3
 
 ALL_SUITES = ("semiflow", "regularity", "bounded", "cp_limit",
               "levy_structure", "affine_mc", "martingale", "characteristics")
+
+
+def _floats(v) -> list:
+    return [float(x) for x in v]
+
+
+# the tolerances.* keys a run reads, grouped by suite: default and converter
+_TOLERANCES = {
+    "ode": (1e-10, float), "semiflow": (1e-7, float), "semiflow_triples": (100, int),
+    "regularity_rel": (1e-4, float), "regularity_order": (0.9, float),
+    "regularity_h": ([1e-2, 1e-3, 1e-4], _floats),
+    "bounded_variation": (0.10, float), "bounded_t": ([1e-1, 1e-2, 1e-3, 1e-4, 1e-5], _floats),
+    "cp_corr": (0.99, float), "cp_t": ([0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], _floats),
+    "martingale_pairs": ([[0.1, 5], [0.05, 10]], lambda v: [(float(d), int(n)) for d, n in v]),
+    "martingale_tol": (0.0, float), "martingale_stop_radius": (1.0, float),
+    "characteristics_rel": (0.05, float),
+}
 
 
 class ConfigParseError(Exception):
@@ -120,8 +137,7 @@ class RunConfig:
     horizon: float
     seed: int
     ode_tol: float
-    tolerances: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)     # every key of _TOLERANCES, converted
 
     @property
     def space(self):
@@ -182,8 +198,10 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         raise ConfigParseError("mc must be a JSON object")
     seed = _integer("mc.seed", mc.get("seed", 0) if seed_override is None else seed_override)
     tols = raw.get("tolerances", {})
-    ode_tol = (_parsed("tolerances.ode", float, tols.get("ode", 1e-10))
-               if tol_override is None else float(tol_override))
+    if not isinstance(tols, dict):
+        raise ConfigParseError("tolerances must be a JSON object")
+    tolerances = {k: _parsed(f"tolerances.{k}", convert, tols.get(k, default))
+                  for k, (default, convert) in _TOLERANCES.items()}
     cfg = RunConfig(
         task=task,
         params=params,
@@ -196,9 +214,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         n_steps=_integer("mc.steps", mc.get("steps", 400)),
         horizon=_parsed("mc.T", float, mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
         seed=seed,
-        ode_tol=ode_tol,
-        tolerances=tols,
-        raw=raw,
+        ode_tol=tolerances["ode"] if tol_override is None else float(tol_override),
+        tolerances=tolerances,
     )
     _validate_config(cfg)
     return cfg
@@ -216,7 +233,7 @@ def _parsed(name: str, convert, value):
     """convert(value); a value it cannot convert does not parse."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigParseError(f"{name} cannot be read from {value!r}: {e}") from e
 
 
@@ -232,11 +249,10 @@ def _default_u_grid(d: int) -> list:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    for u in cfg.u_grid:
-        lvl = cfg.space.support(u)
-        if not lvl < math.inf:
-            raise ConfigValidationError(
-                f"grid point u={u} lies outside the transform domain: support(u)=inf")
+    outside = ~(cfg.space.support(np.reshape(cfg.u_grid, (-1, cfg.params.dim))) < math.inf)
+    if outside.any():
+        raise ConfigValidationError(f"grid point u={cfg.u_grid[outside.argmax()]} lies "
+                                    "outside the transform domain: support(u)=inf")
     for x in cfg.x_grid:
         if not cfg.space.contains(x):
             raise ConfigValidationError(f"grid point x={x} is not in the state space")
@@ -282,17 +298,9 @@ def run_transform(cfg: RunConfig, out_dir: str) -> int:
 # task: simulate
 
 
-def _build_ensemble(cfg: RunConfig, x0, T: float, n_steps: int, n_paths: int,
-                    seed: int):
-    if isinstance(cfg.space, Parabola):
-        times = np.linspace(0.0, T, n_steps + 1)
-        return simulate_parabola_ensemble(x0, times, seed, n_paths)
-    return simulate_ensemble(cfg.params, x0, T, n_steps, seed, n_paths)
-
-
 def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     x0 = cfg.x_grid[0]
-    ens = _build_ensemble(cfg, x0, cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
+    ens = simulate_ensemble(cfg.params, x0, cfg.horizon, cfg.n_steps, cfg.seed, cfg.n_paths)
     path = os.path.join(out_dir, "paths.csv")
     d, n_t = ens.dim, len(ens.times)
     t_cells = [f",{t!r}," for t in ens.times.tolist()]
@@ -326,8 +334,8 @@ def _check(name: str, prop: str, statistic: float, threshold: float, ok: bool,
 
 
 def _suite_semiflow(cfg: RunConfig) -> list:
-    n_triples = int(cfg.tolerances.get("semiflow_triples", 100))
-    thr = float(cfg.tolerances.get("semiflow", 1e-7))
+    n_triples = cfg.tolerances["semiflow_triples"]
+    thr = cfg.tolerances["semiflow"]
     rng = np.random.default_rng(cfg.seed)
     triples = [(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3),
                 random_u_in_domain(cfg.space, rng)) for _ in range(n_triples)]
@@ -339,12 +347,11 @@ def _suite_semiflow(cfg: RunConfig) -> list:
 
 
 def _suite_regularity(cfg: RunConfig) -> list:
-    thr_rel = float(cfg.tolerances.get("regularity_rel", 1e-4))
-    thr_order = float(cfg.tolerances.get("regularity_order", 0.9))
-    h_list = cfg.tolerances.get("regularity_h", [1e-2, 1e-3, 1e-4])
+    thr_rel = cfg.tolerances["regularity_rel"]
+    thr_order = cfg.tolerances["regularity_order"]
     out = []
     for u in cfg.u_grid[:3]:
-        probe = fd_regularity(cfg.params, u, h_list, cfg.ode_tol)
+        probe = fd_regularity(cfg.params, u, cfg.tolerances["regularity_h"], cfg.ode_tol)
         ok = probe.rel_error_est <= thr_rel and probe.observed_order >= thr_order
         out.append(_check(
             "regularity",
@@ -358,13 +365,12 @@ def _suite_regularity(cfg: RunConfig) -> list:
 
 
 def _suite_bounded(cfg: RunConfig) -> list:
-    thr = float(cfg.tolerances.get("bounded_variation", 0.10))
-    t_list = cfg.tolerances.get("bounded_t", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    thr = cfg.tolerances["bounded_variation"]
     d = cfg.params.dim
     rng = np.random.default_rng(cfg.seed + 1)
     z = rng.standard_normal((20, d))
     grid = [1j * row / max(np.linalg.norm(row), 1e-12) for row in z]
-    table = boundedness_probe(cfg.params, grid, t_list, cfg.ode_tol)
+    table = boundedness_probe(cfg.params, grid, cfg.tolerances["bounded_t"], cfg.ode_tol)
     tail = table.sup[-3:]
     variation = float((tail.max() - tail.min()) / max(tail.min(), 1e-300))
     ok = variation <= thr and not table.divergence_suspected
@@ -374,12 +380,11 @@ def _suite_bounded(cfg: RunConfig) -> list:
 
 
 def _suite_cp_limit(cfg: RunConfig) -> list:
-    thr_corr = float(cfg.tolerances.get("cp_corr", 0.99))
-    t_list = cfg.tolerances.get("cp_t", [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
+    thr_corr = cfg.tolerances["cp_corr"]
     out = []
     pairs = [(x, u) for x in cfg.x_grid[:3] for u in cfg.u_grid[:3]][:3]
     for x, u in pairs:
-        table = cp_limit_check(cfg.params, x, u, t_list, cfg.ode_tol)
+        table = cp_limit_check(cfg.params, x, u, cfg.tolerances["cp_t"], cfg.ode_tol)
         err = np.maximum(table.errors, 1e-15)
         corr = float(np.corrcoef(np.log(table.t), np.log(err))[0, 1])
         slope_c = float(np.max(err / table.t))
@@ -426,7 +431,7 @@ def _suite_affine_mc(cfg: RunConfig) -> list:
         if t > 0 and not np.isclose(t / dt, round(t / dt), rtol=1e-9, atol=1e-9):
             raise ConfigValidationError(
                 f"t={t} does not land on the simulation grid (T={T}, steps={cfg.n_steps})")
-    ens = _build_ensemble(cfg, x0, T, cfg.n_steps, cfg.n_paths, cfg.seed)
+    ens = simulate_ensemble(cfg.params, x0, T, cfg.n_steps, cfg.seed, cfg.n_paths)
     out = []
     for t in cfg.t_grid:
         if t <= 0:
@@ -447,14 +452,12 @@ def _suite_affine_mc(cfg: RunConfig) -> list:
 
 
 def _suite_martingale(cfg: RunConfig) -> list:
-    pairs = cfg.tolerances.get("martingale_pairs", [[0.1, 5], [0.05, 10]])
-    tol = float(cfg.tolerances.get("martingale_tol", 0.0))
-    radius = float(cfg.tolerances.get("martingale_stop_radius", 1.0))
+    tol = cfg.tolerances["martingale_tol"]
+    radius = cfg.tolerances["martingale_stop_radius"]
     x0 = cfg.x_grid[0]
     out = []
-    for delta, n in pairs:
-        delta, n = float(delta), int(n)
-        ens = _build_ensemble(cfg, x0, delta * n, n, cfg.n_paths, cfg.seed)
+    for delta, n in cfg.tolerances["martingale_pairs"]:
+        ens = simulate_ensemble(cfg.params, x0, delta * n, n, cfg.seed, cfg.n_paths)
         for label, e in (("unstopped", ens), ("stopped", stopped_ensemble(ens, radius))):
             for u in cfg.u_grid[:3]:
                 est = martingale_L_test(cfg.params, e, delta, n, u, cfg.ode_tol)
@@ -471,7 +474,7 @@ def _suite_martingale(cfg: RunConfig) -> list:
 
 
 def _suite_characteristics(cfg: RunConfig) -> list:
-    thr = float(cfg.tolerances.get("characteristics_rel", 0.05))
+    thr = cfg.tolerances["characteristics_rel"]
     if cfg.params.has_jumps or cfg.params.has_killing:
         return [_check("characteristics",
                        "realized quadratic covariation vs int A(X_s) ds "
@@ -479,7 +482,7 @@ def _suite_characteristics(cfg: RunConfig) -> list:
                        math.nan, thr, False,
                        skipped="process has jumps or killing; check not applicable")]
     x0 = cfg.x_grid[0]
-    ens = _build_ensemble(cfg, x0, cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
+    ens = simulate_ensemble(cfg.params, x0, cfg.horizon, cfg.n_steps, cfg.seed, cfg.n_paths)
     rep = characteristics_check(ens, cfg.params)
     out = [_check("characteristics",
                   "realized quadratic covariation matches int A(X_s) ds in "
@@ -547,26 +550,16 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, seed_override=args.seed, tol_override=args.tol)
+        if cfg.task != args.task:
+            raise ConfigValidationError(
+                f"config task {cfg.task!r} does not match command {args.task!r}")
+        os.makedirs(args.out, exist_ok=True)
+        run = {"transform": run_transform, "simulate": run_simulate, "verify": run_verify}
+        return run[args.task](cfg, args.out)
     except ConfigParseError as e:
         print(f"config parse error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except ConfigValidationError as e:
-        print(f"config validation error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
-
-    if cfg.task != args.task:
-        print(f"config task {cfg.task!r} does not match command {args.task!r}",
-              file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
-
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        if args.task == "transform":
-            return run_transform(cfg, args.out)
-        if args.task == "simulate":
-            return run_simulate(cfg, args.out)
-        return run_verify(cfg, args.out)
-    except ConfigValidationError as e:
+    except (ConfigValidationError, SamplerError) as e:
         print(f"config validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 

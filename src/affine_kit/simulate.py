@@ -18,8 +18,9 @@ exponential killing clock:
 Orthant-constrained coordinates use full truncation: coefficients are
 evaluated at the clamped state and the stored state is projected back onto
 the constraint, so paths never leave the state space.  The parabola is a
-curve with no tube around it, so it is never simulated by Euler; use the
-exact sampler, which maps Brownian increments through w -> (w, w^2).
+curve with no tube around it, so it is never simulated by Euler: only the
+parabola preset's process (w, w^2) is, exactly, by simulate_parabola_ensemble,
+which maps Brownian increments through w -> (w, w^2).
 
 Randomness: path i reads the counter-based stream of
 Generator(Philox(key=seed, counter=[0, 0, i, 0])), so ensembles are
@@ -35,13 +36,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import presets
 from .params import AffineParams
-from .state_space import CanonicalOrthantPlane, HalfLine, Parabola
+from .state_space import Parabola
 from .transform import BlowUpError, evaluate
 
 __all__ = [
     "Ensemble",
     "McEstimate",
+    "SamplerError",
     "simulate_ensemble",
     "simulate_parabola_ensemble",
     "mc_char_fn",
@@ -52,6 +55,10 @@ __all__ = [
 ]
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
+
+
+class SamplerError(ValueError):
+    """No sampler of this module draws paths with the law of the given tuple."""
 
 
 @dataclass(frozen=True)
@@ -111,15 +118,6 @@ def _path_streams(seed: int, n_paths: int):
         yield rng
 
 
-def _orthant_dims(space) -> int:
-    """How many leading coordinates are confined to [0, inf)."""
-    if isinstance(space, HalfLine):
-        return 1
-    if isinstance(space, CanonicalOrthantPlane):
-        return space.m
-    return 0
-
-
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     """Batched symmetric PSD square root; tiny negative eigenvalues clamp to 0."""
     w, v = np.linalg.eigh(mats)
@@ -129,20 +127,25 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
                       n_paths: int) -> Ensemble:
-    """Euler-Maruyama ensemble of n_paths trajectories over [0, T].
+    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1).
 
     Deterministic in (params, x0, T, n_steps, seed); path i depends only on
-    (seed, i).
+    (seed, i).  Euler-Maruyama on the orthant plane.  On the parabola only
+    the tuple of presets.parabola() (equal A, B, C and W tables), the process
+    (w, w^2), is accepted: it gets simulate_parabola_ensemble on that grid;
+    any other parabola tuple raises SamplerError.
     """
+    if T <= 0 or n_steps < 1:
+        raise ValueError("need T > 0 and n_steps >= 1")
     if isinstance(p.space, Parabola):
-        raise ValueError(
-            "the parabola is a curve and cannot be simulated by Euler; "
-            "use the exact sampler simulate_parabola_ensemble")
+        ref = presets.parabola()
+        if not all(np.array_equal(getattr(p, t), getattr(ref, t)) for t in "ABCW"):
+            raise SamplerError("the parabola is a curve and cannot be simulated by Euler; only "
+                               "the parabola preset's tuple, (w, w^2), has an exact sampler")
+        return simulate_parabola_ensemble(x0, np.linspace(0.0, T, n_steps + 1), seed, n_paths)
     x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     if not p.space.contains(x0):
         raise ValueError(f"x0={x0} is not in the state space")
-    if T <= 0 or n_steps < 1:
-        raise ValueError("need T > 0 and n_steps >= 1")
     report = p.validate(samples=32)
     if not report.valid:
         raise ValueError(f"parameters failed validation:\n{report}")
@@ -181,7 +184,7 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
         hm = (p.W * p.small) @ p.L
         hm0, hm1 = hm[0], hm[1:]
 
-    m = _orthant_dims(p.space)
+    m = p.space.m
     states = np.empty((n_paths, n_steps + 1, d))
     states[:, 0, :] = x0
     alive_until = np.full(n_paths, n_steps + 1, dtype=np.int64)

@@ -6,9 +6,15 @@ R^d.  The transform domain attached to ``D`` is the convex cone
     U = {u in C^d : sup_{x in D} Re<u, x> < infinity},
 
 i.e. the set of complex vectors for which x -> exp(<u, x>) is bounded on
-``D``.  Each shipped variant has an exact closed-form support function
-``sup_{x in D} Re<u, x>``, which is what makes membership in U decidable.
-Arbitrary Borel sets are deliberately not supported.
+``D``.  Two geometries are shipped, each with an exact closed-form support
+function ``sup_{x in D} Re<u, x>``, which is what makes membership in U
+decidable: the canonical orthant plane R_{>=0}^m x R^n and the parabola
+{(y, y^2)}.  FullSpace(d) (m = 0) and HalfLine() (m = 1, n = 0) are orthant
+planes under their own names.  Arbitrary Borel sets are deliberately not
+supported.
+
+support and in_domain take one vector u of shape (d,) or an array of shape
+(..., d), one answer per vector; a (d,) input gives a Python float or bool.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ __all__ = [
 _PARABOLA_RTOL = 1e-12
 
 
+def _unwrap(a: np.ndarray):
+    """A 0-d answer as a Python scalar, any other as the array."""
+    return a.item() if a.ndim == 0 else a
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Base class: a state space descriptor with an exact support function."""
@@ -47,8 +58,8 @@ class StateSpace:
         """True iff x lies in D (up to the variant's membership tolerance)."""
         raise NotImplementedError
 
-    def support(self, u) -> float:
-        """sup_{x in D} Re<u, x>; math.inf when the sup is unbounded."""
+    def support(self, u):
+        """sup_{x in D} Re<u, x> per vector of u; math.inf where the sup is unbounded."""
         raise NotImplementedError
 
     def affine_basis(self) -> np.ndarray:
@@ -61,70 +72,26 @@ class StateSpace:
 
     # -- shared helpers -------------------------------------------------
 
-    def _check_vector(self, v, name: str) -> np.ndarray:
+    def _check_vector(self, v, name: str, rows: bool = False) -> np.ndarray:
         arr = np.asarray(v)
-        if arr.shape != (self.dim,):
+        if arr.shape[-1:] != (self.dim,) or not (rows or arr.ndim == 1):
             raise ValueError(
-                f"{name} has shape {arr.shape}, expected ({self.dim},) for this space"
-            )
+                f"{name} has shape {arr.shape}, expected ({self.dim},) for this space")
         return arr
 
-    def in_domain(self, u, tol: float = 0.0) -> bool:
-        """Membership of u in U, treating real parts within tol as zero.
+    def _real(self, u) -> np.ndarray:
+        return self._check_vector(np.asarray(u, dtype=complex), "u", rows=True).real
 
-        With tol=0 this is exactly support(u) < inf.  A positive tol absorbs
-        floating-point drift of trajectories that hug the boundary of U.
+    def in_domain(self, u, tol=0.0):
+        """Membership in U per vector of u, treating real parts within tol as zero.
+
+        tol is a scalar or one value per vector.  With tol=0 this is exactly
+        support(u) < inf.  A positive tol absorbs floating-point drift of
+        trajectories that hug the boundary of U.
         """
-        u = np.asarray(u, dtype=complex)
-        re = u.real.copy()
-        re[np.abs(re) <= tol] = 0.0
-        return self.support(re + 1j * u.imag) < math.inf
-
-
-@dataclass(frozen=True)
-class FullSpace(StateSpace):
-    """D = R^d.  U is exactly the purely imaginary vectors."""
-
-    def contains(self, x) -> bool:
-        self._check_vector(x, "x")
-        return True
-
-    def support(self, u) -> float:
-        u = self._check_vector(np.asarray(u, dtype=complex), "u")
-        return 0.0 if np.all(u.real == 0.0) else math.inf
-
-    def affine_basis(self) -> np.ndarray:
-        return np.vstack([np.zeros(self.dim), np.eye(self.dim)])
-
-    def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        h = qmc.Halton(d=self.dim, scramble=False).random(n)
-        return (2.0 * h - 1.0) * radius
-
-
-@dataclass(frozen=True)
-class HalfLine(StateSpace):
-    """D = [0, inf) in one dimension."""
-
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.dim != 1:
-            raise ValueError("HalfLine is one-dimensional")
-
-    def contains(self, x) -> bool:
-        x = self._check_vector(x, "x")
-        return bool(x[0] >= 0.0)
-
-    def support(self, u) -> float:
-        u = self._check_vector(np.asarray(u, dtype=complex), "u")
-        return 0.0 if u.real[0] <= 0.0 else math.inf
-
-    def affine_basis(self) -> np.ndarray:
-        return np.array([[0.0], [1.0]])
-
-    def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        h = qmc.Halton(d=1, scramble=False).random(n)
-        return h * radius
+        re = self._real(u)
+        re = np.where(np.abs(re) <= np.asarray(tol)[..., None], 0.0, re)
+        return self.support(re) < math.inf
 
 
 @dataclass(frozen=True)
@@ -147,12 +114,10 @@ class CanonicalOrthantPlane(StateSpace):
         x = self._check_vector(x, "x")
         return bool(np.all(x[: self.m] >= 0.0))
 
-    def support(self, u) -> float:
-        u = self._check_vector(np.asarray(u, dtype=complex), "u")
-        re = u.real
-        if np.all(re[: self.m] <= 0.0) and np.all(re[self.m :] == 0.0):
-            return 0.0
-        return math.inf
+    def support(self, u):
+        re = self._real(u)
+        bounded = (re[..., : self.m] <= 0.0).all(axis=-1) & (re[..., self.m :] == 0.0).all(axis=-1)
+        return _unwrap(np.where(bounded, 0.0, math.inf))
 
     def affine_basis(self) -> np.ndarray:
         return np.vstack([np.zeros(self.dim), np.eye(self.dim)])
@@ -162,6 +127,22 @@ class CanonicalOrthantPlane(StateSpace):
         pts = (2.0 * h - 1.0) * radius
         pts[:, : self.m] = h[:, : self.m] * radius
         return pts
+
+
+class FullSpace(CanonicalOrthantPlane):
+    """D = R^d, the orthant plane with m = 0.  U is exactly the purely imaginary vectors."""
+
+    def __init__(self, dim: int):
+        super().__init__(0, dim)
+
+
+class HalfLine(CanonicalOrthantPlane):
+    """D = [0, inf) in one dimension, the orthant plane with m = 1, n = 0."""
+
+    def __init__(self, dim: int = 1):
+        if dim != 1:
+            raise ValueError("HalfLine is one-dimensional")
+        super().__init__(1, 0)
 
 
 @dataclass(frozen=True)
@@ -178,15 +159,14 @@ class Parabola(StateSpace):
         x = self._check_vector(x, "x")
         return bool(abs(x[1] - x[0] ** 2) <= _PARABOLA_RTOL * max(1.0, x[0] ** 2))
 
-    def support(self, u) -> float:
-        # sup over y of p*y + q*y^2 with p = Re u1, q = Re u2
-        u = self._check_vector(np.asarray(u, dtype=complex), "u")
-        p, q = u.real
-        if q > 0.0 or (q == 0.0 and p != 0.0):
-            return math.inf
-        if p == 0.0 and q == 0.0:
-            return 0.0
-        return -(p * p) / (4.0 * q)
+    def support(self, u):
+        # sup over y of p*y + q*y^2: 0 at p = q = 0, inf for q > 0 or q = 0 != p
+        re = self._real(u)
+        p, q = re[..., 0], re[..., 1]
+        out = np.where((p == 0.0) & (q == 0.0), 0.0, math.inf)
+        rest = ~(q >= 0.0)      # q < 0, or NaN
+        out[rest] = -(p[rest] * p[rest]) / (4.0 * q[rest])
+        return _unwrap(out)
 
     def affine_basis(self) -> np.ndarray:
         return np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -195,11 +175,12 @@ class Parabola(StateSpace):
         y = (2.0 * qmc.Halton(d=1, scramble=False).random(n)[:, 0] - 1.0) * radius
         return np.column_stack([y, y * y])
 
-    def in_domain(self, u, tol: float = 0.0) -> bool:
-        u = np.asarray(u, dtype=complex)
-        p, q = u.real
+    def in_domain(self, u, tol=0.0):
+        re = self._real(u)
+        p, q, tol = re[..., 0], re[..., 1], np.asarray(tol)
         # q < 0 is interior for any p; near the origin corner use the band
-        return bool(q < 0.0 or (abs(q) <= tol and abs(p) <= tol) or (q == 0.0 and p == 0.0))
+        return _unwrap((q < 0.0) | ((np.abs(q) <= tol) & (np.abs(p) <= tol))
+                       | ((q == 0.0) & (p == 0.0)))
 
 
 def random_u_in_domain(space: StateSpace, rng: np.random.Generator) -> np.ndarray:
@@ -212,9 +193,7 @@ def random_u_in_domain(space: StateSpace, rng: np.random.Generator) -> np.ndarra
     re = np.zeros(d)
     if isinstance(space, Parabola):
         re = np.array([rng.uniform(-1.0, 1.0), -rng.uniform(0.2, 1.5)])
-    elif isinstance(space, HalfLine):
-        re[0] = -rng.uniform(0.0, 1.5)
-    elif isinstance(space, CanonicalOrthantPlane) and space.m:
+    elif space.m:
         re[: space.m] = -rng.uniform(0.0, 1.5, size=space.m)
     return re + 1j * y
 

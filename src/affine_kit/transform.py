@@ -246,8 +246,8 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops, rtol: float, atol: floa
                 t_next[i] = t_stops[min(j, n_stops - 1)]
 
 
-def _domain_tol(tol: float, psi: np.ndarray) -> float:
-    return max(1e-9, 100.0 * tol) * (1.0 + float(np.abs(psi).max(initial=0.0)))
+def _domain_tol(tol: float, psi: np.ndarray) -> np.ndarray:
+    return max(1e-9, 100.0 * tol) * (1.0 + np.abs(psi).max(axis=-1, initial=0.0))
 
 
 # evaluate_batch's body: evaluate and evaluate_grid call it directly, so traced calls never nest
@@ -255,20 +255,20 @@ def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
     if not tol > 0:
         raise ValueError("tol must be positive")
     t_arr = np.asarray(t_grid, dtype=float).reshape(-1)
-    if not (t_arr >= 0).all():
-        raise ValueError("times must be nonnegative")
+    if not ((t_arr >= 0) & (t_arr < math.inf)).all():
+        raise ValueError("times must be finite and nonnegative")
     U = np.asarray(U, dtype=complex).reshape(-1, p.dim)
     y0 = np.hstack([np.zeros((len(U), 1)), U])
     order = t_arr.argsort(kind="stable")
     states, t_last, steps, err_est, reached = _integrate(p, y0, t_arr[order], tol, tol)
     rank = order.argsort()      # back to the caller's order
     y, blown = states[:, rank], rank >= reached[:, None]
-    status = np.where(blown, STATUS_BLOW_UP, STATUS_OK).astype(object)
-    u_in_U = [p.space.in_domain(u, tol=_domain_tol(tol, u)) for u in U]
-    for i, j in zip(*np.nonzero(~blown)):
-        if not (u_in_U[i] and p.space.in_domain(y[i, j, 1:], tol=_domain_tol(tol, y[i, j, 1:]))):
-            status[i, j] = STATUS_DOMAIN_EXIT
-    return TransformBatch(np.where(blown, t_last[:, None], t_arr), U, y[..., 0], y[..., 1:],
+    psi = y[..., 1:]
+    ok = (p.space.in_domain(U, tol=_domain_tol(tol, U))[:, None]
+          & p.space.in_domain(psi, tol=_domain_tol(tol, psi)))
+    status = np.where(blown, STATUS_BLOW_UP,
+                      np.where(ok, STATUS_OK, STATUS_DOMAIN_EXIT)).astype(object)
+    return TransformBatch(np.where(blown, t_last[:, None], t_arr), U, y[..., 0], psi,
                           status, steps, err_est,
                           np.where(reached < len(t_arr), t_last, math.nan))
 
@@ -471,9 +471,9 @@ def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> Boun
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
         raise ValueError("t_list must be decreasing and positive")
     U = np.array([np.asarray(u, dtype=complex).reshape(p.dim) for u in grid]).reshape(-1, p.dim)
-    for u in U:
-        if p.space.support(u) == math.inf:
-            raise ValueError(f"grid point {u} lies outside the transform domain U")
+    outside = p.space.support(U) == math.inf
+    if outside.any():
+        raise ValueError(f"grid point {U[outside.argmax()]} lies outside the transform domain U")
     sups = np.empty(len(t_arr))
     for j, t in enumerate(t_arr):
         b = evaluate_batch(p, [t], U, tol)

@@ -200,6 +200,35 @@ class TestErrorStatuses:
                       extra=(f"--tol={tol}",))
         assert code == EXIT_VALIDATION_ERROR
 
+    @pytest.mark.parametrize("tolerances", [
+        [1],
+        {"semiflow": "abc"},
+        {"semiflow_triples": "many"},
+        {"regularity_h": 0.01},
+        {"bounded_t": ["a"]},
+        {"martingale_pairs": [[0.1]]},
+        {"characteristics_rel": None},
+    ], ids=["list", "semiflow", "semiflow_triples", "regularity_h", "bounded_t",
+            "martingale_pairs", "characteristics_rel"])
+    def test_unreadable_tolerances_are_parse_errors(self, tmp_path, tolerances):
+        # these used to end in an AttributeError or ValueError traceback and exit 1
+        code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
+                                           "tolerances": tolerances})
+        assert code == EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize("task", ["simulate", "verify"])
+    def test_parabola_tuple_without_exact_sampler_is_validation_error(
+            self, tmp_path, capsys, task):
+        # a valid tuple on the parabola whose law is not that of (w, w^2)
+        payload = {"task": task, "space": {"kind": "parabola"},
+                   "params": {"a": [[4.0, 0.0], [0.0, 0.0]], "b": [0.0, 4.0],
+                              "alpha": [[[0.0, 4.0], [4.0, 0.0]],
+                                        [[0.0, 0.0], [0.0, 16.0]]]},
+                   "verify_suite": ["affine_mc"], "mc": {"paths": 4, "steps": 8}}
+        code, _ = run(tmp_path, task, payload)
+        assert code == EXIT_VALIDATION_ERROR
+        assert "exact sampler" in capsys.readouterr().err
+
 
 class TestTransformTask:
     def test_csv_layout_and_values(self, tmp_path):
@@ -330,7 +359,7 @@ class TestSimulateTask:
                        states=np.array([[[1.0], [np.inf], [np.nan]],
                                         [[1.0], [0.25], [-np.inf]]]),
                        alive_until=np.array([2, 3]), x0=np.array([1.0]))
-        monkeypatch.setattr(cli, "_build_ensemble", lambda *args: ens)
+        monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: ens)
         code, out_dir = run(tmp_path, "simulate", {
             "task": "simulate",
             "preset": "cir",
@@ -354,7 +383,7 @@ class TestSimulateTask:
         times = np.array([0.0, 0.1, 1 / 3, 1e16])
         ens = Ensemble(times=times, states=states, alive_until=np.array([1, 4, 3]),
                        x0=states[0, 0])
-        monkeypatch.setattr(cli, "_build_ensemble", lambda *args: ens)
+        monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: ens)
         code, out_dir = run(tmp_path, "simulate", {
             "task": "simulate", "preset": preset, "mc": {"paths": 3, "steps": 3}})
         assert code == EXIT_OK

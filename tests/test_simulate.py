@@ -107,9 +107,19 @@ class TestEulerScheme:
         ens = simulate_ensemble(cir(), [0.04], 1.0, 200, seed=2, n_paths=500)
         assert np.nanmin(ens.states) >= 0.0
 
-    def test_parabola_must_use_exact_sampler(self):
-        with pytest.raises(ValueError, match="exact"):
-            simulate_ensemble(parabola(), [0.0, 0.0], 1.0, 10, seed=0, n_paths=2)
+    def test_parabola_dispatches_to_exact_sampler(self):
+        ens = simulate_ensemble(parabola(), [0.5, 0.25], 1.0, 10, seed=4, n_paths=3)
+        exact = simulate_parabola_ensemble([0.5, 0.25], np.linspace(0.0, 1.0, 11), 4, 3)
+        for name in ("times", "states", "alive_until", "x0"):
+            assert getattr(ens, name).tobytes() == getattr(exact, name).tobytes()
+        # a valid parabola tuple whose law is not that of (w, w^2): Var X_1(1) = 4
+        alpha = np.zeros((2, 2, 2))
+        alpha[0] = [[0.0, 4.0], [4.0, 0.0]]
+        alpha[1] = [[0.0, 0.0], [0.0, 16.0]]
+        scaled = parabola().with_(a=np.diag([4.0, 0.0]), alpha=alpha, b=np.array([0.0, 4.0]))
+        assert scaled.validate().valid
+        with pytest.raises(ValueError, match="exact sampler"):
+            simulate_ensemble(scaled, [0.0, 0.0], 1.0, 10, seed=0, n_paths=2)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from affine_kit.state_space import (
     FullSpace,
     HalfLine,
     Parabola,
+    random_u_in_domain,
     space_from_config,
 )
 
@@ -137,3 +138,53 @@ class TestSamplingAndConfig:
         assert (s.m, s.n, s.dim) == (1, 2, 3)
         with pytest.raises(ValueError):
             space_from_config({"kind": "dodecahedron"})
+
+
+CONTRACT_SPACES = [FullSpace(1), FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 1),
+                   CanonicalOrthantPlane(2, 0), Parabola()]
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("space", CONTRACT_SPACES, ids=repr)
+    def test_arrays_match_row_by_row_answers(self, space):
+        rng = np.random.default_rng(11)
+        # signed zeros, the smallest subnormal, points in and just outside the
+        # tol bands (the parabola's corner band among them) and plain values
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, 2e-11, -2e-11, 1.0, -1.0, -2.5]
+        n = 600
+        U = (rng.choice(special, size=(n, space.dim))
+             + 1j * rng.choice([0.0, -0.0, 1.0, -3.0], size=(n, space.dim)))
+        tols = rng.choice([0.0, 1e-12, 1e-11, 1e-9], size=n)
+        with np.errstate(over="ignore"):    # p^2 / 4q overflows to inf, row by row as well
+            sup, member = space.support(U), space.in_domain(U, tol=tols)
+            member0 = space.in_domain(U)
+            for k, u in enumerate(U):
+                s = space.support(u)
+                assert type(s) is float
+                assert s == sup[k] and math.copysign(1.0, s) == math.copysign(1.0, sup[k])
+                for got, want in ((member[k], space.in_domain(u, tol=tols[k])),
+                                  (member0[k], space.in_domain(u))):
+                    assert type(want) is bool and got == want
+        assert sup.shape == member.shape == (n,) and member.dtype == bool
+        # leading axes beyond one and a scalar tol broadcast the same way
+        np.testing.assert_array_equal(space.in_domain(U.reshape(20, 30, -1), tol=1e-11),
+                                      space.in_domain(U, tol=1e-11).reshape(20, 30))
+
+    @pytest.mark.parametrize("space,orthant", [
+        (HalfLine(), CanonicalOrthantPlane(1, 0)),
+        (FullSpace(1), CanonicalOrthantPlane(0, 1)),
+        (FullSpace(3), CanonicalOrthantPlane(0, 3)),
+    ], ids=["HalfLine", "FullSpace(1)", "FullSpace(3)"])
+    def test_named_spaces_are_orthant_planes(self, space, orthant):
+        rng = np.random.default_rng(2)
+        U = rng.standard_normal((50, space.dim)) * rng.integers(0, 2, (50, space.dim)) + 1j
+        assert np.array_equal(space.support(U), orthant.support(U))
+        for x in rng.standard_normal((50, space.dim)):
+            assert space.contains(x) == orthant.contains(x)
+        assert np.array_equal(space.affine_basis(), orthant.affine_basis())
+        assert np.array_equal(space.sample_points(40), orthant.sample_points(40))
+        r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(20):
+            assert np.array_equal(random_u_in_domain(space, r1), random_u_in_domain(orthant, r2))
+        with pytest.raises(ValueError):
+            HalfLine(dim=2)

@@ -237,8 +237,9 @@ class TestEvaluateBatch:
         for tol in (0.0, -1e-10, float("nan")):
             with pytest.raises(ValueError):
                 evaluate_batch(cir, [0.1], [[-1.0]], tol=tol)
-        with pytest.raises(ValueError):
-            evaluate_batch(cir, [0.1, float("nan")], [[-1.0]])
+        for t in (float("nan"), -0.1, float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                evaluate_batch(cir, [0.1, t], [[-1.0]])
 
 
 class TestCharFn:
