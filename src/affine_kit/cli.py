@@ -265,6 +265,20 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigValidationError("mc settings must satisfy paths>=2, steps>=1, 0<T<inf")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigValidationError(f"the seed must lie in [0, 2**64), got {cfg.seed}")
+    tols = cfg.tolerances
+    # the probes' step lists: finite, positive, decreasing, and long enough to fit
+    for key, least in (("regularity_h", 3), ("bounded_t", 1), ("cp_t", 2)):
+        steps = np.asarray(tols[key])
+        if len(steps) < least or not (np.all((steps > 0) & (steps < math.inf))
+                                      and np.all(np.diff(steps) < 0)):
+            raise ConfigValidationError(f"tolerances.{key} must hold >= {least} finite, "
+                                        f"positive, decreasing values, got {tols[key]}")
+    if not all(0 < delta < math.inf and n >= 1 for delta, n in tols["martingale_pairs"]):
+        raise ConfigValidationError("tolerances.martingale_pairs must be [delta, n] pairs with "
+                                    f"0 < delta < inf and n >= 1, got {tols['martingale_pairs']}")
+    if tols["semiflow_triples"] < 1 or not tols["martingale_stop_radius"] >= 0:
+        raise ConfigValidationError("tolerances.semiflow_triples must be >= 1 and "
+                                    "tolerances.martingale_stop_radius >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ exponential killing clock:
 
   * drift B(X) - int h(xi) nu(X, dxi), so that uncompensated jumps combined
     with this drift reproduce the exponents' truncation convention;
-  * diffusion through the PSD square root of A(X): sqrt(max(diag A(X), 0))
-    when a and every alpha^i are diagonal (always in d = 1), which are the
-    floats eigh gives, and a batched eigh otherwise;
+  * diffusion through the symmetric PSD square root of A(X), in closed form
+    for d <= 2 (no LAPACK call per step) and by a batched eigh for d >= 3;
+    a constant A is rooted once;
   * jump counts per step drawn from the frozen-rate Poisson law by inverse
     CDF (thinning against the per-step mass bound), capped at
     _JUMPS_PER_STEP_CAP per step, atoms by categorical inverse CDF; the
@@ -119,7 +119,22 @@ def _path_streams(seed: int, n_paths: int):
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
-    """Batched symmetric PSD square root; tiny negative eigenvalues clamp to 0."""
+    """Batched symmetric PSD square root of (..., d, d) stacks.
+
+    d = 1: sqrt(max(M, 0)).  d = 2, closed form: with s = sqrt(max(det M, 0))
+    and t = sqrt(max(tr M + 2s, 0)), R = (M + sI)/t, and R = 0 where t = 0;
+    by Cayley-Hamilton R R = M whenever det M >= 0.  d >= 3: batched eigh,
+    tiny negative eigenvalues clamped to 0.
+    """
+    d = mats.shape[-1]
+    if d == 1:
+        return np.sqrt(np.maximum(mats, 0.0))
+    if d == 2:
+        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+        s = np.sqrt(np.maximum(a * c - b * b, 0.0))
+        t = np.sqrt(np.maximum(a + c + 2.0 * s, 0.0))[..., None, None]
+        return np.divide(mats + s[..., None, None] * np.eye(2), t,
+                         out=np.zeros(mats.shape), where=t > 0.0)
     w, v = np.linalg.eigh(mats)
     w = np.sqrt(np.maximum(w, 0.0))
     return np.einsum("...ij,...j,...kj->...ik", v, w, v)
@@ -170,12 +185,8 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
 
     # affine pieces, precomputed: B(x) = b + x @ beta etc.
     constant_diffusion = not p.alpha.any()
-    diagonal_diffusion = not p.A[:, ~np.eye(d, dtype=bool)].any()    # a and every alpha^i
     if constant_diffusion:
         sqrt_a = _psd_sqrt(p.a)
-    elif diagonal_diffusion:
-        a_diag = p.a.diagonal()
-        alpha_diag = p.alpha.diagonal(axis1=1, axis2=2)     # (i, j) -> alpha^i_jj
     if has_jumps:
         # jump weights w(x) = W0 + x @ W1 over the atom table, and the
         # truncation compensation int h dnu(x) = hm0 + x @ hm1
@@ -207,9 +218,6 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
             drift = drift - (hm0 + X @ hm1)
         if constant_diffusion:
             noise = normals[:, step, :] @ sqrt_a.T
-        elif diagonal_diffusion:
-            A = a_diag + np.einsum("pi,ij->pj", X, alpha_diag)
-            noise = np.sqrt(np.maximum(A, 0.0)) * normals[:, step, :]
         else:
             A = p.a + np.einsum("pi,ijk->pjk", X, p.alpha)
             noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), normals[:, step, :])

@@ -216,6 +216,26 @@ class TestErrorStatuses:
                                            "tolerances": tolerances})
         assert code == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("tolerances", [
+        {"regularity_h": [1e-4, 1e-3, 1e-2]},
+        {"bounded_t": [1e-3, 1e-2, 1e-1]},
+        {"cp_t": [0.001, 0.01, 0.1]},
+        {"martingale_pairs": [[0.1, 0]]},
+        {"martingale_pairs": [[-0.1, 5]]},
+        {"bounded_t": []},
+        {"cp_t": [0.1]},
+        {"semiflow_triples": 0},
+        {"martingale_stop_radius": -1.0},
+    ], ids=["regularity_h-increasing", "bounded_t-increasing", "cp_t-increasing",
+            "martingale_pairs-n0", "martingale_pairs-negative-delta", "bounded_t-empty",
+            "cp_t-single", "semiflow_triples-0", "martingale_stop_radius-negative"])
+    def test_impossible_tolerances_are_validation_errors(self, tmp_path, capsys, tolerances):
+        # these used to exit 1: a library ValueError traceback, or (one cp_t) a NaN statistic
+        code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
+                                           "tolerances": tolerances})
+        assert code == EXIT_VALIDATION_ERROR
+        assert f"tolerances.{next(iter(tolerances))}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task", ["simulate", "verify"])
     def test_parabola_tuple_without_exact_sampler_is_validation_error(
             self, tmp_path, capsys, task):

@@ -55,9 +55,16 @@ def pinned_stream(seed, i):
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
 
 
-def euler_reference(p, x0, T, n_steps, seed, n_paths):
+def eigh_root(mats):
+    """Symmetric PSD root from a batched eigh, negative eigenvalues clamped to 0:
+    an oracle independent of _psd_sqrt."""
+    w, v = np.linalg.eigh(mats)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(np.maximum(w, 0.0)), v)
+
+
+def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     """Step-by-step Euler paths of a jump- and killing-free tuple, with every
-    A(X) rooted by the batched eigh of _psd_sqrt."""
+    A(X) rooted by `root` (the sampler's own _psd_sqrt unless given)."""
     d = p.dim
     dt = T / n_steps
     normals = np.stack([pinned_stream(seed, i).standard_normal((n_steps, d))
@@ -68,7 +75,7 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths):
     out = [X]
     for k in range(n_steps):
         A = p.a + np.einsum("pi,ijk->pjk", X, p.alpha)
-        noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), normals[:, k, :])
+        noise = np.einsum("pjk,pk->pj", root(A), normals[:, k, :])
         X = X + (p.b + X @ p.beta) * dt + math.sqrt(dt) * noise
         X[:, orth] = np.maximum(X[:, orth], 0.0)
         out.append(X)
@@ -404,8 +411,32 @@ class TestPathStreams:
             np.testing.assert_array_equal(ens.states[i], np.stack([w, w * w], axis=1))
 
 
+def svj_diffusion(svj):
+    """The svj tuple's diffusion (off-diagonal alpha^1) without its jumps and killing."""
+    return svj.with_(c=0.0, gamma=np.zeros(2), m_measure=LevyMeasure.empty(2),
+                     mu_measures=(LevyMeasure.empty(2),) * 2)
+
+
+def plane_3d():
+    """R_+ x R^2 tuple whose a and alpha^1 have off-diagonal entries: the
+    eigh branch of _psd_sqrt."""
+    return AffineParams.zeros(CanonicalOrthantPlane(1, 2)).with_(
+        a=np.array([[0.0, 0.0, 0.0], [0.0, 0.2, 0.05], [0.0, 0.05, 0.1]]),
+        alpha=np.array([[[0.25, -0.1, 0.05], [-0.1, 1.0, 0.3], [0.05, 0.3, 0.8]],
+                        np.zeros((3, 3)), np.zeros((3, 3))]),
+        b=np.array([0.5, 0.0, 0.1]),
+        beta=np.array([[-1.0, 0.2, 0.0], [0.0, -0.3, 0.0], [0.0, 0.0, -0.5]]),
+    )
+
+
+def spectral_norm(mats):
+    return np.linalg.norm(mats, ord=2, axis=(-2, -1))
+
+
 class TestDiffusionRoot:
-    """The closed-form root of a diagonal A(X) gives the floats of the eigh root."""
+    """The Euler step roots A(X) with _psd_sqrt (closed form for d <= 2, eigh
+    for d >= 3); the sampler and euler_reference give the same floats, and
+    _psd_sqrt agrees with the independent eigh_root oracle."""
 
     @pytest.mark.parametrize("make, x0", [(cir, [0.04]), (diagonal_plane, [0.1, 0.0])],
                              ids=["cir", "diagonal_plane"])
@@ -415,20 +446,73 @@ class TestDiffusionRoot:
         np.testing.assert_array_equal(ens.states, euler_reference(p, x0, 1.0, 60, 5, 300))
 
     def test_off_diagonal_tuple_matches_the_eigh_reference(self, svj):
-        # the svj diffusion (off-diagonal alpha^1) without its jumps and killing
-        p = svj.with_(c=0.0, gamma=np.zeros(2), m_measure=LevyMeasure.empty(2),
-                      mu_measures=(LevyMeasure.empty(2),) * 2)
+        p = svj_diffusion(svj)
         ens = simulate_ensemble(p, [0.04, 0.0], 1.0, 60, seed=5, n_paths=300)
         np.testing.assert_array_equal(ens.states,
                                       euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300))
 
     def test_tiny_negative_diagonal_clamps_to_zero(self):
-        # A(0) = -1e-12 passes validation; its root is 0, as the eigh clamp gives
+        # A(0) = -1e-12 passes validation; its root is 0, as a clamped eigh gives
         p = AffineParams.zeros(HalfLine()).with_(
             a=np.array([[-1e-12]]), alpha=np.array([[[0.25]]]), b=np.array([0.3]))
         ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=1, n_paths=20)
         np.testing.assert_array_equal(ens.states[:, 1, 0], 0.3 * 0.1)
         np.testing.assert_array_equal(ens.states, euler_reference(p, [0.0], 1.0, 10, 1, 20))
+
+    def test_spd_2x2_roots_match_eigh_across_scales(self):
+        rng = np.random.default_rng(11)
+        for scale in np.logspace(-10, 5, 16):
+            g = rng.standard_normal((200, 2, 2))
+            mats = scale * (g @ g.transpose(0, 2, 1))
+            err = np.abs(_psd_sqrt(mats) - eigh_root(mats)).max(axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.sqrt(spectral_norm(mats))), scale
+
+    def test_rank_one_and_zero_2x2_roots_square_back(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((300, 2)) * np.logspace(-5, 3, 300)[:, None]
+        mats = np.concatenate([np.einsum("pi,pj->pij", v, v), np.zeros((3, 2, 2))])
+        root = _psd_sqrt(mats)
+        np.testing.assert_array_equal(root, root.transpose(0, 2, 1))
+        np.testing.assert_array_equal(root[-3:], 0.0)
+        err = np.abs(root @ root - mats).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * spectral_norm(mats))
+
+    def test_slightly_indefinite_2x2_roots_match_the_clamped_eigh_root(self):
+        # rank one shifted by -1e-12 |M|: det < 0, as rounding in A(X) can give
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((300, 2)) * np.logspace(-5, 3, 300)[:, None]
+        mats = np.einsum("pi,pj->pij", v, v)
+        norm = spectral_norm(mats)
+        mats = mats - 1e-12 * norm[:, None, None] * np.eye(2)
+        err = np.abs(_psd_sqrt(mats) - eigh_root(mats)).max(axis=(1, 2))
+        assert np.all(err <= 1e-11 * np.sqrt(norm))
+
+    def test_1x1_root_is_the_clamped_sqrt(self):
+        a = np.array([4.0, 0.25, 0.0, -0.0, -1e-12, 3e-300, 1e300]).reshape(-1, 1, 1)
+        np.testing.assert_array_equal(_psd_sqrt(a), np.sqrt(np.maximum(a, 0.0)))
+
+    def test_svj_diffusion_matches_an_eigh_rooted_reference(self, svj):
+        p = svj_diffusion(svj)
+        ens = simulate_ensemble(p, [0.04, 0.0], 1.0, 60, seed=5, n_paths=300)
+        ref = euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300, root=eigh_root)
+        assert np.all(np.abs(ens.states - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    def test_2d_step_makes_no_lapack_call(self, svj, monkeypatch):
+        # the full svj tuple, jumps and killing included, with eigh disabled
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called in a d = 2 Euler step")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        ens = simulate_ensemble(svj, [0.04, 0.0], 1.0, 40, seed=2, n_paths=50)
+        assert np.isfinite(ens.states[:, 0]).all()
+
+    def test_3d_off_diagonal_tuple_keeps_the_eigh_root(self):
+        p = plane_3d()
+        assert p.validate().valid
+        ens = simulate_ensemble(p, [0.2, 0.0, 0.0], 1.0, 40, seed=4, n_paths=100)
+        ref = euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100)
+        np.testing.assert_array_equal(ens.states, ref)
+        np.testing.assert_array_equal(
+            ref, euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100, root=eigh_root))
 
 
 def recount_jump_overflows(p, ens, seed):
