@@ -437,20 +437,31 @@ def _suite_levy_structure(cfg: RunConfig) -> list:
     return out
 
 
+def _up_to_conjugates(us: list) -> list:
+    """The u of us whose complex conjugate is not an earlier entry.  X is
+    real, so the estimate and the reference at conj(u) are the conjugates of
+    those at u, and a check at conj(u) repeats the check at u."""
+    return [u for k, u in enumerate(us)
+            if not any(np.array_equal(np.conj(u), v) for v in us[:k])]
+
+
 def _suite_affine_mc(cfg: RunConfig) -> list:
     x0 = cfg.x_grid[0]
     T = float(cfg.t_grid.max(initial=0.0)) or cfg.horizon
     dt = T / cfg.n_steps
-    for t in cfg.t_grid:
-        if t > 0 and not np.isclose(t / dt, round(t / dt), rtol=1e-9, atol=1e-9):
+    steps = np.rint(cfg.t_grid / dt)
+    for t, k in zip(cfg.t_grid, steps):
+        if t > 0 and not np.isclose(t / dt, k, rtol=1e-9, atol=1e-9):
             raise ConfigValidationError(
                 f"t={t} does not land on the simulation grid (T={T}, steps={cfg.n_steps})")
-    ens = simulate_ensemble(cfg.params, x0, T, cfg.n_steps, cfg.seed, cfg.n_paths)
+    # sample only the grid times the checks read
+    ens = simulate_ensemble(cfg.params, x0, T, cfg.n_steps, cfg.seed, cfg.n_paths,
+                            at=np.unique(steps[steps > 0]) * dt)
     out = []
     for t in cfg.t_grid:
         if t <= 0:
             continue
-        for u in cfg.u_grid[:3]:
+        for u in _up_to_conjugates(cfg.u_grid[:3]):
             est = mc_char_fn(ens, float(t), u)
             ref = char_fn(cfg.params, x0, float(t), u, cfg.ode_tol)
             gap = abs(est.value - ref)
@@ -461,7 +472,7 @@ def _suite_affine_mc(cfg: RunConfig) -> list:
                 "on the initial state (Monte Carlo vs Riccati)",
                 gap, thr, gap <= thr,
                 t=float(t), u=[[c.real, c.imag] for c in u],
-                std_error=est.std_error))
+                std_error=est.std_error, sampler=ens.sampler))
     return out
 
 
@@ -473,7 +484,7 @@ def _suite_martingale(cfg: RunConfig) -> list:
     for delta, n in cfg.tolerances["martingale_pairs"]:
         ens = simulate_ensemble(cfg.params, x0, delta * n, n, cfg.seed, cfg.n_paths)
         for label, e in (("unstopped", ens), ("stopped", stopped_ensemble(ens, radius))):
-            for u in cfg.u_grid[:3]:
+            for u in _up_to_conjugates(cfg.u_grid[:3]):
                 est = martingale_L_test(cfg.params, e, delta, n, u, cfg.ode_tol)
                 gap = abs(est.value - 1.0)
                 thr = max(3.0 * est.std_error, tol)
@@ -483,7 +494,7 @@ def _suite_martingale(cfg: RunConfig) -> list:
                     "L(n, delta, u), stopped and unstopped",
                     gap, thr, gap <= thr,
                     delta=delta, n=n, mode=label,
-                    u=[[c.real, c.imag] for c in u]))
+                    u=[[c.real, c.imag] for c in u], sampler=ens.sampler))
     return out
 
 
@@ -501,10 +512,11 @@ def _suite_characteristics(cfg: RunConfig) -> list:
     out = [_check("characteristics",
                   "realized quadratic covariation matches int A(X_s) ds in "
                   "ensemble mean",
-                  rep.ensemble_rel_error, thr, rep.ensemble_rel_error <= thr),
+                  rep.ensemble_rel_error, thr, rep.ensemble_rel_error <= thr,
+                  sampler=ens.sampler),
            _check("characteristics",
                   "drift residual X_T - X_0 - int B(X_s) ds is centered",
-                  rep.max_drift_z, 3.0, rep.max_drift_z <= 3.0)]
+                  rep.max_drift_z, 3.0, rep.max_drift_z <= 3.0, sampler=ens.sampler)]
     return out
 
 

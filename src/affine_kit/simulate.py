@@ -1,7 +1,24 @@
 """Path simulation and Monte Carlo verifiers for affine processes.
 
-The general scheme is Euler-Maruyama with per-step jump thinning and an
-exponential killing clock:
+simulate_ensemble is the one sampler interface.  It picks, from the tuple
+alone, one of three samplers and records which in Ensemble.sampler:
+
+  * "parabola_exact": the parabola preset's process (w, w^2), by
+    simulate_parabola_ensemble, which maps Brownian increments through
+    w -> (w, w^2).  The parabola is a curve with no tube around it, so no
+    other parabola tuple is simulated (SamplerError);
+  * "cir_exact": the square-root diffusion dX = (b - kappa X)dt + sigma
+    sqrt(X) dW on the half-line (no jumps, no killing, a = 0, alpha = sigma^2
+    > 0) whose dimension df = 4b/sigma^2 is >= 1.  Over a step of length h,
+    with c = sigma^2 (1 - e^{-kappa h})/(4 kappa), the transition is exact
+    (Glasserman 2003, section 3.4; Broadie & Kaya 2006):
+
+        X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G],
+        Z ~ N(0, 1), G ~ Gamma((df - 1)/2);
+
+  * "euler": Euler-Maruyama for every other tuple on the orthant plane.
+
+The Euler scheme:
 
   * drift B(X) - int h(xi) nu(X, dxi), so that uncompensated jumps combined
     with this drift reproduce the exponents' truncation convention;
@@ -17,16 +34,21 @@ exponential killing clock:
 
 Orthant-constrained coordinates use full truncation: coefficients are
 evaluated at the clamped state and the stored state is projected back onto
-the constraint, so paths never leave the state space.  The parabola is a
-curve with no tube around it, so it is never simulated by Euler: only the
-parabola preset's process (w, w^2) is, exactly, by simulate_parabola_ensemble,
-which maps Brownian increments through w -> (w, w^2).
+the constraint, so paths never leave the state space.
 
-Randomness: path i reads the counter-based stream of
-Generator(Philox(key=seed, counter=[0, 0, i, 0])), so ensembles are
-deterministic, order-independent and safe to generate in parallel.  A call
-builds one generator and resets it to each path's counter with an empty
-buffer, which keeps those streams without a generator per path.
+Grid: a call names the grid linspace(0, T, n_steps + 1).  With at=, the
+caller names the grid times it reads; the ensemble then holds the times
+[0, *at] only.  The exact samplers draw only those times; Euler still steps
+the whole grid and returns the columns at `at`.
+
+Randomness: Euler and the parabola sampler give path i the counter-based
+stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])).  The exact CIR
+sampler draws in block substreams: block k of _BLOCK paths reads the stream
+of counter [0, 0, k, 1], kept apart from the per-path counters by the last
+word, and always draws a whole block.  Either way path i depends only on
+(seed, i, grid), so ensembles are deterministic, order-independent and safe
+to generate in parallel.  A call builds one generator and resets it to each
+stream's counter with an empty buffer, without a generator per stream.
 """
 
 from __future__ import annotations
@@ -38,7 +60,7 @@ import numpy as np
 
 from . import presets
 from .params import AffineParams
-from .state_space import Parabola
+from .state_space import CanonicalOrthantPlane, Parabola
 from .transform import BlowUpError, evaluate
 
 __all__ = [
@@ -55,6 +77,7 @@ __all__ = [
 ]
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
+_BLOCK = 256             # paths per block substream of the exact CIR sampler
 
 
 class SamplerError(ValueError):
@@ -80,7 +103,8 @@ class Ensemble:
     alive_until holds per-path first-dead indices (n_times if never killed).
     stop_radius is set by stopped_ensemble and consumed by the martingale
     test.  jump_overflows counts the live path-steps whose Poisson draw was
-    above the count cap and was truncated to it.
+    above the count cap and was truncated to it.  sampler names the sampler
+    that drew the paths: "euler", "cir_exact" or "parabola_exact".
     """
 
     times: np.ndarray
@@ -89,6 +113,7 @@ class Ensemble:
     x0: np.ndarray
     stop_radius: float | None = None
     jump_overflows: int = 0
+    sampler: str = "euler"
 
     @property
     def n_paths(self) -> int:
@@ -105,15 +130,16 @@ class Ensemble:
         return int(idx[0])
 
 
-def _path_streams(seed: int, n_paths: int):
-    """Yield one generator n_paths times, reset before the i-th yield to the
-    stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])): that counter
-    block with an empty output buffer."""
+def _path_streams(seed: int, n: int, word: int = 0):
+    """Yield one generator n times, reset before the k-th yield to the stream
+    of Generator(Philox(key=seed, counter=[0, 0, k, word])): that counter
+    block with an empty output buffer.  Word 0 gives path k's stream, word 1
+    the stream of block k of the exact CIR sampler."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = rng.bit_generator.state
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    for i in range(n_paths):
-        state["state"]["counter"][:] = (0, 0, i, 0)
+    for k in range(n):
+        state["state"]["counter"][:] = (0, 0, k, word)
         rng.bit_generator.state = state
         yield rng
 
@@ -141,23 +167,30 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 
 def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
-                      n_paths: int) -> Ensemble:
-    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1).
+                      n_paths: int, *, at=None) -> Ensemble:
+    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1),
+    or, with at=, on its times [0, *at]: `at` names increasing grid times
+    after 0, the only times the caller reads.
 
-    Deterministic in (params, x0, T, n_steps, seed); path i depends only on
-    (seed, i).  Euler-Maruyama on the orthant plane.  On the parabola only
-    the tuple of presets.parabola() (equal A, B, C and W tables), the process
-    (w, w^2), is accepted: it gets simulate_parabola_ensemble on that grid;
-    any other parabola tuple raises SamplerError.
+    Deterministic in (params, x0, T, n_steps, seed, at); path i depends only
+    on (seed, i) and the grid.  The sampler follows from the tuple (module
+    docstring): the parabola preset's tuple (equal A, B, C and W tables) gets
+    simulate_parabola_ensemble, any other parabola tuple raises SamplerError;
+    a square-root diffusion with df >= 1 gets the exact CIR transition;
+    every other tuple gets Euler-Maruyama on the whole grid, and with at= the
+    columns at `at` (alive_until counted on the returned grid).
     """
     if T <= 0 or n_steps < 1:
         raise ValueError("need T > 0 and n_steps >= 1")
+    times = np.linspace(0.0, T, n_steps + 1)
+    cols = None if at is None else _grid_columns(times, at)
+    grid = times if cols is None else times[cols]
     if isinstance(p.space, Parabola):
         ref = presets.parabola()
         if not all(np.array_equal(getattr(p, t), getattr(ref, t)) for t in "ABCW"):
             raise SamplerError("the parabola is a curve and cannot be simulated by Euler; only "
                                "the parabola preset's tuple, (w, w^2), has an exact sampler")
-        return simulate_parabola_ensemble(x0, np.linspace(0.0, T, n_steps + 1), seed, n_paths)
+        return simulate_parabola_ensemble(x0, grid, seed, n_paths)
     x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     if not p.space.contains(x0):
         raise ValueError(f"x0={x0} is not in the state space")
@@ -165,9 +198,78 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
     if not report.valid:
         raise ValueError(f"parameters failed validation:\n{report}")
 
+    square_root = _square_root_diffusion(p)
+    if square_root is not None:
+        return _cir_exact(x0, grid, *square_root, seed, n_paths)
+    ens = _euler(p, x0, times, seed, n_paths)
+    if cols is None:
+        return ens
+    return replace(ens, times=grid, states=ens.states[:, cols],
+                   alive_until=np.searchsorted(cols, ens.alive_until))
+
+
+def _grid_columns(times: np.ndarray, at) -> np.ndarray:
+    """Indices in `times` (a uniform grid from 0) of 0 and of the times `at`."""
+    at = np.asarray(at, dtype=float).reshape(-1)
+    n_steps = len(times) - 1
+    dt = times[-1] / n_steps
+    k = np.rint(at / dt)
+    if not (np.all(np.isclose(at, k * dt, rtol=1e-9, atol=1e-12) & (k >= 1) & (k <= n_steps))
+            and np.all(np.diff(k) > 0)):
+        raise ValueError(f"at={at.tolist()} must name increasing times after 0 of the grid "
+                         f"linspace(0, {times[-1]}, {n_steps + 1})")
+    return np.concatenate([[0], k.astype(np.int64)])
+
+
+def _square_root_diffusion(p: AffineParams):
+    """(kappa, sigma^2, df) of a tuple the exact CIR sampler draws, else None:
+    dX = (b - kappa X)dt + sigma sqrt(X) dW on the half-line, with no jumps,
+    no killing, a = 0, alpha = sigma^2 > 0 and df = 4b/sigma^2 >= 1."""
+    if (not isinstance(p.space, CanonicalOrthantPlane) or p.space.m != 1 or p.dim != 1
+            or p.has_jumps or p.has_killing or p.a[0, 0] != 0.0 or not p.alpha[0, 0, 0] > 0.0):
+        return None
+    sigma2 = float(p.alpha[0, 0, 0])
+    df = 4.0 * float(p.b[0]) / sigma2
+    return (-float(p.beta[0, 0]), sigma2, df) if df >= 1.0 else None
+
+
+def _cir_exact(x0: np.ndarray, times: np.ndarray, kappa: float, sigma2: float, df: float,
+               seed: int, n_paths: int) -> Ensemble:
+    """Exact square-root transitions between consecutive times (module docstring)."""
+    h = np.diff(times)
+    decay = np.exp(-kappa * h)
+    c = sigma2 * h / 4.0 if kappa == 0.0 else -sigma2 * np.expm1(-kappa * h) / (4.0 * kappa)
+    n = len(h)
+    # Z and 2G are drawn a whole block of paths at a time; 2G waits in states
+    z = np.empty((n, n_paths))
+    states = np.empty((n_paths, n + 1, 1))
+    states[:, 0, 0] = x0[0]
+    for k, rng in enumerate(_path_streams(seed, (n_paths + _BLOCK - 1) // _BLOCK, word=1)):
+        rows = slice(k * _BLOCK, min(n_paths, (k + 1) * _BLOCK))
+        width = rows.stop - rows.start
+        z[:, rows] = rng.standard_normal((n, _BLOCK))[:, :width]
+        np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:width], 2.0,
+                    out=states[rows, 1:, 0])
+    # row j of z, once read, is overwritten by X at times[j + 1]
+    X = states[:, 0, 0]
+    for j, row in enumerate(z):
+        row += np.sqrt(X * (decay[j] / c[j]))
+        np.square(row, out=row)
+        row += states[:, j + 1, 0]
+        row *= c[j]
+        X = row
+    states[:, 1:, 0] = z.T
+    return Ensemble(times=times, states=states,
+                    alive_until=np.full(n_paths, n + 1, dtype=np.int64), x0=x0,
+                    sampler="cir_exact")
+
+
+def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
+           n_paths: int) -> Ensemble:
+    """Euler-Maruyama on the uniform grid `times` (module docstring)."""
     d = p.dim
-    dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
+    n_steps = len(times) - 1
+    dt = times[-1] / n_steps
     has_jumps = p.has_jumps
     has_killing = p.has_killing
 
@@ -281,7 +383,7 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     states = np.stack([w, w * w], axis=2)
     return Ensemble(times=times, states=states,
                     alive_until=np.full(n_paths, len(times), dtype=np.int64),
-                    x0=x0)
+                    x0=x0, sampler="parabola_exact")
 
 
 def _complex_mean_se(vals: np.ndarray) -> McEstimate:

@@ -108,6 +108,41 @@ class TestVerifyTask:
         assert json.loads((out_dir / "report.json").read_text())["seed"] == 77
 
 
+    def test_monte_carlo_checks_skip_conjugate_u(self, tmp_path):
+        # on a real X the check at -i repeats the check at i
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "preset": "cir",
+            "verify_suite": ["affine_mc", "martingale"],
+            "grids": {"t": [0.0, 0.1, 0.2], "u": [[[0.0, 1.0]], [[0.0, -1.0]], [[-0.5, 0.0]]]},
+            "mc": {"paths": 2000, "steps": 40, "seed": 1}})
+        assert code == EXIT_OK
+        checks = json.loads((out_dir / "report.json").read_text())["checks"]
+        # affine_mc: 2 times x 2 u; martingale: 2 (delta, n) pairs x 2 modes x 2 u
+        assert [c["check"] for c in checks] == ["affine_mc"] * 4 + ["martingale"] * 8
+        assert {json.dumps(c["detail"]["u"]) for c in checks} == {"[[0.0, 1.0]]",
+                                                                  "[[-0.5, 0.0]]"}
+
+    @pytest.mark.parametrize("preset, sampler", [("cir", "cir_exact"), ("brownian", "euler"),
+                                                 ("parabola", "parabola_exact")])
+    def test_monte_carlo_checks_name_their_sampler(self, tmp_path, preset, sampler):
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "preset": preset,
+            "verify_suite": ["affine_mc", "martingale", "characteristics"],
+            "mc": {"paths": 200, "steps": 40, "seed": 1}})
+        checks = json.loads((out_dir / "report.json").read_text())["checks"]
+        assert {c["check"] for c in checks} == {"affine_mc", "martingale", "characteristics"}
+        assert {c["detail"]["sampler"] for c in checks} == {sampler}
+
+
+class TestFalseAlarms:
+    def test_cir_martingale_suite_fails_on_at_most_one_of_20_seeds(self, tmp_path):
+        # the exact sampler leaves no discretization bias for 3 SE to flag
+        path = write_config(tmp_path, "cir.json", {"task": "verify", "preset": "cir"})
+        failing = [seed for seed in range(20) if not all(
+            c["pass"] for c in cli._suite_martingale(cli.load_config(path, seed_override=seed)))]
+        assert len(failing) <= 1, failing
+
+
 class TestErrorStatuses:
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"

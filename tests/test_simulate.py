@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
+    _BLOCK,
     _JUMPS_PER_STEP_CAP,
     _psd_sqrt,
     characteristics_check,
@@ -438,7 +440,9 @@ class TestDiffusionRoot:
     for d >= 3); the sampler and euler_reference give the same floats, and
     _psd_sqrt agrees with the independent eigh_root oracle."""
 
-    @pytest.mark.parametrize("make, x0", [(cir, [0.04]), (diagonal_plane, [0.1, 0.0])],
+    # cir(sigma=3.0) has df = 4b/sigma^2 < 1, so Euler, not the exact sampler, draws it
+    @pytest.mark.parametrize("make, x0", [(lambda: cir(sigma=3.0), [0.04]),
+                                          (diagonal_plane, [0.1, 0.0])],
                              ids=["cir", "diagonal_plane"])
     def test_diagonal_tuples_match_the_eigh_reference(self, make, x0):
         p = make()
@@ -556,3 +560,141 @@ class TestJumpOverflows:
             m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
         ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=50)
         assert stopped_ensemble(ens, radius).jump_overflows == ens.jump_overflows > 0
+
+
+def square_root(b, kappa, sigma2):
+    """dX = (b - kappa X)dt + sqrt(sigma2 X) dW on the half-line; df = 4b/sigma2."""
+    return AffineParams.zeros(HalfLine()).with_(
+        alpha=np.array([[[sigma2]]]), b=np.array([b]), beta=np.array([[-kappa]]))
+
+
+def square_root_moments(x0, t, b, kappa, sigma2):
+    """Closed-form mean and variance of the square-root diffusion at t."""
+    e = math.exp(-kappa * t)
+    g = t if kappa == 0.0 else -math.expm1(-kappa * t) / kappa      # (1 - e)/kappa
+    return x0 * e + b * g, sigma2 * (x0 * e * g + b * g * g / 2.0)
+
+
+def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
+    """Path by path: path i reads block i // _BLOCK's stream, counter
+    [0, 0, i // _BLOCK, 1], as Z of shape (n, _BLOCK) then G of shape
+    (_BLOCK, n), and steps X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G]."""
+    h = np.diff(times)
+    n = len(h)
+    decay = np.exp(-kappa * h)
+    c = -sigma2 * np.expm1(-kappa * h) / (4.0 * kappa)
+    out = np.empty((n_paths, n + 1))
+    for i in range(n_paths):
+        k, col = divmod(i, _BLOCK)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, k, 1]))
+        z = rng.standard_normal((n, _BLOCK))[:, col]
+        g = rng.standard_gamma(0.5 * (4.0 * b / sigma2 - 1.0), (_BLOCK, n))[col]
+        out[i, 0] = x = x0
+        for j in range(n):
+            x = c[j] * ((z[j] + math.sqrt(x * (decay[j] / c[j]))) ** 2 + 2.0 * g[j])
+            out[i, j + 1] = x
+    return out
+
+
+class TestCirExact:
+    """Square-root tuples with df = 4b/sigma^2 >= 1 get exact transitions,
+    drawn in block substreams of _BLOCK paths; the rest stays on Euler."""
+
+    @pytest.mark.parametrize("b, kappa, sigma2", [(1.0, 1.0, 1.0), (0.25, 1.0, 1.0),
+                                                  (0.5, 0.0, 1.0), (0.8, -0.5, 0.4),
+                                                  (2.0, 3.0, 4.0)],
+                             ids=["preset", "df1", "kappa0", "kappa_negative", "fast"])
+    def test_moments_match_the_closed_form_over_seeds(self, b, kappa, sigma2):
+        p, x0, n = square_root(b, kappa, sigma2), 0.3, 4000
+        pooled = []
+        for seed in range(8):
+            ens = simulate_ensemble(p, [x0], 1.0, 4, seed=seed, n_paths=n)
+            assert ens.sampler == "cir_exact"
+            pooled.append(ens.states[:, 1:, 0])
+        pooled.append(np.concatenate(pooled))
+        for x in pooled:
+            for j, t in enumerate(ens.times[1:]):
+                mean, var = square_root_moments(x0, t, b, kappa, sigma2)
+                xj = x[:, j]
+                dev = xj - xj.mean()
+                z_mean = (xj.mean() - mean) / math.sqrt(var / len(xj))
+                z_var = (xj.var(ddof=1) - var) / math.sqrt(
+                    (np.mean(dev ** 4) - xj.var() ** 2) / len(xj))
+                # 4 SE per seed, 3 SE on the pooled 32000 paths
+                assert max(abs(z_mean), abs(z_var)) <= (3.0 if len(xj) > n else 4.0), \
+                    (t, z_mean, z_var)
+
+    def test_one_transition_is_a_scaled_noncentral_chi_square(self):
+        b, kappa, sigma2, x0, T = 0.5, 1.5, 0.8, 0.2, 0.7
+        ens = simulate_ensemble(square_root(b, kappa, sigma2), [x0], T, 1, seed=3,
+                                n_paths=20000)
+        c = sigma2 * -math.expm1(-kappa * T) / (4.0 * kappa)
+        law = stats.ncx2(4.0 * b / sigma2, x0 * math.exp(-kappa * T) / c)
+        assert stats.kstest(ens.states[:, 1, 0] / c, law.cdf).pvalue > 0.01
+
+    def test_paths_are_a_prefix_across_a_block_boundary(self):
+        p = cir()
+        small = simulate_ensemble(p, [0.5], 1.0, 7, seed=2, n_paths=300)
+        large = simulate_ensemble(p, [0.5], 1.0, 7, seed=2, n_paths=600)
+        assert small.states.tobytes() == large.states[:300].tobytes()
+        # the second block reads a stream of its own
+        assert not np.array_equal(large.states[:44], large.states[_BLOCK:_BLOCK + 44])
+
+    def test_each_path_reads_its_blocks_counter(self):
+        b, kappa, sigma2, seed = 0.5, 1.2, 0.6, 9
+        times = np.array([0.0, 0.1, 0.35, 1.0])
+        ens = simulate_ensemble(square_root(b, kappa, sigma2), [0.4], 1.0, 20, seed=seed,
+                                n_paths=300, at=times[1:])
+        np.testing.assert_array_equal(ens.times, np.linspace(0.0, 1.0, 21)[[0, 2, 7, 20]])
+        ref = block_reference(seed, 0.4, ens.times, b, kappa, sigma2, 300)
+        np.testing.assert_array_equal(ens.states[:, :, 0], ref)
+
+    def test_exact_sampling_covers_df_at_least_one(self):
+        # df = 4, 1 (exactly) and 24
+        for p in (cir(), square_root(0.25, 1.0, 1.0), square_root(3.0, 0.0, 0.5)):
+            ens = simulate_ensemble(p, [0.0], 1.0, 5, seed=1, n_paths=10)
+            assert ens.sampler == "cir_exact"
+            assert np.all(ens.states >= 0.0) and ens.alive_until.tolist() == [6] * 10
+        euler = [cir(sigma=3.0),                                  # df = 4/9
+                 square_root(0.2499, 1.0, 1.0),                   # df just below 1
+                 cir().with_(c=0.3, gamma=np.array([0.2])),       # killing
+                 cbi_with_killing()]                              # jumps
+        for p in euler:
+            assert simulate_ensemble(p, [1.0], 1.0, 5, seed=1, n_paths=10).sampler == "euler"
+
+    def test_at_rejects_times_off_the_grid(self):
+        for at in ([0.0, 0.5], [0.5, 0.25], [0.5, 0.5], [0.33], [1.5], [math.nan]):
+            with pytest.raises(ValueError, match="at="):
+                simulate_ensemble(cir(), [1.0], 1.0, 4, seed=0, n_paths=2, at=at)
+
+
+class TestReadTimes:
+    """at= names the grid times a caller reads; Euler still steps the whole
+    grid and returns those columns."""
+
+    @pytest.mark.parametrize("make, x0", [(None, [0.04, 0.0]), (cbi_with_killing, [1.0])],
+                             ids=["svj", "cbi_with_killing"])
+    def test_euler_columns_equal_the_full_grid(self, make, x0, svj):
+        p = make() if make else svj
+        full = simulate_ensemble(p, x0, 1.0, 40, seed=7, n_paths=400)
+        cols = [0, 10, 20, 40]
+        ens = simulate_ensemble(p, x0, 1.0, 40, seed=7, n_paths=400, at=[0.25, 0.5, 1.0])
+        assert ens.sampler == full.sampler == "euler"
+        assert ens.times.tobytes() == full.times[cols].tobytes()
+        assert ens.states.tobytes() == full.states[:, cols].tobytes()
+        assert ens.jump_overflows == full.jump_overflows
+        # alive_until counts grid points of the returned grid, not Euler steps
+        want = (np.asarray(cols)[None, :] < full.alive_until[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(ens.alive_until, want)
+        killed = ens.alive_until < len(cols)
+        assert killed.any()
+        for i in np.nonzero(killed)[0]:
+            assert np.isnan(ens.states[i, ens.alive_until[i]:]).all()
+            assert not np.isnan(ens.states[i, :ens.alive_until[i]]).any()
+
+    def test_parabola_draws_only_the_read_times(self):
+        ens = simulate_ensemble(parabola(), [0.5, 0.25], 1.0, 8, seed=4, n_paths=5,
+                                at=[0.25, 1.0])
+        exact = simulate_parabola_ensemble([0.5, 0.25], [0.0, 0.25, 1.0], 4, 5)
+        assert ens.sampler == "parabola_exact"
+        assert ens.states.tobytes() == exact.states.tobytes()
