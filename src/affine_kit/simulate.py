@@ -46,14 +46,20 @@ stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])).  The exact CIR
 sampler draws in block substreams: block k of _BLOCK paths reads the stream
 of counter [0, 0, k, 1], kept apart from the per-path counters by the last
 word, and always draws a whole block.  Either way path i depends only on
-(seed, i, grid), so ensembles are deterministic, order-independent and safe
-to generate in parallel.  A call builds one generator and resets it to each
-stream's counter with an empty buffer, without a generator per stream.
+(seed, i, grid), so ensembles are deterministic and order-independent.  A
+drawing thread builds one generator and resets it to each stream's counter
+with an empty buffer, without a generator per stream.  The exact CIR
+sampler splits its blocks into one run per CPU in the process's affinity
+and draws and steps each run on a thread of its own.  A run writes only
+its own paths, so the bytes do not depend on the number of threads, and
+the threads end before the call returns.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,15 +136,15 @@ class Ensemble:
         return int(idx[0])
 
 
-def _path_streams(seed: int, n: int, word: int = 0):
-    """Yield one generator n times, reset before the k-th yield to the stream
-    of Generator(Philox(key=seed, counter=[0, 0, k, word])): that counter
-    block with an empty output buffer.  Word 0 gives path k's stream, word 1
-    the stream of block k of the exact CIR sampler."""
+def _path_streams(seed: int, ks, word: int = 0):
+    """Yield one generator for each k of ks, reset to the stream of
+    Generator(Philox(key=seed, counter=[0, 0, k, word])): that counter block
+    with an empty output buffer.  Word 0 gives path k's stream, word 1 the
+    stream of block k of the exact CIR sampler."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = rng.bit_generator.state
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    for k in range(n):
+    for k in ks:
         state["state"]["counter"][:] = (0, 0, k, word)
         rng.bit_generator.state = state
         yield rng
@@ -244,21 +250,34 @@ def _cir_exact(x0: np.ndarray, times: np.ndarray, kappa: float, sigma2: float, d
     z = np.empty((n, n_paths))
     states = np.empty((n_paths, n + 1, 1))
     states[:, 0, 0] = x0[0]
-    for k, rng in enumerate(_path_streams(seed, (n_paths + _BLOCK - 1) // _BLOCK, word=1)):
-        rows = slice(k * _BLOCK, min(n_paths, (k + 1) * _BLOCK))
-        width = rows.stop - rows.start
-        z[:, rows] = rng.standard_normal((n, _BLOCK))[:, :width]
-        np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:width], 2.0,
-                    out=states[rows, 1:, 0])
-    # row j of z, once read, is overwritten by X at times[j + 1]
-    X = states[:, 0, 0]
-    for j, row in enumerate(z):
-        row += np.sqrt(X * (decay[j] / c[j]))
-        np.square(row, out=row)
-        row += states[:, j + 1, 0]
-        row *= c[j]
-        X = row
-    states[:, 1:, 0] = z.T
+
+    def run(blocks: range):
+        """Draw a run of blocks, then step its paths through the times."""
+        for k, rng in zip(blocks, _path_streams(seed, blocks, word=1)):
+            rows = slice(k * _BLOCK, min(n_paths, (k + 1) * _BLOCK))
+            width = rows.stop - rows.start
+            z[:, rows] = rng.standard_normal((n, _BLOCK))[:, :width]
+            np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:width], 2.0,
+                        out=states[rows, 1:, 0])
+        cols = slice(blocks.start * _BLOCK, min(n_paths, blocks.stop * _BLOCK))
+        # row j of z, once read, is overwritten by X at times[j + 1]
+        X = states[cols, 0, 0]
+        for j in range(n):
+            row = z[j, cols]
+            row += np.sqrt(X * (decay[j] / c[j]))
+            np.square(row, out=row)
+            row += states[cols, j + 1, 0]
+            row *= c[j]
+            X = row
+        states[cols, 1:, 0] = z[:, cols].T
+
+    # one run of blocks per CPU; the draws and the array arithmetic release the GIL
+    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_runs = max(1, min(cpus or 1, n_blocks))
+    runs = [range(w * n_blocks // n_runs, (w + 1) * n_blocks // n_runs) for w in range(n_runs)]
+    with ThreadPoolExecutor(n_runs) as pool:
+        list(pool.map(run, runs))
     return Ensemble(times=times, states=states,
                     alive_until=np.full(n_paths, n + 1, dtype=np.int64), x0=x0,
                     sampler="cir_exact")
@@ -278,7 +297,7 @@ def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
     if has_jumps:
         jump_u = np.empty((n_paths, n_steps, 1 + _JUMPS_PER_STEP_CAP))
     kill_clock = np.empty(n_paths) if has_killing else None
-    for i, rng in enumerate(_path_streams(seed, n_paths)):
+    for i, rng in enumerate(_path_streams(seed, range(n_paths))):
         rng.standard_normal(out=normals[i])
         if has_jumps:
             rng.random(out=jump_u[i])
@@ -376,7 +395,7 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     if times[0] != 0.0 or (len(times) > 1 and np.any(np.diff(times) <= 0)):
         raise ValueError("times must be an increasing grid starting at 0")
     incr = np.zeros((n_paths, len(times)))     # column 0 stays 0: w starts at x0
-    for i, rng in enumerate(_path_streams(seed, n_paths)):
+    for i, rng in enumerate(_path_streams(seed, range(n_paths))):
         rng.standard_normal(out=incr[i, 1:])
     incr[:, 1:] *= np.sqrt(np.diff(times))
     w = x0[0] + np.cumsum(incr, axis=1)

@@ -14,8 +14,10 @@ avoids phase unwrapping near the blow-up time.
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair running in
 complex arithmetic with combined absolute/relative error control, one lane
 per transform variable u: evaluate_batch sweeps N lanes as one (N, d+1)
-array, and evaluate and evaluate_grid are one-lane batches.  Steps land on
-every requested time, so no value is interpolated.  Blow-up is declared when
+array, each lane on the shared times or on a stop row of its own, and
+evaluate and evaluate_grid are one-lane batches.  The probes fold their
+independent integrations into one batch.  Steps land on every requested
+time, so no value is interpolated.  Blow-up is declared when
 a lane's accepted step collapses below t*1e-12 or |psi| exceeds an overflow
 guard; the blow-up time reported is the lane's last accepted time.
 This deliberately conflates a vanishing transform factor with integrator
@@ -56,6 +58,7 @@ __all__ = [
 STATUS_OK = "ok"
 STATUS_BLOW_UP = "blow_up"
 STATUS_DOMAIN_EXIT = "domain_exit"
+_STATUSES = np.array([STATUS_OK, STATUS_DOMAIN_EXIT, STATUS_BLOW_UP], dtype=object)
 
 PSI_OVERFLOW_GUARD = 1e8
 MAX_STEPS = 10 ** 6
@@ -119,9 +122,9 @@ class TransformResult:
 
 @dataclass(frozen=True)
 class TransformBatch:
-    """evaluate() for N transform variables at n_t times, from one sweep.
+    """evaluate() for N transform variables at n_t times each, from one sweep.
 
-    Row (i, j) is lane i (u[i]) at the j-th time; on a 'blow_up' row t[i, j] is the
+    Row (i, j) is lane i (u[i]) at its j-th time; on a 'blow_up' row t[i, j] is the
     lane's blow-up time, as in TransformResult.  steps, err_est and blow_up_time
     (nan if none) are per lane, shared by the lane's rows.
     """
@@ -167,35 +170,39 @@ def _initial_step(p, y0, f0, t_end, rtol, atol):
                     np.maximum(h0 * 1e-3, t_end * 1e-12))
 
 
-def _integrate(p: AffineParams, y0: np.ndarray, t_stops, rtol: float, atol: float):
-    """Adaptive DP54 sweep of the lanes y0 (n, d+1) from 0 through the sorted t_stops.
+def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float, atol: float):
+    """Adaptive DP54 sweep of the lanes y0 (n, d+1) from 0 through their stop rows.
 
-    Each lane has its own t, step h, next stop, counters and outcome, and
-    only t_stops is shared: a step runs on the live lanes as one array and
-    masks accept or reject it per lane.  Steps are shortened to land on
-    every stop, so no state is interpolated.  Returns (states, t, steps,
-    err_est, reached), the last four per lane: states[i, j] is lane i at
-    t_stops[j] for j < reached[i], else its last accepted state, at t[i].  Lane i blew
-    up iff reached[i] < len(t_stops): a non-finite derivative at t = 0, a
-    step below the floor, MAX_STEPS steps or |psi| past the overflow guard.
+    t_stops is (n, n_t), each row sorted: lane i stops at t_stops[i].  Each
+    lane has its own stops, t, step h, step floor, next stop, counters and
+    outcome, so it takes exactly the steps it would take alone: a step runs
+    on the live lanes as one array and masks accept or reject it per lane.
+    Steps are shortened to land on every stop, so no state is interpolated.
+    Returns (states, t, steps, err_est, reached), the last four per lane:
+    states[i, j] is lane i at t_stops[i, j] for j < reached[i], else its
+    last accepted state, at t[i].  Lane i blew up iff reached[i] < n_t: a
+    non-finite derivative at t = 0, a step below the floor, MAX_STEPS steps
+    or |psi| past the overflow guard.
     """
-    (n, m), n_stops = y0.shape, len(t_stops)
+    (n, m), n_stops = y0.shape, t_stops.shape[1]
+    # rows at t = 0 keep y0; a lane writes each later row as it reaches or retires
     states = np.empty((n, n_stops, m), dtype=complex)
-    n_zero = int(np.searchsorted(t_stops, 0.0, side="right"))
-    states[:, :n_zero] = y0[:, None]
+    states[:] = y0[:, None]
+    n_zero = (t_stops <= 0.0).sum(axis=1)
     # per-lane results (t, steps, err_est, reached), filled as lanes retire
-    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n), np.full(n, n_zero)]
-    if n == 0 or n_zero == n_stops:
+    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n), n_zero]
+    ids = (n_zero < n_stops).nonzero()[0]       # a lane with only zero stops takes no step
+    if not len(ids):
         return (states, *out)
-    t_end = float(t_stops[-1])
-    h_floor = max(t_end * 1e-12, 5e-324)
+    t_end = t_stops[ids, -1]
+    h_floor = np.maximum(t_end * 1e-12, 5e-324)
     fac_scale = 0.9 * m ** 0.1      # 0.9 * rms**-0.2 = fac_scale * err_sum**-0.1
-    ids, y, t_next = np.arange(n), y0.copy(), t_stops[out[3]]
-    t, steps, err_est, ptr = (a.copy() for a in out)
+    y, t_next = y0[ids], t_stops[ids, n_zero[ids]]
+    t, steps, err_est, ptr = (a[ids] for a in out)
     with np.errstate(all="ignore"):
         # the stages, lane by lane (a sum over stages then never depends on
         # the other lanes); k[:, 0] is the derivative at y (FSAL)
-        k = np.empty((n, 7, m), dtype=complex)
+        k = np.empty((len(ids), 7, m), dtype=complex)
         _rhs(p, y, k[:, 0])
         h = _initial_step(p, y, k[:, 0], t_end, rtol, atol)
         done = ~(np.isfinite(k[:, 0]).all(axis=1) & (h >= h_floor))
@@ -209,8 +216,8 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops, rtol: float, atol: floa
                     full[gone] = live[done]
                 if not keep.any():
                     return (states, *out)
-                ids, t, y, h, ptr, t_next, steps, err_est, k = (
-                    a[keep] for a in (ids, t, y, h, ptr, t_next, steps, err_est, k))
+                ids, t, y, h, h_floor, ptr, t_next, steps, err_est, k = (
+                    a[keep] for a in (ids, t, y, h, h_floor, ptr, t_next, steps, err_est, k))
             gap = t_next - t
             # a step cut short to land on a stop keeps the proposal h, so
             # nearby stops do not drag the step size down to h_floor
@@ -240,10 +247,11 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops, rtol: float, atol: floa
             np.copyto(k[:, 0], k[:, 6], where=move[:, None])
             done |= ~(h >= h_floor) | (steps >= MAX_STEPS)
             for i in np.flatnonzero(t >= t_next):
-                j = t_stops.searchsorted(t[i], side="right")
+                row = t_stops[ids[i]]
+                j = row.searchsorted(t[i], side="right")
                 states[ids[i], ptr[i]:j] = y[i]
                 ptr[i], done[i] = j, done[i] or j == n_stops
-                t_next[i] = t_stops[min(j, n_stops - 1)]
+                t_next[i] = row[min(j, n_stops - 1)]
 
 
 def _domain_tol(tol: float, psi: np.ndarray) -> np.ndarray:
@@ -254,30 +262,40 @@ def _domain_tol(tol: float, psi: np.ndarray) -> np.ndarray:
 def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
     if not tol > 0:
         raise ValueError("tol must be positive")
-    t_arr = np.asarray(t_grid, dtype=float).reshape(-1)
+    U = np.asarray(U, dtype=complex).reshape(-1, p.dim)
+    t_arr = np.asarray(t_grid, dtype=float)
+    if t_arr.ndim < 2:
+        t_arr = t_arr.reshape(-1)
+    elif t_arr.ndim > 2 or len(t_arr) != len(U):
+        raise ValueError(f"per-lane times must have shape ({len(U)}, n_t), got {t_arr.shape}")
     if not ((t_arr >= 0) & (t_arr < math.inf)).all():
         raise ValueError("times must be finite and nonnegative")
-    U = np.asarray(U, dtype=complex).reshape(-1, p.dim)
-    y0 = np.hstack([np.zeros((len(U), 1)), U])
-    order = t_arr.argsort(kind="stable")
-    states, t_last, steps, err_est, reached = _integrate(p, y0, t_arr[order], tol, tol)
-    rank = order.argsort()      # back to the caller's order
-    y, blown = states[:, rank], rank >= reached[:, None]
+    y0 = np.zeros((len(U), p.dim + 1), dtype=complex)
+    y0[:, 1:] = U
+    # a shared grid is sorted once and every lane reads it through a broadcast view
+    stops = np.broadcast_to(np.sort(t_arr, axis=-1), (len(U), t_arr.shape[-1]))
+    states, t_last, steps, err_est, reached = _integrate(p, y0, stops, tol, tol)
+    rank = t_arr.argsort(axis=-1, kind="stable").argsort(axis=-1)   # back to the caller's order
+    y, blown = states[np.arange(len(U))[:, None], rank], rank >= reached[:, None]
     psi = y[..., 1:]
-    ok = (p.space.in_domain(U, tol=_domain_tol(tol, U))[:, None]
-          & p.space.in_domain(psi, tol=_domain_tol(tol, psi)))
-    status = np.where(blown, STATUS_BLOW_UP,
-                      np.where(ok, STATUS_OK, STATUS_DOMAIN_EXIT)).astype(object)
+    # u and every row of psi in one membership test
+    points = np.concatenate([U[:, None], psi], axis=1)
+    inside = p.space.in_domain(points, tol=_domain_tol(tol, points))
+    ok = inside[:, :1] & inside[:, 1:]
+    status = _STATUSES[np.where(blown, 2, ~ok)]     # 0 ok, 1 domain_exit, 2 blow_up
     return TransformBatch(np.where(blown, t_last[:, None], t_arr), U, y[..., 0], psi,
                           status, steps, err_est,
-                          np.where(reached < len(t_arr), t_last, math.nan))
+                          np.where(reached < t_arr.shape[-1], t_last, math.nan))
 
 
 def evaluate_batch(p: AffineParams, t_grid, U, tol: float = 1e-10) -> TransformBatch:
-    """evaluate() at every time of t_grid (unsorted, repeats allowed) for every row u of U.
+    """evaluate() for every row u of U, at the times of t_grid.
 
-    One DP54 loop runs a lane per u; a lane keeps its own steps, counters
-    and status, so it takes the same steps as a batch of its u alone.
+    t_grid is either one list of times shared by every lane, or an (N, n_t)
+    array whose row i lists lane i's times; either way unsorted, with
+    repeats allowed.  One DP54 loop runs a lane per u; a lane keeps its own
+    stops, steps, counters and status, so it takes the same steps as a batch
+    of its u and its times alone.
     """
     return _batch(p, t_grid, U, tol)
 
@@ -310,6 +328,15 @@ def _require_ok(r: TransformResult) -> TransformResult:
     if r.status == STATUS_DOMAIN_EXIT:
         raise TransformDomainError("transform variable left the domain U")
     return r
+
+
+def _require_rows_ok(b: TransformBatch) -> TransformBatch:
+    """b, or the error _require_ok raises for its first row (lane by lane) that is not ok."""
+    bad = b.status != STATUS_OK
+    if bad.any():
+        i, j = np.unravel_index(bad.argmax(), bad.shape)
+        _require_ok(b.lane(i)[j])
+    return b
 
 
 def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
@@ -383,11 +410,11 @@ def semiflow_residual(p: AffineParams, t: float, s: float, u, tol: float = 1e-10
     as max of the phi defect and the psi defect norm.  Zero for t = 0 or
     s = 0 by construction; bounded by a small multiple of tol otherwise.
     """
-    r_ts = _require_ok(evaluate(p, t + s, u, tol))
-    r_t = _require_ok(evaluate(p, t, u, tol))
-    r_s = _require_ok(evaluate(p, s, r_t.psi, tol))
-    d_phi = abs(r_ts.phi - r_t.phi - r_s.phi)
-    d_psi = float(np.linalg.norm(r_ts.psi - r_s.psi))
+    # lanes (u, t + s) and (u, t), then psi(t, u) alone
+    b = _require_rows_ok(_batch(p, [[t + s], [t]], [u, u], tol))
+    r_s = _require_ok(evaluate(p, s, b.psi[1, 0], tol))
+    d_phi = abs(complex(b.phi[0, 0]) - complex(b.phi[1, 0]) - r_s.phi)
+    d_psi = float(np.linalg.norm(b.psi[0, 0] - r_s.psi))
     return max(d_phi, d_psi)
 
 
@@ -429,12 +456,13 @@ def fd_regularity(p: AffineParams, u, h_list, tol: float = 1e-10) -> RegularityP
     if len(h) < 3 or np.any(np.diff(h) >= 0) or np.any(h <= 0):
         raise ValueError("h_list must contain >= 3 decreasing positive steps")
     u = np.asarray(u, dtype=complex).reshape(p.dim)
+    # one lane per step, each stopping at its h
+    b = _require_rows_ok(_batch(p, h[:, None], [u] * len(h), tol))
     Fq = np.empty(len(h), dtype=complex)
     Rq = np.empty((len(h), p.dim), dtype=complex)
-    for i, hi in enumerate(h):
-        r = _require_ok(evaluate(p, float(hi), u, tol))
-        Fq[i] = r.phi / hi
-        Rq[i] = r.rho / hi
+    for i, hi in enumerate(h):      # Python's complex division: numpy's multiplies by 1/h
+        Fq[i] = complex(b.phi[i, 0]) / hi
+        Rq[i] = (b.psi[i, 0] - u) / hi
     h1, h2 = h[-2], h[-1]
     F_est = (h1 * Fq[-1] - h2 * Fq[-2]) / (h1 - h2)
     R_est = (h1 * Rq[-1] - h2 * Rq[-2]) / (h1 - h2)
@@ -464,8 +492,8 @@ def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> Boun
 
     The suprema must stay bounded as t decreases (they converge to
     sup |F| + ||R|| over the grid); a >2x increase across the last three
-    times raises the divergence flag.  Each time is one evaluate_batch
-    over the grid, so each u is a single-stop sweep to that time.
+    times raises the divergence flag.  One batch runs a lane per (time, u),
+    each a single-stop sweep to its time.
     """
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
@@ -474,13 +502,12 @@ def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> Boun
     outside = p.space.support(U) == math.inf
     if outside.any():
         raise ValueError(f"grid point {U[outside.argmax()]} lies outside the transform domain U")
-    sups = np.empty(len(t_arr))
-    for j, t in enumerate(t_arr):
-        b = evaluate_batch(p, [t], U, tol)
-        for i in range(len(U)):
-            _require_ok(b.lane(i)[0])
-        sups[j] = np.max(np.abs(b.phi[:, 0]) / t + np.linalg.norm(b.psi[:, 0] - U, axis=1) / t,
-                         initial=0.0)
+    b = _require_rows_ok(_batch(p, np.repeat(t_arr, len(U))[:, None], np.tile(U, (len(t_arr), 1)),
+                                tol))
+    phi = b.phi[:, 0].reshape(len(t_arr), len(U))
+    psi = b.psi[:, 0].reshape(len(t_arr), len(U), p.dim)
+    t = t_arr[:, None]
+    sups = np.max(np.abs(phi) / t + np.linalg.norm(psi - U, axis=2) / t, axis=1, initial=0.0)
     diverging = len(sups) >= 3 and sups[-1] > 2.0 * sups[-3]
     return BoundednessTable(t_arr, sups, bool(diverging))
 
@@ -507,9 +534,14 @@ def cp_limit_check(p: AffineParams, x, u, t_list, tol: float = 1e-10) -> CpLimit
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
         raise ValueError("t_list must be decreasing and positive")
     target = (p.F_eval(u) + p.c) + x @ (p.R_eval(u) + p.gamma)
+    if not p.space.contains(x):
+        raise ValueError(f"initial state {x} is not in the state space")
+    # lanes u and 0 at each time, one stop each
+    b = _require_rows_ok(_batch(p, np.repeat(t_arr, 2)[:, None],
+                                np.tile([u, np.zeros(p.dim)], (len(t_arr), 1)), tol))
     vals = np.empty(len(t_arr), dtype=complex)
+    # char_fn's scalar arithmetic, row by row: a vectorized exp may round differently
     for j, t in enumerate(t_arr):
-        ft_u = char_fn(p, x, float(t), u, tol)
-        ft_0 = char_fn(p, x, float(t), np.zeros(p.dim), tol)
+        ft_u, ft_0 = (complex(np.exp(b.phi[i, 0] + x @ b.psi[i, 0])) for i in (2 * j, 2 * j + 1))
         vals[j] = (np.exp(-(x @ u)) * ft_u - ft_0) / t
     return CpLimitTable(t_arr, vals, complex(target), np.abs(vals - target))

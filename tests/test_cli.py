@@ -133,6 +133,21 @@ class TestVerifyTask:
         assert {c["check"] for c in checks} == {"affine_mc", "martingale", "characteristics"}
         assert {c["detail"]["sampler"] for c in checks} == {sampler}
 
+    def test_characteristics_skip_on_a_jump_tuple_is_not_a_failure(self, tmp_path, capsys):
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify",
+            "space": {"kind": "half_line"},
+            "params": {"alpha": [[[1.0]]], "b": [1.0], "beta": [[-1.0]],
+                       "mu": [[{"w": 0.5, "xi": [0.3]}]]},
+            "verify_suite": ["characteristics"]})
+        assert code == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["suites"] == ["characteristics"] and report["all_pass"] is True
+        [check] = report["checks"]
+        assert check["check"] == "characteristics" and check["pass"] is True
+        assert "not applicable" in check["detail"]["skipped"]
+        assert "[SKIP] characteristics" in capsys.readouterr().out
+
 
 class TestFalseAlarms:
     def test_cir_martingale_suite_fails_on_at_most_one_of_20_seeds(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
     _BLOCK,
     _JUMPS_PER_STEP_CAP,
+    _cir_exact,
     _psd_sqrt,
     characteristics_check,
     martingale_L_test,
@@ -591,7 +594,8 @@ def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
         g = rng.standard_gamma(0.5 * (4.0 * b / sigma2 - 1.0), (_BLOCK, n))[col]
         out[i, 0] = x = x0
         for j in range(n):
-            x = c[j] * ((z[j] + math.sqrt(x * (decay[j] / c[j]))) ** 2 + 2.0 * g[j])
+            w = z[j] + math.sqrt(x * (decay[j] / c[j]))
+            x = c[j] * (w * w + 2.0 * g[j])     # w * w, as np.square rounds; w ** 2 may not
             out[i, j + 1] = x
     return out
 
@@ -666,6 +670,30 @@ class TestCirExact:
         for at in ([0.0, 0.5], [0.5, 0.25], [0.5, 0.5], [0.33], [1.5], [math.nan]):
             with pytest.raises(ValueError, match="at="):
                 simulate_ensemble(cir(), [1.0], 1.0, 4, seed=0, n_paths=2, at=at)
+
+
+class TestThreadedBlocks:
+    """_cir_exact draws and steps one run of blocks per CPU in the process's
+    affinity, each on its own thread; the bytes are those of the
+    path-by-path block reference."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("n_paths", [1, 255, 257, 2600])
+    def test_equals_the_block_reference(self, monkeypatch, cpus, n_paths):
+        # 3 CPUs on any host: 2600 paths are 11 blocks, more than the workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        b, kappa, sigma2, seed = 0.5, 1.2, 0.6, 4
+        times = np.array([0.0, 0.25, 0.5, 1.0])
+        ens = _cir_exact(np.array([0.4]), times, kappa, sigma2, 4.0 * b / sigma2, seed, n_paths)
+        ref = block_reference(seed, 0.4, times, b, kappa, sigma2, n_paths)
+        assert ens.states[:, :, 0].tobytes() == ref.tobytes()
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        ens = simulate_ensemble(cir(), [0.5], 1.0, 10, seed=1, n_paths=3 * _BLOCK)
+        assert ens.sampler == "cir_exact"
+        assert threading.active_count() == before
 
 
 class TestReadTimes:

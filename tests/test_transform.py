@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from affine_kit import transform
 from affine_kit.params import AffineParams
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.state_space import FullSpace, random_u_in_domain
@@ -242,6 +243,72 @@ class TestEvaluateBatch:
                 evaluate_batch(cir, [0.1, t], [[-1.0]])
 
 
+def assert_lane_equals(batch, i, rows):
+    """Lane i of a batch is bit for bit the single-lane rows of its u and times."""
+    assert all(r.steps == batch.steps[i] and r.err_est == batch.err_est[i] for r in rows)
+    for j, r in enumerate(rows):
+        assert (batch.t[i, j], batch.phi[i, j], batch.status[i, j]) == (r.t, r.phi, r.status)
+        assert batch.psi[i, j].tobytes() == r.psi.tobytes()
+        if r.status == "blow_up":
+            assert batch.blow_up_time[i] == r.blow_up_time
+    assert math.isnan(batch.blow_up_time[i]) == all(r.status != "blow_up" for r in rows)
+
+
+class TestPerLaneStops:
+    """evaluate_batch with an (N, n_t) grid: lane i stops at row i, and
+    takes exactly the steps it takes alone."""
+
+    # a t = 0 lane, a lane with t = 0 among its stops, unsorted rows, a
+    # repeated time and a row that reaches past the others
+    ROWS = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.1], [0.05, 0.7, 0.05], [2.0, 0.5, 1.0],
+            [0.01, 0.02, 0.03], [1.5, 1e-3, 0.4]]
+    # per tuple: lane 3 blows up (where the tuple can) and lane 4 starts outside U
+    BLOW_UP = {"parabola": [0.0, 2.0], "cir": [3.0]}
+    OUTSIDE = {"parabola": [0.5, 0.2], "cir": [0.5], "brownian": [0.3, 1j], "svj": [0.5, 0.2j]}
+
+    def lanes(self, p, name):
+        rng = np.random.default_rng(21)
+        U = np.array([random_u_in_domain(p.space, rng) for _ in self.ROWS])
+        U[3] = self.BLOW_UP.get(name, U[3])
+        U[4] = self.OUTSIDE[name]
+        return U
+
+    @pytest.mark.parametrize("name", ["parabola", "cir", "brownian", "svj"])
+    def test_each_lane_equals_its_solo_sweep(self, name, request):
+        p = request.getfixturevalue(name)
+        U, rows = self.lanes(p, name), np.array(self.ROWS)
+        batch = evaluate_batch(p, rows, U)
+        for i, u in enumerate(U):
+            assert_lane_equals(batch, i, evaluate_grid(p, u, rows[i]))
+        assert batch.steps[0] == 0 and (batch.phi[0] == 0).all()
+        assert (batch.status[4] == "domain_exit").all()
+        if name in self.BLOW_UP:
+            assert batch.status[3, 0] == "blow_up"      # its t = 2 stop
+
+    @pytest.mark.parametrize("name", ["parabola", "cir", "brownian", "svj"])
+    def test_one_stop_lanes_equal_evaluate(self, name, request):
+        p = request.getfixturevalue(name)
+        U = self.lanes(p, name)
+        ts = np.array([0.0, 0.2, 0.05, 2.0, 0.2, 0.9])[:, None]
+        batch = evaluate_batch(p, ts, U)
+        for i, u in enumerate(U):
+            assert_lane_equals(batch, i, [evaluate(p, ts[i, 0], u)])
+
+    def test_shared_grid_is_the_broadcast_rows(self, svj):
+        U = self.lanes(svj, "svj")
+        ts = [0.4, 0.0, 0.1, 0.4, 0.25]
+        shared, rows = evaluate_batch(svj, ts, U), evaluate_batch(svj, [ts] * len(U), U)
+        for i in range(len(U)):
+            assert_lane_equals(shared, i, rows.lane(i))
+
+    def test_rejects_rows_that_do_not_match_the_lanes(self, cir):
+        for t_grid in (np.full((3, 2), 0.1), np.full((1, 2), 0.1), np.full((2, 2, 1), 0.1)):
+            with pytest.raises(ValueError):
+                evaluate_batch(cir, t_grid, [[-1.0], [-0.5]])
+        with pytest.raises(ValueError):
+            evaluate_batch(cir, [[0.1], [-0.1]], [[-1.0], [-0.5]])
+
+
 class TestCharFn:
     def test_time_zero_is_plain_exponential(self, parabola):
         x, u = [1.0, 1.0], np.array([0.2j, -0.4])
@@ -456,3 +523,71 @@ class TestCpLimit:
         corr = np.corrcoef(np.log(table.t), np.log(table.errors))[0, 1]
         assert corr > 0.99
         assert table.errors[-1] < 0.05 * table.errors[0]
+
+
+class TestProbeBatches:
+    """Each probe folds its independent integrations into one batch, and
+    its numbers are those of one evaluate() per (t, u), bit for bit."""
+
+    @pytest.fixture
+    def lanes(self, monkeypatch):
+        """The lane count of every _integrate call."""
+        seen, integrate = [], transform._integrate
+
+        def counted(p, y0, *args):
+            seen.append(len(y0))
+            return integrate(p, y0, *args)
+
+        monkeypatch.setattr(transform, "_integrate", counted)
+        return seen
+
+    @pytest.mark.parametrize("name", ["parabola", "cir", "brownian", "svj"])
+    def test_semiflow_and_regularity(self, name, request, lanes):
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            t, s = rng.uniform(0.0, 0.3, 2)
+            u = random_u_in_domain(p.space, rng)
+            r_ts, r_t = evaluate(p, t + s, u), evaluate(p, t, u)
+            r_s = evaluate(p, s, r_t.psi)
+            want = max(abs(r_ts.phi - r_t.phi - r_s.phi),
+                       float(np.linalg.norm(r_ts.psi - r_s.psi)))
+            lanes.clear()
+            assert semiflow_residual(p, t, s, u) == want
+            assert lanes == [2, 1]
+        h = [1e-2, 1e-3, 1e-4]
+        lanes.clear()
+        probe = fd_regularity(p, u, h)
+        assert lanes == [3]
+        for i, hi in enumerate(h):
+            r = evaluate(p, hi, u)
+            assert probe.F_quotients[i] == r.phi / hi
+            assert probe.R_quotients[i].tobytes() == (r.rho / hi).tobytes()
+
+    @pytest.mark.parametrize("name, x", [("parabola", [1.0, 1.0]), ("cir", [0.7]),
+                                         ("brownian", [0.2, -0.1]), ("svj", [0.04, 0.0])])
+    def test_boundedness_and_cp_limit(self, name, x, request, lanes):
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(6)
+        grid = [random_u_in_domain(p.space, rng) for _ in range(7)]
+        ts = [1e-1, 1e-2, 1e-3]
+        table = boundedness_probe(p, grid, ts)
+        for t, sup in zip(ts, table.sup):
+            b = evaluate_batch(p, [t], grid)
+            assert sup == np.max(np.abs(b.phi[:, 0]) / t
+                                 + np.linalg.norm(b.psi[:, 0] - b.u, axis=1) / t)
+        lanes.clear()
+        cp = cp_limit_check(p, x, grid[0], ts)
+        assert lanes == [6]
+        for t, v in zip(ts, cp.values):
+            ft_u, ft_0 = char_fn(p, x, t, grid[0]), char_fn(p, x, t, np.zeros(p.dim))
+            assert v == (np.exp(-(np.asarray(x) @ grid[0])) * ft_u - ft_0) / t
+
+    def test_batched_probes_raise_as_the_first_failing_evaluate(self, parabola, cir):
+        # lane (u, t + s) blows up at 1/4 while lane (u, t) stays below it
+        with pytest.raises(BlowUpError, match="near t = 0.25"):
+            semiflow_residual(parabola, 0.1, 0.5, [0.0, 2.0])
+        with pytest.raises(TransformDomainError):
+            fd_regularity(cir, [0.5], [1e-2, 1e-3, 1e-4])
+        with pytest.raises(BlowUpError, match="near t = 0.25"):
+            cp_limit_check(parabola, [1.0, 1.0], [0.0, 2.0], [0.4, 0.3])
