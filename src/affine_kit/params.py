@@ -199,13 +199,14 @@ class AffineParams:
         for name, table in (("A", A), ("B", B), ("C", C), ("L", L), ("W", W), ("small", small)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-        # complex tables for F (row 0) and R (rows 1:), None for an all-zero B or C;
+        # complex tables for F (row 0), R (rows 1:) and both (all d+1 rows, one
+        # pass per Riccati RHS), None for an all-zero B or C;
         # Q[i, r*d + j] = A_r[i, j]/2 gives every row's (u A_r)/2 as one matmul u @ Q
         Q = 0.5 * A.transpose(1, 0, 2)
         object.__setattr__(self, "_exponent_tables", tuple(
             (Q[:, r].reshape(d, -1).astype(complex),
              *(t[r].astype(complex) if t[r].any() else None for t in (B, C)),
-             W[r], W[r] != 0.0) for r in (np.s_[:1], np.s_[1:])))
+             W[r], W[r] != 0.0) for r in (np.s_[:1], np.s_[1:], np.s_[:])))
         object.__setattr__(self, "a", A[0])
         object.__setattr__(self, "alpha", A[1:])
         object.__setattr__(self, "b", B[0])
@@ -270,7 +271,8 @@ class AffineParams:
     # -- Levy-Khintchine exponents ---------------------------------------
 
     def _exponent(self, u, part):
-        """F (part 0, as (..., 1)) or R (part 1, as (..., d)) at u of shape (..., d)."""
+        """F (part 0, as (..., 1)), R (part 1, as (..., d)) or both (part 2, as
+        (..., d+1) with F in column 0) at u of shape (..., d)."""
         u = np.asarray(u, dtype=complex)
         Q, B, C, W, nonzero = self._exponent_tables[part]
         # row r is (u A_r / 2 + B_r) . u - C_r
@@ -289,10 +291,19 @@ class AffineParams:
             out = out + (W * np.where(nonzero, terms[..., None, :], 0.0)).sum(axis=-1)
         return out
 
-    def F_eval(self, u):
+    def F_eval(self, u, R_out=None):
         """Constant part of the exponent: <u,au>/2 + <b,u> - c + jump integral of m.
-        Shape (...) at u of shape (..., d); a complex at u of shape (d,)."""
-        out = self._exponent(u, 0)[..., 0]
+        Shape (...) at u of shape (..., d); a complex at u of shape (d,).
+
+        Given an (..., d) array R_out, which must not overlap u, one pass over
+        all rows of the tuple also writes R(u) into R_out.  Without it only
+        row 0 is evaluated, so an R row that overflows cannot warn."""
+        if R_out is None:
+            out = self._exponent(u, 0)[..., 0]
+        else:
+            FR = self._exponent(u, 2)
+            R_out[...] = FR[..., 1:]
+            out = FR[..., 0]
         return complex(out) if out.ndim == 0 else out
 
     def R_eval(self, u) -> np.ndarray:

@@ -197,6 +197,13 @@ class TestExponents:
         for idx in np.ndindex(3, 4):
             assert F[idx] == pytest.approx(p.F_eval(U[idx]), rel=1e-14)
             np.testing.assert_allclose(R[idx], p.R_eval(U[idx]), rtol=1e-14, atol=0)
+        # R_out: one pass over all rows gives F and writes R, batched and at one point
+        for u in (U, U[2, 1]):
+            R_out = np.full(u.shape, np.nan, dtype=complex)
+            F_fused = p.F_eval(u, R_out=R_out)
+            assert type(F_fused) is (complex if u.ndim == 1 else np.ndarray)
+            np.testing.assert_allclose(F_fused, p.F_eval(u), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(R_out, p.R_eval(u), rtol=1e-14, atol=0)
 
     def test_zero_weight_is_masked_per_row_of_a_batch(self):
         # the row [-800] overflows exp at the mu^1 atom, where m has weight 0;
@@ -205,10 +212,14 @@ class TestExponents:
             m_measure=LevyMeasure.from_atoms([(1.0, 0.5)]),
             mu_measures=(LevyMeasure.from_atoms([(2.0, -1.0)]),))
         U = np.array([[0.3 + 1j], [-800.0], [-1.0]])
+        R_out = np.empty_like(U)
         with np.errstate(over="ignore", invalid="ignore"):
             F, R = p.F_eval(U), p.R_eval(U)
+            F_fused = p.F_eval(U, R_out=R_out)
         assert F[1] == 399.0
         assert np.isinf(R[1, 0].real)
+        np.testing.assert_array_equal(F_fused, F)
+        np.testing.assert_array_equal(R_out, R)
         for row, u in zip(F[[0, 2]], U[[0, 2]]):
             assert row == pytest.approx(p.F_eval(u), rel=1e-14)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affine_kit import transform
-from affine_kit.params import AffineParams
+from affine_kit.params import AffineParams, jump_integral
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.state_space import FullSpace, random_u_in_domain
 from affine_kit.transform import (
@@ -307,6 +307,82 @@ class TestPerLaneStops:
                 evaluate_batch(cir, t_grid, [[-1.0], [-0.5]])
         with pytest.raises(ValueError):
             evaluate_batch(cir, [[0.1], [-0.1]], [[-1.0], [-0.5]])
+
+
+class TestOneExponentPass:
+    def test_rhs_does_not_call_R_eval(self, svj, parabola, monkeypatch):
+        rng = np.random.default_rng(5)
+        runs = [(p, [0.3, 0.0, 1.0],
+                 np.array([random_u_in_domain(p.space, rng) for _ in range(4)]))
+                for p in (svj, parabola)]
+        expected = [evaluate_batch(*run) for run in runs]
+
+        def no_R_eval(self, u):
+            raise AssertionError("the Riccati RHS called R_eval")
+
+        monkeypatch.setattr(AffineParams, "R_eval", no_R_eval)
+        for run, want in zip(runs, expected):
+            got = evaluate_batch(*run)
+            assert (got.status == "ok").all() and (got.steps > 0).all()
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.psi.tobytes() == want.psi.tobytes()
+
+    def test_one_exponent_evaluation_per_rhs(self, svj, monkeypatch):
+        calls = {"rhs": 0, "exponent": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transform, "_rhs", counted(transform._rhs, "rhs"))
+        monkeypatch.setattr(AffineParams, "_exponent",
+                            counted(AffineParams._exponent, "exponent"))
+        assert evaluate(svj, 0.5, [-0.4 + 1j, 0.7j]).ok
+        assert calls["rhs"] > 6 and calls["exponent"] == calls["rhs"]
+
+
+def riccati_reference(p: AffineParams, times, u) -> tuple:
+    """(phi, psi) at the times from scipy's DOP853 on the real and imaginary
+    parts of the Riccati system, the exponents written out from the tuple."""
+    from scipy.integrate import solve_ivp
+
+    d = p.dim
+
+    def row(a, b, c, measure, psi):
+        return 0.5 * psi @ a @ psi + b @ psi - c + jump_integral(measure, psi)
+
+    def rhs(_t, y):
+        psi = y[1:d + 1] + 1j * y[d + 2:]
+        dz = np.array([row(p.a, p.b, p.c, p.m_measure, psi),
+                       *(row(p.alpha[i], p.beta[i], p.gamma[i], p.mu_measures[i], psi)
+                         for i in range(d))])
+        return np.concatenate([dz.real, dz.imag])
+
+    z0 = np.concatenate([[0.0], u])
+    sol = solve_ivp(rhs, (0.0, max(times)), np.concatenate([z0.real, z0.imag]),
+                    method="DOP853", t_eval=times, rtol=1e-12, atol=1e-12)
+    assert sol.success
+    z = sol.y[:d + 1] + 1j * sol.y[d + 1:]
+    return z[0], z[1:].T
+
+
+class TestJumpKillingReference:
+    """The svj tuple (jumps in m and mu^1, killing in c and gamma) against a
+    Riccati solution that does not use the exponent tables."""
+
+    def test_matches_an_independent_riccati_solution(self, svj):
+        rng = np.random.default_rng(8)
+        U = np.column_stack([-rng.uniform(0.0, 1.5, 8) + 1j * rng.uniform(-1.5, 1.5, 8),
+                             1j * rng.uniform(-1.5, 1.5, 8)])
+        times = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
+        batch = evaluate_batch(svj, times, U)
+        assert (batch.status == "ok").all()
+        for i, u in enumerate(U):
+            phi, psi = riccati_reference(svj, times, u)
+            np.testing.assert_array_less(np.abs(batch.phi[i] - phi), 1e-8 * (1 + np.abs(phi)))
+            np.testing.assert_array_less(np.abs(batch.psi[i] - psi), 1e-8 * (1 + np.abs(psi)))
 
 
 class TestCharFn:
