@@ -150,7 +150,7 @@ class TransformBatch:
 def _rhs(p: AffineParams, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Riccati right-hand side (F(psi), R(psi)) of lanes y = (phi, psi), shape (n, d+1),
     written into out (which must not overlap y) by one exponent pass per call."""
-    out[:, 0] = p.F_eval(y[:, 1:], R_out=out[:, 1:])
+    p.F_eval(y[:, 1:], FR_out=out)
     return out
 
 
@@ -465,7 +465,8 @@ def fd_regularity(p: AffineParams, u, h_list, tol: float = 1e-10) -> RegularityP
     h1, h2 = h[-2], h[-1]
     F_est = (h1 * Fq[-1] - h2 * Fq[-2]) / (h1 - h2)
     R_est = (h1 * Rq[-1] - h2 * Rq[-2]) / (h1 - h2)
-    F_ref, R_ref = p.F_eval(u), p.R_eval(u)
+    R_ref = np.empty(p.dim, dtype=complex)
+    F_ref = p.F_eval(u, R_out=R_ref)
 
     err = np.abs(Fq - F_ref) + np.linalg.norm(Rq - R_ref, axis=1)
     floor = 1e3 * tol * (1.0 + abs(F_ref) + float(np.linalg.norm(R_ref)))
@@ -532,7 +533,8 @@ def cp_limit_check(p: AffineParams, x, u, t_list, tol: float = 1e-10) -> CpLimit
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
         raise ValueError("t_list must be decreasing and positive")
-    target = (p.F_eval(u) + p.c) + x @ (p.R_eval(u) + p.gamma)
+    R = np.empty(p.dim, dtype=complex)
+    target = (p.F_eval(u, R_out=R) + p.c) + x @ (R + p.gamma)
     if not p.space.contains(x):
         raise ValueError(f"initial state {x} is not in the state space")
     # lanes u and 0 at each time, one stop each

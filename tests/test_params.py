@@ -223,6 +223,56 @@ class TestExponents:
         for row, u in zip(F[[0, 2]], U[[0, 2]]):
             assert row == pytest.approx(p.F_eval(u), rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+    def test_a_lane_does_not_depend_on_the_batch_size(self, svj, n):
+        # BLAS picks other kernels for other row counts (gemv at one row), so
+        # only a product per lane keeps each lane's bits those of its own call
+        rng = np.random.default_rng(n)
+        U = rng.standard_normal((n, 2)) * 2.0 + 3j * rng.standard_normal((n, 2))
+        R = np.empty_like(U)
+        FR = np.empty((n, 2, 3), dtype=complex)[:, 1]      # strided, as a Riccati stage
+        F_fused, F = svj.F_eval(U, R_out=R), svj.F_eval(U)
+        svj.F_eval(U, FR_out=FR)
+        for i, u in enumerate(U):
+            r = np.empty(2, dtype=complex)
+            assert svj.F_eval(u, R_out=r) == F_fused[i] and (r == R[i]).all()
+            assert svj.F_eval(u) == F[i]
+            assert FR[i, 0] == F_fused[i] and (FR[i, 1:] == R[i]).all()
+
+    def test_overflow_masks_zero_weights_lane_by_lane(self):
+        # lane 1 overflows exp at the mu^1 atom (0, -1), whose weight is 0 in the
+        # F and R_2 rows; only over= is ignored, so a 0 * inf would raise here
+        jump_free = AffineParams.zeros(FullSpace(dim=2)).with_(
+            a=np.diag([0.3, 0.2]), b=np.array([0.1, -0.2]), c=0.05,
+            alpha=np.array([[[0.5, 0.0], [0.0, 0.1]], np.zeros((2, 2))]),
+            beta=np.array([[-1.0, 0.3], [0.0, 0.0]]), gamma=np.array([0.1, 0.0]))
+        p = jump_free.with_(
+            m_measure=LevyMeasure.from_atoms(
+                [(0.5, [0.0, 0.1]), (0.3, [0.05, 0.0]), (0.7, [-0.2, 0.3]), (0.2, [0.4, -0.1])]),
+            mu_measures=(LevyMeasure.from_atoms([(2.0, [0.0, -1.0])]),
+                         LevyMeasure.from_atoms([(0.4, [0.3, 0.0]), (0.6, [0.0, 0.1])])))
+        rng = np.random.default_rng(4)
+        U = rng.standard_normal((9, 2)) * 2.0 + 3j * rng.standard_normal((9, 2))
+        U[1] = [0.2 + 1j, -800.0]
+        R = np.empty_like(U)
+        with np.errstate(over="ignore"):
+            F_fused, F = p.F_eval(U, R_out=R), p.F_eval(U)
+        # the masked reference: the jump-free rows plus the broadcast jump sum
+        z = U[:, 0, None] * p.L[:, 0] + U[:, 1, None] * p.L[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.exp(z) - 1.0 - np.where(p.small, z, 0.0)
+            masked = (p.W * np.where(p.W != 0.0, terms[:, None, :], 0.0)).sum(axis=-1)
+        R_free = np.empty_like(U)
+        ref = np.column_stack([jump_free.F_eval(U, R_out=R_free), R_free]) + masked
+        assert F_fused[1] == ref[1, 0] and R[1, 1] == ref[1, 2]
+        assert F[1] == jump_free.F_eval(U)[1] + masked[1, 0]    # row 0 alone
+        assert R[1, 0].real == np.inf
+        for i in np.delete(np.arange(len(U)), 1):    # the other lanes keep their own bits
+            r = np.empty(2, dtype=complex)
+            assert p.F_eval(U[i], R_out=r) == F_fused[i] and (r == R[i]).all()
+            assert p.F_eval(U[i]) == F[i]
+            np.testing.assert_allclose(np.append(F_fused[i], R[i]), ref[i], rtol=1e-14)
+
     def test_single_point_keeps_return_types(self, svj):
         F, R = svj.F_eval([-0.3 + 1j, 0.5j]), svj.R_eval([-0.3 + 1j, 0.5j])
         assert type(F) is complex

@@ -343,6 +343,37 @@ class TestOneExponentPass:
         assert calls["rhs"] > 6 and calls["exponent"] == calls["rhs"]
 
 
+class TestProbeExponentPass:
+    """fd_regularity and cp_limit_check read F(u) and R(u) from one exponent
+    pass at their u, on top of the passes of their Riccati batch."""
+
+    @pytest.mark.parametrize("name", ["svj", "parabola"])
+    def test_one_pass_at_the_probed_u(self, name, request, monkeypatch):
+        p = request.getfixturevalue(name)
+        u = random_u_in_domain(p.space, np.random.default_rng(3))
+        x = np.asarray(p.space.affine_basis()[-1], dtype=float)
+        calls = {"rhs": 0, "exponent": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def no_R_eval(self, u):
+            raise AssertionError("a probe called R_eval")
+
+        monkeypatch.setattr(transform, "_rhs", counted(transform._rhs, "rhs"))
+        monkeypatch.setattr(AffineParams, "_exponent",
+                            counted(AffineParams._exponent, "exponent"))
+        monkeypatch.setattr(AffineParams, "R_eval", no_R_eval)
+        for probe in (lambda: fd_regularity(p, u, [1e-2, 1e-3, 1e-4]),
+                      lambda: cp_limit_check(p, x, u, [0.1, 0.01])):
+            calls.update(rhs=0, exponent=0)
+            probe()
+            assert calls["rhs"] > 6 and calls["exponent"] == calls["rhs"] + 1
+
+
 def riccati_reference(p: AffineParams, times, u) -> tuple:
     """(phi, psi) at the times from scipy's DOP853 on the real and imaginary
     parts of the Riccati system, the exponents written out from the tuple."""
