@@ -200,14 +200,14 @@ class AffineParams:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
         # complex tables for F (row 0) and for F and R (all d+1 rows, one pass
-        # per Riccati RHS), None for an all-zero B or C, and the atoms (L.T, all
-        # small); Q[i, r*d + j] = A_r[i, j]/2 gives every row's (u A_r)/2 as u @ Q
+        # per Riccati RHS), None for an all-zero B or C, and the atoms as L.T;
+        # Q[i, r*d + j] = A_r[i, j]/2 gives every row's (u A_r)/2 as u @ Q
         Q = 0.5 * A.transpose(1, 0, 2)
         object.__setattr__(self, "_exponent_tables", tuple(
             (Q[:, r].reshape(d, -1).astype(complex),
              *(t[r].astype(complex) if t[r].any() else None for t in (B, C)),
-             W[r].astype(complex), W[r], W[r] != 0.0) for r in (np.s_[:1], np.s_[:])))
-        object.__setattr__(self, "_atoms", (L.T.astype(complex), bool(small.all())))
+             W[r].astype(complex), W[r] != 0.0) for r in (np.s_[:1], np.s_[:])))
+        object.__setattr__(self, "_atoms", L.T.astype(complex))
         object.__setattr__(self, "a", A[0])
         object.__setattr__(self, "alpha", A[1:])
         object.__setattr__(self, "b", B[0])
@@ -271,45 +271,43 @@ class AffineParams:
 
     # -- Levy-Khintchine exponents ---------------------------------------
 
-    def _exponent(self, u, all_rows, out=None):
+    def _exponent(self, u, all_rows):
         """F as (..., 1), or with all_rows F and R as (..., d+1) with F in
-        column 0, at u of shape (..., d); written into out when given."""
+        column 0, at u of shape (..., d)."""
         u = np.asarray(u, dtype=complex)
-        Q, B, C, Wc, W, nonzero = self._exponent_tables[all_rows]
+        Q, B, C, W, nonzero = self._exponent_tables[all_rows]
         # row r is (u A_r / 2 + B_r) . u - C_r
-        q = (u @ Q).reshape(u.shape[:-1] + (-1, self.dim))
+        out = (u @ Q).reshape(u.shape[:-1] + (-1, self.dim))
         if B is not None:
-            q += B
-        out = np.matmul(q, u[..., None], out=None if out is None else out[..., None])[..., 0]
+            out += B
+        out = (out @ u[..., None])[..., 0]
         if C is not None:
             out -= C
         if len(self.L):
             # z = <u, L_j> by elementwise sums, not BLAS: np.exp of (64, 4) takes 100-120 us,
             # not 5-8, on x86-64 if an OpenBLAS zgemm ran since numpy's last SIMD loop
-            Lc, all_small = self._atoms
-            z = u[..., 0, None] * Lc[0]
+            z = u[..., 0, None] * self._atoms[0]
             for i in range(1, self.dim):
-                z += u[..., i, None] * Lc[i]
-            terms = np.exp(z) - 1.0 - (z if all_small else np.where(self.small, z, 0.0))
+                z += u[..., i, None] * self._atoms[i]
+            terms = np.exp(z) - 1.0 - np.where(self.small, z, 0.0)
             if np.isfinite(terms).all():  # a product per lane: no lane's bits depend on the batch
-                out += (Wc @ terms[..., None])[..., 0]
+                out += (W @ terms[..., None])[..., 0]
             else:  # lanes where exp overflows: a zero weight adds exactly 0, no 0 * inf
                 fin = np.isfinite(terms).all(axis=-1, keepdims=True)
-                prod = (Wc @ np.where(fin, terms, 0.0)[..., None])[..., 0]
+                prod = (W @ np.where(fin, terms, 0.0)[..., None])[..., 0]
                 m = np.where(nonzero, terms[..., None, :], 0.0)
-                out.real += np.where(fin, prod.real, (W * m.real).sum(axis=-1))
-                out.imag += np.where(fin, prod.imag, (W * m.imag).sum(axis=-1))
+                out.real += np.where(fin, prod.real, (W.real * m.real).sum(axis=-1))
+                out.imag += np.where(fin, prod.imag, (W.real * m.imag).sum(axis=-1))
         return out
 
-    def F_eval(self, u, R_out=None, FR_out=None):
+    def F_eval(self, u, R_out=None):
         """Constant part of the exponent: <u,au>/2 + <b,u> - c + jump integral of m.
         Shape (...) at u of shape (..., d); a complex at u of shape (d,).
 
         Given an (..., d) array R_out, which must not overlap u, one pass over
-        all rows also writes R(u) into R_out; given an (..., d+1) array FR_out,
-        it writes F(u) into column 0 and R(u) into the rest.  Without either
-        only row 0 is evaluated, so an R row that overflows cannot warn."""
-        FR = self._exponent(u, R_out is not None or FR_out is not None, FR_out)
+        all rows of the tuple also writes R(u) into R_out.  Without it only
+        row 0 is evaluated, so an R row that overflows cannot warn."""
+        FR = self._exponent(u, R_out is not None)
         if R_out is not None:
             R_out[...] = FR[..., 1:]
         return complex(FR[..., 0]) if FR.ndim == 1 else FR[..., 0]

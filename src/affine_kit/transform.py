@@ -150,7 +150,7 @@ class TransformBatch:
 def _rhs(p: AffineParams, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Riccati right-hand side (F(psi), R(psi)) of lanes y = (phi, psi), shape (n, d+1),
     written into out (which must not overlap y) by one exponent pass per call."""
-    p.F_eval(y[:, 1:], FR_out=out)
+    out[:, 0] = p.F_eval(y[:, 1:], R_out=out[:, 1:])
     return out
 
 

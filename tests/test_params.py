@@ -232,7 +232,7 @@ class TestExponents:
         R = np.empty_like(U)
         FR = np.empty((n, 2, 3), dtype=complex)[:, 1]      # strided, as a Riccati stage
         F_fused, F = svj.F_eval(U, R_out=R), svj.F_eval(U)
-        svj.F_eval(U, FR_out=FR)
+        FR[:, 0] = svj.F_eval(U, R_out=FR[:, 1:])
         for i, u in enumerate(U):
             r = np.empty(2, dtype=complex)
             assert svj.F_eval(u, R_out=r) == F_fused[i] and (r == R[i]).all()
