@@ -8,6 +8,10 @@ Exit status: 0 all requested checks pass, 1 a check failed, 2 the config
 does not parse, 3 the config fails semantic validation (unresolvable
 preset, grid point outside the transform domain, invalid parameters, ...).
 
+The Monte Carlo suites of a verify run share one ensemble, simulate's, on
+the mc grid linspace(0, mc.T, mc.steps + 1).  The times they read (positive
+grids.t; each delta and n * delta of martingale_pairs) must lie on it.
+
 Reports are reproducible byte for byte for a fixed config and seed; the
 only run-dependent value is isolated in the single "generated_at" key.
 CSV lines end in "\r\n" and floats are written in Python's shortest
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -34,6 +39,7 @@ from .params import AffineParams, LevyMeasure
 from .simulate import (
     SamplerError,
     characteristics_check,
+    grid_index,
     martingale_L_test,
     mc_char_fn,
     simulate_ensemble,
@@ -142,6 +148,13 @@ class RunConfig:
     @property
     def space(self):
         return self.params.space
+
+    @functools.cached_property
+    def ensemble(self):
+        """The run's one ensemble on the mc grid (module docstring); every
+        Monte Carlo suite reads its arrays, and none may write them."""
+        return simulate_ensemble(self.params, self.x_grid[0], self.horizon, self.n_steps,
+                                 self.seed, self.n_paths)
 
 
 def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
@@ -279,6 +292,18 @@ def _validate_config(cfg: RunConfig) -> None:
     if tols["semiflow_triples"] < 1 or not tols["martingale_stop_radius"] >= 0:
         raise ConfigValidationError("tolerances.semiflow_triples must be >= 1 and "
                                     "tolerances.martingale_stop_radius >= 0")
+    if cfg.task == "verify":   # the times the Monte Carlo suites read lie on the mc grid
+        grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+        reads = [t for t in cfg.t_grid if t > 0] if "affine_mc" in cfg.verify_suite else []
+        if "martingale" in cfg.verify_suite:
+            reads += [t for delta, n in tols["martingale_pairs"] for t in (delta, n * delta)]
+        for t in reads:
+            try:
+                grid_index(grid, t)
+            except ValueError:
+                raise ConfigValidationError(
+                    f"t={t}, read by a Monte Carlo suite, is not on the mc grid "
+                    f"linspace(0, {cfg.horizon}, {cfg.n_steps + 1})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +338,7 @@ def run_transform(cfg: RunConfig, out_dir: str) -> int:
 
 
 def run_simulate(cfg: RunConfig, out_dir: str) -> int:
-    x0 = cfg.x_grid[0]
-    ens = simulate_ensemble(cfg.params, x0, cfg.horizon, cfg.n_steps, cfg.seed, cfg.n_paths)
+    ens = cfg.ensemble
     path = os.path.join(out_dir, "paths.csv")
     d, n_t = ens.dim, len(ens.times)
     t_cells = [f",{t!r}," for t in ens.times.tolist()]
@@ -446,16 +470,7 @@ def _up_to_conjugates(us: list) -> list:
 
 def _suite_affine_mc(cfg: RunConfig) -> list:
     x0 = cfg.x_grid[0]
-    T = float(cfg.t_grid.max(initial=0.0)) or cfg.horizon
-    dt = T / cfg.n_steps
-    steps = np.rint(cfg.t_grid / dt)
-    for t, k in zip(cfg.t_grid, steps):
-        if t > 0 and not np.isclose(t / dt, k, rtol=1e-9, atol=1e-9):
-            raise ConfigValidationError(
-                f"t={t} does not land on the simulation grid (T={T}, steps={cfg.n_steps})")
-    # sample only the grid times the checks read
-    ens = simulate_ensemble(cfg.params, x0, T, cfg.n_steps, cfg.seed, cfg.n_paths,
-                            at=np.unique(steps[steps > 0]) * dt)
+    ens = cfg.ensemble
     out = []
     for t in cfg.t_grid:
         if t <= 0:
@@ -478,11 +493,11 @@ def _suite_affine_mc(cfg: RunConfig) -> list:
 def _suite_martingale(cfg: RunConfig) -> list:
     tol = cfg.tolerances["martingale_tol"]
     radius = cfg.tolerances["martingale_stop_radius"]
-    x0 = cfg.x_grid[0]
+    ens = cfg.ensemble
+    stopped = stopped_ensemble(ens, radius)
     out = []
     for delta, n in cfg.tolerances["martingale_pairs"]:
-        ens = simulate_ensemble(cfg.params, x0, delta * n, n, cfg.seed, cfg.n_paths)
-        for label, e in (("unstopped", ens), ("stopped", stopped_ensemble(ens, radius))):
+        for label, e in (("unstopped", ens), ("stopped", stopped)):
             for u in _up_to_conjugates(cfg.u_grid[:3]):
                 est = martingale_L_test(cfg.params, e, delta, n, u, cfg.ode_tol)
                 gap = abs(est.value - 1.0)
@@ -506,8 +521,7 @@ def _suite_characteristics(cfg: RunConfig) -> list:
                        "(diffusion-only check)",
                        math.nan, thr, True,
                        skipped="process has jumps or killing; check not applicable")]
-    x0 = cfg.x_grid[0]
-    ens = simulate_ensemble(cfg.params, x0, cfg.horizon, cfg.n_steps, cfg.seed, cfg.n_paths)
+    ens = cfg.ensemble
     rep = characteristics_check(ens, cfg.params)
     out = [_check("characteristics",
                   "realized quadratic covariation matches int A(X_s) ds in "

@@ -201,10 +201,10 @@ class AffineParams:
             object.__setattr__(self, name, table)
         # complex tables for F (row 0) and for F and R (all d+1 rows, one pass
         # per Riccati RHS), None for an all-zero B or C, and the atoms as L.T;
-        # Q[i, r*d + j] = A_r[i, j]/2 gives every row's (u A_r)/2 as u @ Q
-        Q = 0.5 * A.transpose(1, 0, 2)
+        # Q[r*d + i, j] = A_r[i, j]/2 gives every row's (A_r u)/2 as Q @ u
+        Q = 0.5 * A
         object.__setattr__(self, "_exponent_tables", tuple(
-            (Q[:, r].reshape(d, -1).astype(complex),
+            (Q[r].reshape(-1, d).astype(complex),
              *(t[r].astype(complex) if t[r].any() else None for t in (B, C)),
              W[r].astype(complex), W[r] != 0.0) for r in (np.s_[:1], np.s_[:])))
         object.__setattr__(self, "_atoms", L.T.astype(complex))
@@ -276,8 +276,9 @@ class AffineParams:
         column 0, at u of shape (..., d)."""
         u = np.asarray(u, dtype=complex)
         Q, B, C, W, nonzero = self._exponent_tables[all_rows]
-        # row r is (u A_r / 2 + B_r) . u - C_r
-        out = (u @ Q).reshape(u.shape[:-1] + (-1, self.dim))
+        # row r is (A_r u / 2 + B_r) . u - C_r, a product per lane: a batched
+        # zgemm would make a lane's bits depend on the batch size
+        out = (Q @ u[..., None]).reshape(u.shape[:-1] + (-1, self.dim))
         if B is not None:
             out += B
         out = (out @ u[..., None])[..., 0]

@@ -36,10 +36,8 @@ Orthant-constrained coordinates use full truncation: coefficients are
 evaluated at the clamped state and the stored state is projected back onto
 the constraint, so paths never leave the state space.
 
-Grid: a call names the grid linspace(0, T, n_steps + 1).  With at=, the
-caller names the grid times it reads; the ensemble then holds the times
-[0, *at] only.  The exact samplers draw only those times; Euler still steps
-the whole grid and returns the columns at `at`.
+Grid: every sampler returns every time of linspace(0, T, n_steps + 1).
+grid_index is the one rule for whether a time lies on a grid.
 
 Randomness: Euler and the parabola sampler give path i the counter-based
 stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])).  The exact CIR
@@ -67,12 +65,13 @@ import numpy as np
 from . import presets
 from .params import AffineParams
 from .state_space import CanonicalOrthantPlane, Parabola
-from .transform import BlowUpError, evaluate
+from .transform import _require_ok, evaluate
 
 __all__ = [
     "Ensemble",
     "McEstimate",
     "SamplerError",
+    "grid_index",
     "simulate_ensemble",
     "simulate_parabola_ensemble",
     "mc_char_fn",
@@ -129,11 +128,13 @@ class Ensemble:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def time_index(self, t: float) -> int:
-        idx = np.nonzero(np.isclose(self.times, t, rtol=1e-12, atol=1e-12))[0]
-        if not len(idx):
-            raise ValueError(f"t={t} is not on the simulation grid")
-        return int(idx[0])
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """The index of t in the grid `times`; ValueError if t is not on it."""
+    idx = np.nonzero(np.isclose(times, t, rtol=1e-12, atol=1e-12))[0]
+    if not len(idx):
+        raise ValueError(f"t={t} is not on the simulation grid")
+    return int(idx[0])
 
 
 def _path_streams(seed: int, ks, word: int = 0):
@@ -173,30 +174,25 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 
 def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
-                      n_paths: int, *, at=None) -> Ensemble:
-    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1),
-    or, with at=, on its times [0, *at]: `at` names increasing grid times
-    after 0, the only times the caller reads.
+                      n_paths: int) -> Ensemble:
+    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1).
 
-    Deterministic in (params, x0, T, n_steps, seed, at); path i depends only
-    on (seed, i) and the grid.  The sampler follows from the tuple (module
+    Deterministic in (params, x0, T, n_steps, seed); path i depends only on
+    (seed, i) and the grid.  The sampler follows from the tuple (module
     docstring): the parabola preset's tuple (equal A, B, C and W tables) gets
     simulate_parabola_ensemble, any other parabola tuple raises SamplerError;
     a square-root diffusion with df >= 1 gets the exact CIR transition;
-    every other tuple gets Euler-Maruyama on the whole grid, and with at= the
-    columns at `at` (alive_until counted on the returned grid).
+    every other tuple gets Euler-Maruyama.
     """
     if T <= 0 or n_steps < 1:
         raise ValueError("need T > 0 and n_steps >= 1")
     times = np.linspace(0.0, T, n_steps + 1)
-    cols = None if at is None else _grid_columns(times, at)
-    grid = times if cols is None else times[cols]
     if isinstance(p.space, Parabola):
         ref = presets.parabola()
         if not all(np.array_equal(getattr(p, t), getattr(ref, t)) for t in "ABCW"):
             raise SamplerError("the parabola is a curve and cannot be simulated by Euler; only "
                                "the parabola preset's tuple, (w, w^2), has an exact sampler")
-        return simulate_parabola_ensemble(x0, grid, seed, n_paths)
+        return simulate_parabola_ensemble(x0, times, seed, n_paths)
     x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     if not p.space.contains(x0):
         raise ValueError(f"x0={x0} is not in the state space")
@@ -206,25 +202,8 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
 
     square_root = _square_root_diffusion(p)
     if square_root is not None:
-        return _cir_exact(x0, grid, *square_root, seed, n_paths)
-    ens = _euler(p, x0, times, seed, n_paths)
-    if cols is None:
-        return ens
-    return replace(ens, times=grid, states=ens.states[:, cols],
-                   alive_until=np.searchsorted(cols, ens.alive_until))
-
-
-def _grid_columns(times: np.ndarray, at) -> np.ndarray:
-    """Indices in `times` (a uniform grid from 0) of 0 and of the times `at`."""
-    at = np.asarray(at, dtype=float).reshape(-1)
-    n_steps = len(times) - 1
-    dt = times[-1] / n_steps
-    k = np.rint(at / dt)
-    if not (np.all(np.isclose(at, k * dt, rtol=1e-9, atol=1e-12) & (k >= 1) & (k <= n_steps))
-            and np.all(np.diff(k) > 0)):
-        raise ValueError(f"at={at.tolist()} must name increasing times after 0 of the grid "
-                         f"linspace(0, {times[-1]}, {n_steps + 1})")
-    return np.concatenate([[0], k.astype(np.int64)])
+        return _cir_exact(x0, times, *square_root, seed, n_paths)
+    return _euler(p, x0, times, seed, n_paths)
 
 
 def _square_root_diffusion(p: AffineParams):
@@ -420,7 +399,7 @@ def mc_char_fn(ens: Ensemble, t: float, u) -> McEstimate:
     Killed paths contribute 0 (functions vanish at the cemetery).
     """
     u = np.asarray(u, dtype=complex).reshape(ens.dim)
-    i = ens.time_index(t)
+    i = grid_index(ens.times, t)
     alive = i < ens.alive_until
     vals = np.zeros(ens.n_paths, dtype=complex)
     vals[alive] = np.exp(ens.states[alive, i, :] @ u)
@@ -435,10 +414,10 @@ def martingale_L_test(p: AffineParams, ens: Ensemble, delta: float, n: int, u,
                    - sum_{j<=n} (phi(delta,u) + <psi(delta,u) - u, X_{(j-1) delta}>)),
 
     whose expectation is exactly 1.  phi and psi come from the Riccati
-    integrator at horizon delta.  If the ensemble carries a stop radius r,
-    each path is capped at its first delta-grid index with |X - X0| >= r
-    (discrete optional stopping: the expectation is still exactly 1).
-    delta must be a multiple of the grid spacing.
+    integrator at horizon delta, with char_fn's errors.  If the ensemble
+    carries a stop radius r, each path is capped at its first delta-grid
+    index with |X - X0| >= r (discrete optional stopping: the expectation is
+    still exactly 1).  The grid must be uniform with delta on it.
     """
     u = np.asarray(u, dtype=complex).reshape(ens.dim)
     if n < 0:
@@ -446,20 +425,13 @@ def martingale_L_test(p: AffineParams, ens: Ensemble, delta: float, n: int, u,
     if n == 0:
         return McEstimate(1.0 + 0.0j, 0.0, ens.n_paths)
     dts = np.diff(ens.times)
-    dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("martingale test requires a uniform time grid")
-    stride = delta / dt
-    if not np.isclose(stride, round(stride), rtol=1e-9, atol=1e-12):
-        raise ValueError(f"delta={delta} is not aligned with the grid spacing {dt}")
-    stride = int(round(stride))
+    stride = grid_index(ens.times, delta)
     if n * stride > len(ens.times) - 1:
         raise ValueError("n * delta exceeds the simulated horizon")
 
-    r = evaluate(p, delta, u, tol=tol)
-    if not r.ok:
-        raise BlowUpError(r.blow_up_time if r.blow_up_time is not None else delta,
-                          "transform unavailable at the martingale step size")
+    r = _require_ok(evaluate(p, delta, u, tol=tol))
     phi, rho = r.phi, r.rho
 
     sub = ens.states[:, :: stride, :][:, : n + 1, :]        # (paths, n+1, d)
@@ -490,24 +462,12 @@ def martingale_L_test(p: AffineParams, ens: Ensemble, delta: float, n: int, u,
 
 
 def stopped_ensemble(ens: Ensemble, r: float) -> Ensemble:
-    """Freeze each path at its first grid index with |X_t - X_0| >= r.
-
-    Records the radius so the martingale test applies discrete optional
-    stopping on its own delta-grid.  r = inf returns the ensemble unchanged
-    (no path ever exits); r = 0 freezes everything at t = 0.
-    """
+    """The ensemble, paths unchanged, with stop radius r for martingale_L_test,
+    which stops on its own delta-grid: stopping between delta-grid points
+    would move the mean of L away from 1.  r = inf stops no path."""
     if r < 0:
         raise ValueError("stop radius must be nonnegative")
-    if not math.isfinite(r):
-        return replace(ens, stop_radius=r)
-    with np.errstate(invalid="ignore"):
-        exceeded = np.linalg.norm(ens.states - ens.states[:, :1, :], axis=2) >= r
-    exceeded &= ~np.isnan(ens.states).any(axis=2)
-    any_exc = exceeded.any(axis=1)
-    first = np.where(any_exc, exceeded.argmax(axis=1), len(ens.times) - 1)
-    idx = np.minimum(np.arange(len(ens.times))[None, :], first[:, None])
-    frozen = np.take_along_axis(ens.states, idx[:, :, None], axis=1)
-    return replace(ens, states=frozen, stop_radius=r)
+    return replace(ens, stop_radius=r)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,16 @@ def run(tmp_path, task, payload, out="out", extra=()):
 
 SMALL_MC = {"paths": 400, "steps": 50, "seed": 3, "T": 0.5}
 
+# the stochastic-volatility tuple with jumps and killing of the svj fixture, as JSON
+SVJ = {"space": {"kind": "orthant_plane", "m": 1, "n": 1},
+       "params": {"alpha": [[[0.25, -0.35], [-0.35, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                  "b": [0.08, 0.0], "beta": [[-2.0, -0.5], [0.0, 0.0]],
+                  "c": 0.02, "gamma": [0.1, 0.0],
+                  "m": [{"w": 0.5, "xi": [0.0, 0.1]}, {"w": 0.5, "xi": [0.0, -0.1]},
+                        {"w": 0.3, "xi": [0.05, 0.0]}],
+                  "mu": [[{"w": 2.0, "xi": [0.0, -0.2]}], []]},
+       "grids": {"x": [[0.04, 0.0]]}}
+
 
 class TestVerifyTask:
     def test_parabola_semiflow_passes(self, tmp_path):
@@ -156,6 +166,55 @@ class TestFalseAlarms:
         failing = [seed for seed in range(20) if not all(
             c["pass"] for c in cli._suite_martingale(cli.load_config(path, seed_override=seed)))]
         assert len(failing) <= 1, failing
+
+    def test_svj_martingale_suite_fails_on_at_most_one_of_10_seeds(self, tmp_path):
+        # Euler on the shared mc grid takes mc.steps * delta / mc.T steps per delta (80 and
+        # 40 here); at one step per delta the suite failed on 9 of these 10 seeds from bias
+        path = write_config(tmp_path, "svj.json", {"task": "verify", **SVJ,
+                                                   "mc": {"paths": 4000}})
+        failing = [seed for seed in range(10) if not all(
+            c["pass"] for c in cli._suite_martingale(cli.load_config(path, seed_override=seed)))]
+        assert len(failing) <= 1, failing
+
+
+class TestOneEnsemble:
+    """The Monte Carlo suites of a verify run read one ensemble on the mc grid."""
+
+    def test_default_verify_draws_one_ensemble(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate_ensemble(*args)
+        monkeypatch.setattr(cli, "simulate_ensemble", counted)
+        code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir"})
+        assert code == EXIT_OK
+        [(params, x0, T, steps, seed, paths)] = calls
+        assert (T, steps, seed, paths) == (0.5, 400, 0, 10000) and x0.tolist() == [1.0]
+
+    @pytest.mark.parametrize("payload", [
+        {"verify_suite": ["affine_mc"], "grids": {"t": [0.05000000001, 0.1]}},
+        {"grids": {"t": [0.05, 0.13]}},
+        {"tolerances": {"martingale_pairs": [[0.1, 6]]}},
+        {"tolerances": {"martingale_pairs": [[0.03, 5]]}},
+    ], ids=["affine_mc-near-miss", "affine_mc-off-grid", "martingale-past-T",
+            "martingale-off-grid"])
+    def test_a_read_time_off_the_mc_grid_fails_validation(self, tmp_path, capsys,
+                                                          monkeypatch, payload):
+        # mc grid linspace(0, 0.5, 41); rejected at load, before any suite runs
+        monkeypatch.setattr(cli, "_SUITES", {})
+        code, out_dir = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
+                                                 "mc": {"paths": 200, "steps": 40}, **payload})
+        assert code == EXIT_VALIDATION_ERROR
+        assert "not on the mc grid" in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
+    def test_read_times_of_unselected_suites_are_not_checked(self, tmp_path):
+        code, _ = run(tmp_path, "verify", {
+            "task": "verify", "preset": "cir", "verify_suite": ["characteristics"],
+            "grids": {"t": [0.13]}, "tolerances": {"martingale_pairs": [[0.03, 5]]},
+            "mc": {"paths": 200, "steps": 40}})
+        assert code == EXIT_OK
 
 
 class TestErrorStatuses:
@@ -294,7 +353,7 @@ class TestErrorStatuses:
                    "params": {"a": [[4.0, 0.0], [0.0, 0.0]], "b": [0.0, 4.0],
                               "alpha": [[[0.0, 4.0], [4.0, 0.0]],
                                         [[0.0, 0.0], [0.0, 16.0]]]},
-                   "verify_suite": ["affine_mc"], "mc": {"paths": 4, "steps": 8}}
+                   "verify_suite": ["affine_mc"], "mc": {"paths": 4, "steps": 40}}
         code, _ = run(tmp_path, task, payload)
         assert code == EXIT_VALIDATION_ERROR
         assert "exact sampler" in capsys.readouterr().err

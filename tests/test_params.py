@@ -16,10 +16,9 @@ from affine_kit.presets import (
 from affine_kit.state_space import FullSpace, HalfLine
 
 
-def random_params(seed: int, with_jumps: bool = True) -> AffineParams:
-    """Unconstrained random tuple on R^2 (evaluator tests only, not admissible)."""
+def random_params(seed: int, with_jumps: bool = True, d: int = 2) -> AffineParams:
+    """Unconstrained random tuple on R^d (evaluator tests only, not admissible)."""
     rng = np.random.default_rng(seed)
-    d = 2
     sym = lambda m: 0.5 * (m + m.T)
     p = AffineParams.zeros(FullSpace(dim=d))
     m = LevyMeasure.from_atoms(
@@ -226,18 +225,21 @@ class TestExponents:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
     def test_a_lane_does_not_depend_on_the_batch_size(self, svj, n):
         # BLAS picks other kernels for other row counts (gemv at one row), so
-        # only a product per lane keeps each lane's bits those of its own call
+        # only a product per lane keeps each lane's bits those of its own call;
+        # the dense tuples put nonzero entries on every coordinate of every table
         rng = np.random.default_rng(n)
-        U = rng.standard_normal((n, 2)) * 2.0 + 3j * rng.standard_normal((n, 2))
-        R = np.empty_like(U)
-        FR = np.empty((n, 2, 3), dtype=complex)[:, 1]      # strided, as a Riccati stage
-        F_fused, F = svj.F_eval(U, R_out=R), svj.F_eval(U)
-        FR[:, 0] = svj.F_eval(U, R_out=FR[:, 1:])
-        for i, u in enumerate(U):
-            r = np.empty(2, dtype=complex)
-            assert svj.F_eval(u, R_out=r) == F_fused[i] and (r == R[i]).all()
-            assert svj.F_eval(u) == F[i]
-            assert FR[i, 0] == F_fused[i] and (FR[i, 1:] == R[i]).all()
+        for p in (svj, random_params(5, d=2), random_params(6, d=3)):
+            d = p.dim
+            U = rng.standard_normal((n, d)) * 2.0 + 3j * rng.standard_normal((n, d))
+            R = np.empty_like(U)
+            FR = np.empty((n, 2, d + 1), dtype=complex)[:, 1]  # strided, as a Riccati stage
+            F_fused, F = p.F_eval(U, R_out=R), p.F_eval(U)
+            FR[:, 0] = p.F_eval(U, R_out=FR[:, 1:])
+            for i, u in enumerate(U):
+                r = np.empty(d, dtype=complex)
+                assert p.F_eval(u, R_out=r) == F_fused[i] and (r == R[i]).all()
+                assert p.F_eval(u) == F[i]
+                assert FR[i, 0] == F_fused[i] and (FR[i, 1:] == R[i]).all()
 
     def test_overflow_masks_zero_weights_lane_by_lane(self):
         # lane 1 overflows exp at the mu^1 atom (0, -1), whose weight is 0 in the

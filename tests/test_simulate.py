@@ -21,7 +21,7 @@ from affine_kit.simulate import (
     stopped_ensemble,
 )
 from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
-from affine_kit.transform import char_fn
+from affine_kit.transform import TransformDomainError, char_fn
 
 
 def levy_jump_diffusion():
@@ -235,9 +235,6 @@ class TestMartingale:
         times = np.linspace(0.0, 0.5, 6)
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=16, n_paths=200)
         frozen = stopped_ensemble(ens, 0.0)
-        np.testing.assert_array_equal(frozen.states,
-                                      np.broadcast_to(ens.states[:, :1, :],
-                                                      ens.states.shape))
         est = martingale_L_test(parabola, frozen, 0.1, 5, [0.0, -1.0])
         assert est.value == pytest.approx(1.0, abs=1e-14)
         assert est.std_error == pytest.approx(0.0, abs=1e-14)
@@ -250,6 +247,15 @@ class TestMartingale:
         a = martingale_L_test(parabola, ens, 0.1, 5, [1j, 0.0])
         b = martingale_L_test(parabola, same, 0.1, 5, [1j, 0.0])
         assert a.value == b.value
+
+    def test_domain_exit_is_reported_as_char_fn_reports_it(self, parabola):
+        # u = (0, 1) lies outside U on the parabola: a domain exit, not a blow-up at delta
+        times = np.linspace(0.0, 0.4, 3)
+        ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=1, n_paths=10)
+        with pytest.raises(TransformDomainError):
+            char_fn(parabola, [0.0, 0.0], 0.2, [0.0, 1.0])
+        with pytest.raises(TransformDomainError):
+            martingale_L_test(parabola, ens, 0.2, 2, [0.0, 1.0])
 
     def test_misaligned_delta_rejected(self, parabola):
         times = np.linspace(0.0, 0.5, 6)
@@ -647,10 +653,8 @@ class TestCirExact:
     def test_each_path_reads_its_blocks_counter(self):
         b, kappa, sigma2, seed = 0.5, 1.2, 0.6, 9
         times = np.array([0.0, 0.1, 0.35, 1.0])
-        ens = simulate_ensemble(square_root(b, kappa, sigma2), [0.4], 1.0, 20, seed=seed,
-                                n_paths=300, at=times[1:])
-        np.testing.assert_array_equal(ens.times, np.linspace(0.0, 1.0, 21)[[0, 2, 7, 20]])
-        ref = block_reference(seed, 0.4, ens.times, b, kappa, sigma2, 300)
+        ens = _cir_exact(np.array([0.4]), times, kappa, sigma2, 4.0 * b / sigma2, seed, 300)
+        ref = block_reference(seed, 0.4, times, b, kappa, sigma2, 300)
         np.testing.assert_array_equal(ens.states[:, :, 0], ref)
 
     def test_exact_sampling_covers_df_at_least_one(self):
@@ -665,11 +669,6 @@ class TestCirExact:
                  cbi_with_killing()]                              # jumps
         for p in euler:
             assert simulate_ensemble(p, [1.0], 1.0, 5, seed=1, n_paths=10).sampler == "euler"
-
-    def test_at_rejects_times_off_the_grid(self):
-        for at in ([0.0, 0.5], [0.5, 0.25], [0.5, 0.5], [0.33], [1.5], [math.nan]):
-            with pytest.raises(ValueError, match="at="):
-                simulate_ensemble(cir(), [1.0], 1.0, 4, seed=0, n_paths=2, at=at)
 
 
 class TestThreadedBlocks:
@@ -694,35 +693,3 @@ class TestThreadedBlocks:
         ens = simulate_ensemble(cir(), [0.5], 1.0, 10, seed=1, n_paths=3 * _BLOCK)
         assert ens.sampler == "cir_exact"
         assert threading.active_count() == before
-
-
-class TestReadTimes:
-    """at= names the grid times a caller reads; Euler still steps the whole
-    grid and returns those columns."""
-
-    @pytest.mark.parametrize("make, x0", [(None, [0.04, 0.0]), (cbi_with_killing, [1.0])],
-                             ids=["svj", "cbi_with_killing"])
-    def test_euler_columns_equal_the_full_grid(self, make, x0, svj):
-        p = make() if make else svj
-        full = simulate_ensemble(p, x0, 1.0, 40, seed=7, n_paths=400)
-        cols = [0, 10, 20, 40]
-        ens = simulate_ensemble(p, x0, 1.0, 40, seed=7, n_paths=400, at=[0.25, 0.5, 1.0])
-        assert ens.sampler == full.sampler == "euler"
-        assert ens.times.tobytes() == full.times[cols].tobytes()
-        assert ens.states.tobytes() == full.states[:, cols].tobytes()
-        assert ens.jump_overflows == full.jump_overflows
-        # alive_until counts grid points of the returned grid, not Euler steps
-        want = (np.asarray(cols)[None, :] < full.alive_until[:, None]).sum(axis=1)
-        np.testing.assert_array_equal(ens.alive_until, want)
-        killed = ens.alive_until < len(cols)
-        assert killed.any()
-        for i in np.nonzero(killed)[0]:
-            assert np.isnan(ens.states[i, ens.alive_until[i]:]).all()
-            assert not np.isnan(ens.states[i, :ens.alive_until[i]]).any()
-
-    def test_parabola_draws_only_the_read_times(self):
-        ens = simulate_ensemble(parabola(), [0.5, 0.25], 1.0, 8, seed=4, n_paths=5,
-                                at=[0.25, 1.0])
-        exact = simulate_parabola_ensemble([0.5, 0.25], [0.0, 0.25, 1.0], 4, 5)
-        assert ens.sampler == "parabola_exact"
-        assert ens.states.tobytes() == exact.states.tobytes()
