@@ -349,7 +349,9 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
             au = int(ens.alive_until[i])
             alive = [",1\r\n"] * au + [",0\r\n"] * (n_t - au)
             fh.write(str(i) + str(i).join(map("".join, zip(t_cells, x_cells, alive))))
-    print(f"wrote {path} ({ens.n_paths} paths x {n_t} times)")
+    killed = float(np.mean(ens.alive_until < n_t))
+    print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; "
+          f"jump-cap overflows {ens.jump_overflows}, killed share {killed:.4g})")
     return EXIT_OK
 
 

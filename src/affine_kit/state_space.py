@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "StateSpace",
@@ -42,6 +41,27 @@ _PARABOLA_RTOL = 1e-12
 def _unwrap(a: np.ndarray):
     """A 0-d answer as a Python scalar, any other as the array."""
     return a.item() if a.ndim == 0 else a
+
+
+def _halton(n: int, d: int) -> np.ndarray:
+    """(n, d) unscrambled Halton points: radical inverses of 0 .. n-1 in the first d primes.
+
+    Digits are added lowest first, each times a weight 1/base^k kept by repeated
+    division, which is the float order of the usual van der Corput loop.
+    """
+    primes, b = [], 2
+    while len(primes) < d:
+        if all(b % p for p in primes):
+            primes.append(b)
+        b += 1
+    out = np.zeros((n, d))
+    for j, base in enumerate(primes):
+        q, f = np.arange(n), 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * f
+            q //= base
+            f /= base
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,7 +87,8 @@ class StateSpace:
         raise NotImplementedError
 
     def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        """n low-discrepancy (Halton) points of D inside a box of half-width radius."""
+        """n unscrambled Halton points (radical inverse in the first d primes) of D
+        inside a box of half-width radius."""
         raise NotImplementedError
 
     # -- shared helpers -------------------------------------------------
@@ -123,7 +144,7 @@ class CanonicalOrthantPlane(StateSpace):
         return np.vstack([np.zeros(self.dim), np.eye(self.dim)])
 
     def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        h = qmc.Halton(d=self.dim, scramble=False).random(n)
+        h = _halton(n, self.dim)
         pts = (2.0 * h - 1.0) * radius
         pts[:, : self.m] = h[:, : self.m] * radius
         return pts
@@ -172,7 +193,7 @@ class Parabola(StateSpace):
         return np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
 
     def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        y = (2.0 * qmc.Halton(d=1, scramble=False).random(n)[:, 0] - 1.0) * radius
+        y = (2.0 * _halton(n, 1)[:, 0] - 1.0) * radius
         return np.column_stack([y, y * y])
 
     def in_domain(self, u, tol=0.0):

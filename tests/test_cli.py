@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,6 +528,28 @@ class TestSimulateTask:
                 w.writerow([i, t, *states[i, j].tolist(), int(j < ens.alive_until[i])])
         assert (out_dir / "paths.csv").read_bytes() == want.getvalue().encode()
 
+    def test_summary_counts_jump_cap_overflows_and_killed_paths(self, tmp_path, capsys):
+        # rate 200 per unit time at dt = 0.1: most steps draw more jumps than the cap
+        code, _ = run(tmp_path, "simulate", {
+            "task": "simulate",
+            "space": {"kind": "full", "d": 1},
+            "params": {"a": [[1.0]], "b": [0.0], "c": 0.5,
+                       "m": [{"w": 200.0, "xi": [0.01]}]},
+            "grids": {"x": [[0.0]]},
+            "mc": {"paths": 50, "steps": 10, "seed": 1, "T": 1.0},
+        })
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        overflows = int(out.split("jump-cap overflows ")[1].split(",")[0])
+        killed = float(out.split("killed share ")[1].split(")")[0])
+        assert overflows > 0 and 0.0 < killed < 1.0
+
+        code, _ = run(tmp_path, "simulate", {
+            "task": "simulate", "preset": "cir", "grids": {"x": [[1.0]]},
+            "mc": {"paths": 20, "steps": 10, "seed": 1, "T": 1.0}}, out="cir")
+        assert code == EXIT_OK
+        assert "jump-cap overflows 0, killed share 0)" in capsys.readouterr().out
+
     def test_parabola_uses_exact_sampler(self, tmp_path):
         code, out_dir = run(tmp_path, "simulate", {
             "task": "simulate",
@@ -536,3 +562,29 @@ class TestSimulateTask:
             rows = list(csv.DictReader(fh))
         for r in rows:
             assert float(r["x_2"]) == pytest.approx(float(r["x_1"]) ** 2, abs=1e-12)
+
+
+class TestImportGraph:
+    def test_no_task_imports_scipy(self, tmp_path):
+        # scipy.stats alone took most of a second of every task's start-up
+        configs = {
+            "transform": {"task": "transform", **SVJ,
+                          "grids": {"t": [0.1, 0.5],
+                                    "u": [[[0.0, 0.0], [0.0, 1.0]], [[-0.5, 0.0], [0.0, 0.5]]]}},
+            "simulate": {"task": "simulate", "preset": "cir",
+                         "mc": {"paths": 20, "steps": 10}},
+            "verify": {"task": "verify", "preset": "brownian",
+                       "grids": {"t": [0.1, 0.25], "x": [[0.0, 0.0]]}, "mc": SMALL_MC,
+                       "tolerances": {"semiflow_triples": 5}},
+        }
+        script = ["import sys", "from affine_kit import cli"]
+        for task, payload in configs.items():
+            path = write_config(tmp_path, f"{task}.json", payload)
+            script.append(f"assert cli.main([{task!r}, '--config', {path!r}, "
+                          f"'--out', {str(tmp_path / task)!r}]) == 0")
+        script.append("print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", "\n".join(script)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from affine_kit.state_space import (
     CanonicalOrthantPlane,
     FullSpace,
     HalfLine,
     Parabola,
+    _halton,
     random_u_in_domain,
     space_from_config,
 )
@@ -138,6 +140,28 @@ class TestSamplingAndConfig:
         assert (s.m, s.n, s.dim) == (1, 2, 3)
         with pytest.raises(ValueError):
             space_from_config({"kind": "dodecahedron"})
+
+
+class TestHalton:
+    """The radical-inverse Halton points equal scipy's unscrambled engine bitwise."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 1000])
+    def test_equals_scipy_halton(self, d, n):
+        assert np.array_equal(_halton(n, d), qmc.Halton(d=d, scramble=False).random(n))
+
+    @pytest.mark.parametrize("space", [FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 2),
+                                       Parabola()])
+    def test_sample_points_equal_the_scipy_formula(self, space):
+        radius = 5.0
+        if isinstance(space, Parabola):
+            y = (2.0 * qmc.Halton(d=1, scramble=False).random(64)[:, 0] - 1.0) * radius
+            want = np.column_stack([y, y * y])
+        else:
+            h = qmc.Halton(d=space.dim, scramble=False).random(64)
+            want = (2.0 * h - 1.0) * radius
+            want[:, : space.m] = h[:, : space.m] * radius
+        assert np.array_equal(space.sample_points(64, radius), want)
 
 
 CONTRACT_SPACES = [FullSpace(1), FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 1),
