@@ -6,7 +6,7 @@ properties of affine processes (semi-flow, regularity, boundedness,
 small-time limits, martingale functionals, semimartingale characteristics).
 """
 
-from .params import AdmissibilityError, AffineParams, LevyMeasure, jump_integral
+from .params import AffineParams, LevyMeasure
 from .simulate import (
     Ensemble,
     McEstimate,
@@ -47,10 +47,8 @@ from . import presets
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
     "AffineParams",
     "LevyMeasure",
-    "jump_integral",
     "Ensemble",
     "McEstimate",
     "characteristics_check",

@@ -22,6 +22,10 @@ Sign convention: C(x) is the instantaneous killing rate and must be
 nonnegative on D; equivalently F(0) = -c and R(0) = -gamma, so that the
 small-time total-mass derivative F(0) + <x, R(0)> = -C(x) <= 0.  The
 validation report always records this convention.
+
+validate checks these conditions at sampled states x of D, and that nu(x, .)
+charges only jumps that land in D: x + xi in D for every atom xi of positive
+weight ("jump_leaves_state_space").
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from .state_space import StateSpace
 __all__ = [
     "LevyMeasure",
     "AffineParams",
-    "AdmissibilityError",
-    "jump_integral",
     "ValidationReport",
     "Violation",
 ]
@@ -46,10 +48,6 @@ __all__ = [
 _PSD_TOL = 1e-10       # minimum eigenvalue of A(x) may not drop below -this
 _KILL_TOL = 1e-12      # killing rate may not drop below -this
 _WEIGHT_TOL = 1e-12    # merged jump weights may not drop below -this
-
-
-class AdmissibilityError(ValueError):
-    """Raised when evaluating characteristics at a state where they are invalid."""
 
 
 @dataclass(frozen=True)
@@ -98,23 +96,10 @@ class LevyMeasure:
         return self.locations.shape[1]
 
 
-def jump_integral(measure: LevyMeasure, u) -> complex:
-    """int (e^<xi,u> - 1 - <h(xi), u>) measure(dxi), exact for atomic measures.
-
-    Entire in u; always converges because the measure has finitely many atoms.
-    """
-    if not len(measure):
-        return 0.0 + 0.0j
-    u = np.asarray(u, dtype=complex)
-    z = measure.locations @ u
-    small = np.linalg.norm(measure.locations, axis=1) <= 1.0
-    terms = np.exp(z) - 1.0 - np.where(small, z, 0.0)
-    return complex(measure.weights @ terms)
-
-
 @dataclass(frozen=True)
 class Violation:
-    kind: str            # "diffusion_not_psd" | "negative_jump_weight" | "negative_killing_rate"
+    kind: str            # "diffusion_not_psd" | "negative_jump_weight" |
+                         # "jump_leaves_state_space" | "negative_killing_rate"
     x: np.ndarray        # witness state
     value: float         # offending quantity (min eigenvalue, weight, rate)
     detail: str
@@ -247,28 +232,6 @@ class AffineParams:
     def has_killing(self) -> bool:
         return bool(self.C.any())
 
-    # -- state-dependent characteristics --------------------------------
-
-    def characteristics_at(self, x, check: bool = True):
-        """(A(x), B(x), C(x), nu(x, .)) at a state x of D.
-
-        Raises AdmissibilityError when x is outside D or the merged jump
-        measure picks up a negative weight; pass check=False to inspect
-        characteristics at arbitrary states.
-        """
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        if check and not self.space.contains(x):
-            raise AdmissibilityError(f"state {x} is not in the state space")
-        xt = np.concatenate(([1.0], x))
-        w = xt @ self.W
-        if check and w.size and w.min() < -_WEIGHT_TOL * max(1.0, np.abs(w).max()):
-            raise AdmissibilityError(
-                f"merged jump measure at x={x} has negative weight {w.min():.3e}"
-            )
-        keep = w != 0.0
-        return (np.tensordot(xt, self.A, axes=1), xt @ self.B, float(xt @ self.C),
-                LevyMeasure(w[keep], self.L[keep]))
-
     # -- Levy-Khintchine exponents ---------------------------------------
 
     def _exponent(self, u, all_rows):
@@ -320,23 +283,29 @@ class AffineParams:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, samples: int = 64, box_radius: float = 5.0) -> ValidationReport:
+    def validate(self, samples: int = 64) -> ValidationReport:
         """Desk-scale admissibility check on affine_basis plus Halton samples of D.
 
-        Violations are report entries, never exceptions: A(x) must be PSD
-        (min eigenvalue >= -1e-10), merged jump weights nonnegative, and the
-        killing rate c + <gamma, x> >= -1e-12 at every checked state.
+        Violations are report entries, never exceptions: at every checked
+        state A(x) must be PSD (min eigenvalue >= -1e-10), the merged jump
+        weights nonnegative, every atom of weight > 1e-12 must land in D
+        ("jump_leaves_state_space") and the killing rate c + <gamma, x> must
+        be >= -1e-12.
         """
         pts = np.asarray(self.space.affine_basis(), dtype=float)
         if samples > 0:
-            pts = np.vstack([pts, self.space.sample_points(samples, radius=box_radius)])
+            pts = np.vstack([pts, self.space.sample_points(samples)])
         xt = np.hstack([np.ones((len(pts), 1)), pts])
         lam_min = np.linalg.eigvalsh(np.tensordot(xt, self.A, axes=1))[:, 0]
         rates = xt @ self.C
+        w = xt @ self.W                                     # (points, atoms)
         # initial=0: only a negative weight can be a violation, and k may be 0
-        w_min = (xt @ self.W).min(axis=1, initial=0.0)
+        w_min = w.min(axis=1, initial=0.0)
+        leaves = (w > _WEIGHT_TOL) & ~self.space.contains(pts[:, None, :] + self.L)
         violations = []
-        for x, lam, rate, w in zip(pts, lam_min, rates, w_min):
+        for i in np.flatnonzero((lam_min < -_PSD_TOL) | (rates < -_KILL_TOL)
+                                | (w_min < -_WEIGHT_TOL) | leaves.any(axis=1)):
+            x, lam, rate, w_lo = pts[i], lam_min[i], rates[i], w_min[i]
             if lam < -_PSD_TOL:
                 violations.append(Violation(
                     "diffusion_not_psd", x, float(lam),
@@ -345,10 +314,16 @@ class AffineParams:
                 violations.append(Violation(
                     "negative_killing_rate", x, float(rate),
                     f"killing rate c + <gamma,x> is {rate:.3e}"))
-            if w < -_WEIGHT_TOL:
+            if w_lo < -_WEIGHT_TOL:
                 violations.append(Violation(
-                    "negative_jump_weight", x, float(w),
-                    f"merged jump weight {w:.3e}"))
+                    "negative_jump_weight", x, float(w_lo),
+                    f"merged jump weight {w_lo:.3e}"))
+            if leaves[i].any():
+                j = leaves[i].argmax()
+                violations.append(Violation(
+                    "jump_leaves_state_space", x, float(w[i, j]),
+                    f"atom {self.L[j]} of weight {w[i, j]:.3e} lands at {x + self.L[j]}, "
+                    "outside D"))
         notes = (
             "killing rate convention: C(x) = c + <gamma, x> is required to be "
             "nonnegative on D (equivalently F(0) = -c, R(0) = -gamma); the "

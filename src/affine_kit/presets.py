@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import AffineParams, LevyMeasure
+from .params import AffineParams
 from .state_space import FullSpace, HalfLine, Parabola
 
 __all__ = [
@@ -13,8 +13,6 @@ __all__ = [
     "parabola",
     "get",
     "PRESET_NAMES",
-    "invalid_negative_diffusion",
-    "invalid_negative_jump_weight",
 ]
 
 PRESET_NAMES = ("brownian", "cir", "parabola")
@@ -69,17 +67,3 @@ def get(name: str) -> AffineParams:
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
 
-
-def invalid_negative_diffusion() -> AffineParams:
-    """d=1 full space with A(x) = x: indefinite in the x < 0 direction."""
-    p = AffineParams.zeros(FullSpace(dim=1))
-    return p.with_(alpha=np.array([[[1.0]]]))
-
-
-def invalid_negative_jump_weight() -> AffineParams:
-    """Half-line params whose merged jump weight 1 - 2x goes negative on D."""
-    p = AffineParams.zeros(HalfLine())
-    return p.with_(
-        m_measure=LevyMeasure.from_atoms([(1.0, 1.0)]),
-        mu_measures=(LevyMeasure.from_atoms([(-2.0, 1.0)]),),
-    )

@@ -13,8 +13,9 @@ decidable: the canonical orthant plane R_{>=0}^m x R^n and the parabola
 planes under their own names.  Arbitrary Borel sets are deliberately not
 supported.
 
-support and in_domain take one vector u of shape (d,) or an array of shape
-(..., d), one answer per vector; a (d,) input gives a Python float or bool.
+contains, support and in_domain take one vector of shape (d,) or an array
+of shape (..., d), one answer per vector; a (d,) input gives a Python bool
+or float.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class StateSpace:
         if self.dim < 1:
             raise ValueError(f"state space dimension must be >= 1, got {self.dim}")
 
-    def contains(self, x) -> bool:
-        """True iff x lies in D (up to the variant's membership tolerance)."""
+    def contains(self, x):
+        """Membership in D per vector of x (up to the variant's membership tolerance)."""
         raise NotImplementedError
 
     def support(self, u):
@@ -93,15 +94,15 @@ class StateSpace:
 
     # -- shared helpers -------------------------------------------------
 
-    def _check_vector(self, v, name: str, rows: bool = False) -> np.ndarray:
+    def _check_vector(self, v, name: str) -> np.ndarray:
         arr = np.asarray(v)
-        if arr.shape[-1:] != (self.dim,) or not (rows or arr.ndim == 1):
+        if arr.shape[-1:] != (self.dim,):
             raise ValueError(
-                f"{name} has shape {arr.shape}, expected ({self.dim},) for this space")
+                f"{name} has shape {arr.shape}, expected (..., {self.dim}) for this space")
         return arr
 
     def _real(self, u) -> np.ndarray:
-        return self._check_vector(np.asarray(u, dtype=complex), "u", rows=True).real
+        return self._check_vector(np.asarray(u, dtype=complex), "u").real
 
     def in_domain(self, u, tol=0.0):
         """Membership in U per vector of u, treating real parts within tol as zero.
@@ -131,9 +132,9 @@ class CanonicalOrthantPlane(StateSpace):
             raise ValueError("m and n must be nonnegative")
         super().__post_init__()
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
         x = self._check_vector(x, "x")
-        return bool(np.all(x[: self.m] >= 0.0))
+        return _unwrap((x[..., : self.m] >= 0.0).all(axis=-1))
 
     def support(self, u):
         re = self._real(u)
@@ -176,9 +177,10 @@ class Parabola(StateSpace):
         if self.dim != 2:
             raise ValueError("Parabola is two-dimensional")
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
         x = self._check_vector(x, "x")
-        return bool(abs(x[1] - x[0] ** 2) <= _PARABOLA_RTOL * max(1.0, x[0] ** 2))
+        sq = x[..., 0] ** 2
+        return _unwrap(np.abs(x[..., 1] - sq) <= _PARABOLA_RTOL * np.maximum(1.0, sq))
 
     def support(self, u):
         # sup over y of p*y + q*y^2: 0 at p = q = 0, inf for q > 0 or q = 0 != p
@@ -223,7 +225,7 @@ def space_from_config(cfg: dict) -> StateSpace:
     """Build a state space from its JSON descriptor {"kind": ..., ...}."""
     kind = cfg.get("kind")
     if kind == "full":
-        return FullSpace(dim=int(cfg.get("d", cfg.get("dim", 1))))
+        return FullSpace(dim=int(cfg.get("d", 1)))
     if kind == "half_line":
         return HalfLine()
     if kind == "orthant_plane":

@@ -3,7 +3,7 @@ import pytest
 
 from affine_kit import presets
 from affine_kit.params import AffineParams, LevyMeasure
-from affine_kit.state_space import CanonicalOrthantPlane
+from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
 
 
 @pytest.fixture
@@ -36,3 +36,31 @@ def svj():
             [(0.5, [0.0, 0.1]), (0.5, [0.0, -0.1]), (0.3, [0.05, 0.0])]),
         mu_measures=(LevyMeasure.from_atoms([(2.0, [0.0, -0.2])]), LevyMeasure.empty(2)),
     )
+
+
+def jump_integral(measure: LevyMeasure, u) -> complex:
+    """int (e^<xi,u> - 1 - <h(xi), u>) measure(dxi), atom by atom: the
+    independent reference for the jump part of the exponents."""
+    u = np.asarray(u, dtype=complex)
+    total = 0.0 + 0.0j
+    for w, xi in zip(measure.weights, measure.locations):
+        z = complex(xi @ u)
+        total += w * (np.exp(z) - 1.0 - (z if np.linalg.norm(xi) <= 1.0 else 0.0))
+    return complex(total)
+
+
+def consistent_with(est, target, n_se: float = 3.0, tol: float = 0.0) -> bool:
+    """A Monte Carlo estimate within n_se standard errors (or tol) of target."""
+    return abs(est.value - target) <= max(n_se * est.std_error, tol)
+
+
+def invalid_negative_diffusion() -> AffineParams:
+    """d=1 full space with A(x) = x: indefinite in the x < 0 direction."""
+    return AffineParams.zeros(FullSpace(dim=1)).with_(alpha=np.array([[[1.0]]]))
+
+
+def invalid_negative_jump_weight() -> AffineParams:
+    """Half-line params whose merged jump weight 1 - 2x goes negative on D."""
+    return AffineParams.zeros(HalfLine()).with_(
+        m_measure=LevyMeasure.from_atoms([(1.0, 1.0)]),
+        mu_measures=(LevyMeasure.from_atoms([(-2.0, 1.0)]),))

@@ -254,6 +254,21 @@ class TestErrorStatuses:
         })
         assert code == EXIT_VALIDATION_ERROR
 
+    @pytest.mark.parametrize("grids", [{}, {"grids": {"x": [[0.0]]}}],
+                             ids=["default x0", "x0 = 0"])
+    def test_jumps_that_leave_the_state_space_are_a_validation_error(
+            self, tmp_path, capsys, grids):
+        # the atom -1 of weight 2 leaves the half-line from every x < 1; this
+        # used to exit 0 from x0 = 1 and 1 (eight Monte Carlo FAILs) from x0 = 0
+        code, _ = run(tmp_path, "verify", {
+            "task": "verify",
+            "space": {"kind": "half_line"},
+            "params": {"b": [1.0], "m": [{"w": 2.0, "xi": [-1.0]}]},
+            **grids,
+        })
+        assert code == EXIT_VALIDATION_ERROR
+        assert "jump_leaves_state_space" in capsys.readouterr().err
+
     def test_task_mismatch_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", {"task": "simulate", "preset": "cir"})
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -491,7 +506,7 @@ class TestSimulateTask:
         ens = Ensemble(times=np.array([0.0, 0.5, 1.0]),
                        states=np.array([[[1.0], [np.inf], [np.nan]],
                                         [[1.0], [0.25], [-np.inf]]]),
-                       alive_until=np.array([2, 3]), x0=np.array([1.0]))
+                       alive_until=np.array([2, 3]))
         monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: ens)
         code, out_dir = run(tmp_path, "simulate", {
             "task": "simulate",
@@ -514,8 +529,7 @@ class TestSimulateTask:
                         [1e300, 1e16, -2.5e-7, nan]])
         states = np.stack([x_1, -x_1], axis=-1)[..., :d]
         times = np.array([0.0, 0.1, 1 / 3, 1e16])
-        ens = Ensemble(times=times, states=states, alive_until=np.array([1, 4, 3]),
-                       x0=states[0, 0])
+        ens = Ensemble(times=times, states=states, alive_until=np.array([1, 4, 3]))
         monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: ens)
         code, out_dir = run(tmp_path, "simulate", {
             "task": "simulate", "preset": preset, "mc": {"paths": 3, "steps": 3}})

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_kit.params import AdmissibilityError, AffineParams, LevyMeasure, jump_integral
-from affine_kit.presets import (
-    brownian,
-    cir,
-    invalid_negative_diffusion,
-    invalid_negative_jump_weight,
-    parabola,
-)
-from affine_kit.state_space import FullSpace, HalfLine
+from affine_kit.params import AffineParams, LevyMeasure
+from affine_kit.presets import brownian, cir, parabola
+from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
+from conftest import invalid_negative_diffusion, invalid_negative_jump_weight, jump_integral
 
 
 def random_params(seed: int, with_jumps: bool = True, d: int = 2) -> AffineParams:
@@ -38,6 +33,25 @@ def random_params(seed: int, with_jumps: bool = True, d: int = 2) -> AffineParam
         m_measure=m,
         mu_measures=mus,
     )
+
+
+def table_characteristics(p: AffineParams, x):
+    """(A(x), B(x), C(x), w(x)) read from the tables as (1, x) @ table, as
+    validate and the Euler sampler read them; w(x) holds the weights at p.L."""
+    xt = np.concatenate(([1.0], np.asarray(x, dtype=float)))
+    return np.tensordot(xt, p.A, axes=1), xt @ p.B, float(xt @ p.C), xt @ p.W
+
+
+def field_characteristics(p: AffineParams, x):
+    """(A(x), B(x), C(x), nu(x)) built from the tuple's fields, with
+    nu(x) = m + sum_i x_i mu^i as one signed atomic measure."""
+    x = np.asarray(x, dtype=float)
+    measures = (p.m_measure, *p.mu_measures)
+    scale = np.concatenate(([1.0], x))
+    nu = LevyMeasure(np.concatenate([s * m.weights for s, m in zip(scale, measures)]),
+                     np.vstack([m.locations for m in measures]))
+    return (p.a + np.einsum("i,ijk->jk", x, p.alpha), p.b + x @ p.beta,
+            p.c + x @ p.gamma, nu)
 
 
 class TestLevyMeasure:
@@ -70,13 +84,14 @@ class TestJumpIntegral:
 class TestCharacteristics:
     def test_all_zero(self):
         p = AffineParams.zeros(FullSpace(dim=2))
-        A, B, C, nu = p.characteristics_at([1.0, -3.0])
-        assert not A.any() and not B.any() and C == 0.0 and len(nu) == 0
+        A, B, C, w = table_characteristics(p, [1.0, -3.0])
+        assert not A.any() and not B.any() and C == 0.0 and w.shape == (0,)
+        assert p.L.shape == (0, 2) and p.W.shape == (3, 0)
 
     def test_cir_substitution(self):
         sigma, kappa, theta = 0.7, 1.3, 0.9
         p = cir(kappa=kappa, theta=theta, sigma=sigma)
-        A, B, C, _ = p.characteristics_at([2.0])
+        A, B, C, _ = table_characteristics(p, [2.0])
         assert A[0, 0] == pytest.approx(2 * sigma ** 2)
         assert B[0] == pytest.approx(kappa * theta - 2 * kappa)
         assert C == 0.0
@@ -86,18 +101,10 @@ class TestCharacteristics:
             m_measure=LevyMeasure.from_atoms([(1.0, [1.0])]),
             mu_measures=(LevyMeasure.from_atoms([(0.5, [1.0])]),),
         )
-        _, _, _, nu = p.characteristics_at([2.0])
-        assert len(nu) == 1
-        assert nu.weights[0] == pytest.approx(2.0)
-        assert nu.locations[0] == pytest.approx([1.0])
-
-    def test_rejects_state_outside_space(self):
-        with pytest.raises(AdmissibilityError):
-            cir().characteristics_at([-1.0])
-
-    def test_rejects_negative_merged_weight(self):
-        with pytest.raises(AdmissibilityError):
-            invalid_negative_jump_weight().characteristics_at([1.0])
+        np.testing.assert_array_equal(p.L, [[1.0]])
+        np.testing.assert_array_equal(p.W, [[1.0], [0.5]])
+        _, _, _, w = table_characteristics(p, [2.0])
+        assert w[0] == pytest.approx(2.0)
 
     @given(lam=st.floats(min_value=0.0, max_value=1.0))
     @settings(deadline=None, max_examples=30)
@@ -105,12 +112,8 @@ class TestCharacteristics:
         p = random_params(3)
         x, y = np.array([0.4, -1.2]), np.array([-0.7, 2.0])
         z = lam * x + (1 - lam) * y
-        Az, Bz, Cz, _ = p.characteristics_at(z, check=False)
-        Ax, Bx, Cx, _ = p.characteristics_at(x, check=False)
-        Ay, By, Cy, _ = p.characteristics_at(y, check=False)
-        np.testing.assert_allclose(Az, lam * Ax + (1 - lam) * Ay, atol=1e-12)
-        np.testing.assert_allclose(Bz, lam * Bx + (1 - lam) * By, atol=1e-12)
-        assert Cz == pytest.approx(lam * Cx + (1 - lam) * Cy, abs=1e-12)
+        for cz, cx, cy in zip(*(table_characteristics(p, s) for s in (z, x, y))):
+            np.testing.assert_allclose(cz, lam * cx + (1 - lam) * cy, atol=1e-12)
 
 
 class TestExponents:
@@ -145,7 +148,7 @@ class TestExponents:
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=2)
             u = rng.standard_normal(2) * 0.5 + 1j * rng.standard_normal(2)
-            A, B, C, nu = p.characteristics_at(x, check=False)
+            A, B, C, nu = field_characteristics(p, x)
             lhs = p.F_eval(u) + p.R_eval(u) @ x
             rhs = 0.5 * (u @ A @ u) + B @ u - C + jump_integral(nu, u)
             scale = 1.0 + abs(lhs) + abs(rhs)
@@ -295,9 +298,10 @@ class TestExponents:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("make", [brownian, cir, parabola])
-    def test_presets_are_admissible(self, make):
-        report = make().validate()
+    @pytest.mark.parametrize("name", ["brownian", "cir", "parabola", "svj"])
+    def test_presets_are_admissible(self, name, request):
+        # svj: jumps in both coordinates, none of which leaves R_+ x R
+        report = request.getfixturevalue(name).validate()
         assert report.valid, str(report)
 
     def test_zero_params_valid(self):
@@ -329,6 +333,37 @@ class TestValidate:
     def test_report_records_sign_convention(self):
         report = brownian().validate()
         assert any("killing rate" in n for n in report.notes)
+
+    def test_jump_that_leaves_the_half_line_is_flagged(self):
+        # b = 1 and m = 2 delta_{-1}: from every x < 1 the atom jumps below 0
+        p = AffineParams.zeros(HalfLine()).with_(
+            b=np.array([1.0]), m_measure=LevyMeasure.from_atoms([(2.0, -1.0)]))
+        bad = p.validate().violations
+        assert {v.kind for v in bad} == {"jump_leaves_state_space"}
+        assert all(v.x[0] < 1.0 and v.value == 2.0 for v in bad)
+        assert len(bad) == sum(x[0] < 1.0 for x in np.vstack(
+            [p.space.affine_basis(), p.space.sample_points(64)]))
+
+    def test_the_same_jump_on_the_full_line_is_valid(self):
+        p = AffineParams.zeros(FullSpace(dim=1)).with_(
+            b=np.array([1.0]), m_measure=LevyMeasure.from_atoms([(2.0, -1.0)]))
+        assert p.validate().valid
+
+    def test_an_atom_of_zero_weight_may_leave(self):
+        # mu^1 = 2 delta_{-1}: weight 2x, zero at x = 0, where the jump would leave
+        p = AffineParams.zeros(HalfLine()).with_(
+            mu_measures=(LevyMeasure.from_atoms([(2.0, -1.0)]),))
+        bad = p.validate().violations
+        assert bad and all(0.0 < v.x[0] < 1.0 and v.value == 2.0 * v.x[0] for v in bad)
+
+    def test_landing_is_checked_per_coordinate(self):
+        # on R_+ x R only the first coordinate must stay >= 0
+        space = CanonicalOrthantPlane(1, 1)
+        free = AffineParams.zeros(space).with_(
+            m_measure=LevyMeasure.from_atoms([(1.0, [0.5, -3.0])]))
+        assert free.validate().valid
+        leaving = free.with_(m_measure=LevyMeasure.from_atoms([(1.0, [-0.5, 3.0])]))
+        assert {v.kind for v in leaving.validate().violations} == {"jump_leaves_state_space"}
 
     def test_base_measure_must_be_nonnegative(self):
         with pytest.raises(ValueError):

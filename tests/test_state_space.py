@@ -193,6 +193,23 @@ class TestArrayContract:
         # leading axes beyond one and a scalar tol broadcast the same way
         np.testing.assert_array_equal(space.in_domain(U.reshape(20, 30, -1), tol=1e-11),
                                       space.in_domain(U, tol=1e-11).reshape(20, 30))
+        # contains on the same values as points, non-finite ones too; on the
+        # parabola half the rows lie on the curve up to a relative offset
+        points = rng.choice(special + [math.nan, math.inf, -math.inf], size=(n, space.dim))
+        if isinstance(space, Parabola):
+            y = points[::2, 0]
+            offset = rng.choice([0.0, 5e-13, -5e-13, 2e-12, -2e-12], size=len(y))
+            with np.errstate(invalid="ignore"):
+                points[::2, 1] = y * y * (1.0 + offset)
+        with np.errstate(invalid="ignore"):     # inf - inf on the parabola, row by row as well
+            inside = space.contains(points)
+            for k, x in enumerate(points):
+                want = space.contains(x)
+                assert type(want) is bool and inside[k] == want
+            np.testing.assert_array_equal(space.contains(points.reshape(20, 30, -1)),
+                                          inside.reshape(20, 30))
+        assert inside.shape == (n,) and inside.dtype == bool
+        assert inside.any() and (isinstance(space, FullSpace) or not inside.all())
 
     @pytest.mark.parametrize("space,orthant", [
         (HalfLine(), CanonicalOrthantPlane(1, 0)),

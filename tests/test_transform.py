@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affine_kit import transform
-from affine_kit.params import AffineParams, jump_integral
+from affine_kit.params import AffineParams
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.state_space import FullSpace, random_u_in_domain
 from affine_kit.transform import (
@@ -21,6 +21,7 @@ from affine_kit.transform import (
     parabola_FR,
     semiflow_residual,
 )
+from conftest import jump_integral
 
 CIR_KAPPA, CIR_THETA, CIR_SIGMA = 1.0, 1.0, 1.0
 
