@@ -351,7 +351,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
             fh.write(str(i) + str(i).join(map("".join, zip(t_cells, x_cells, alive))))
     killed = float(np.mean(ens.alive_until < n_t))
     print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; "
-          f"jump-cap overflows {ens.jump_overflows}, killed share {killed:.4g})")
+          f"clamps {ens.clamps}, jump-cap overflows {ens.jump_overflows}, "
+          f"killed share {killed:.4g})")
     return EXIT_OK
 
 
@@ -379,8 +380,8 @@ def _suite_semiflow(cfg: RunConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     triples = [(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3),
                 random_u_in_domain(cfg.space, rng)) for _ in range(n_triples)]
-    residuals = [semiflow_residual(cfg.params, t, s, u, cfg.ode_tol) for t, s, u in triples]
-    worst = float(np.max(residuals))
+    t, s, u = zip(*triples)
+    worst = float(np.max(semiflow_residual(cfg.params, t, s, u, cfg.ode_tol)))
     return [_check("semiflow", "transform composition law phi(t+s,u) = phi(t,u) + "
                    "phi(s,psi(t,u)), psi(t+s,u) = psi(s,psi(t,u))",
                    worst, thr, worst <= thr, triples=n_triples)]

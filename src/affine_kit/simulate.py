@@ -34,7 +34,8 @@ The Euler scheme:
 
 Orthant-constrained coordinates use full truncation: coefficients are
 evaluated at the clamped state and the stored state is projected back onto
-the constraint, so paths never leave the state space.
+the constraint, so paths never leave the state space.  Ensemble.clamps
+counts the coordinates so projected.
 
 Grid: every sampler returns every time of linspace(0, T, n_steps + 1).
 grid_index is the one rule for whether a time lies on a grid.
@@ -106,8 +107,10 @@ class Ensemble:
     alive_until holds per-path first-dead indices (n_times if never killed).
     stop_radius is set by stopped_ensemble and consumed by the martingale
     test.  jump_overflows counts the live path-steps whose Poisson draw was
-    above the count cap and was truncated to it.  sampler names the sampler
-    that drew the paths: "euler", "cir_exact" or "parabola_exact".
+    above the count cap and was truncated to it.  clamps counts the live
+    (path, step, coordinate) cells that Euler's full truncation moved from
+    below 0 back to 0; the exact samplers record 0.  sampler names the
+    sampler that drew the paths: "euler", "cir_exact" or "parabola_exact".
     """
 
     times: np.ndarray
@@ -115,6 +118,7 @@ class Ensemble:
     alive_until: np.ndarray
     stop_radius: float | None = None
     jump_overflows: int = 0
+    clamps: int = 0
     sampler: str = "euler"
 
     @property
@@ -298,7 +302,7 @@ def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
     hazard = np.zeros(n_paths)
     X = np.broadcast_to(x0, (n_paths, d)).copy()
     alive = np.ones(n_paths, dtype=bool)
-    jump_overflows = 0
+    jump_overflows = clamps = 0
     sqdt = math.sqrt(dt)
 
     for step in range(n_steps):
@@ -346,6 +350,7 @@ def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
                 idx = (v[:, None] <= atom_cdf[hit]).argmax(axis=1)
                 X_new[hit] += atom_locs[idx]
 
+        clamps += int(np.count_nonzero((X_new[:, :m] < 0.0) & alive[:, None]))
         np.maximum(X_new[:, :m], 0.0, out=X_new[:, :m])
         if has_killing:
             X = np.where(alive[:, None], X_new, X)
@@ -354,7 +359,7 @@ def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
             X = states[:, step + 1, :] = X_new
 
     return Ensemble(times=times, states=states, alive_until=alive_until,
-                    jump_overflows=jump_overflows)
+                    jump_overflows=jump_overflows, clamps=clamps)
 
 
 def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:

@@ -15,11 +15,14 @@ The integrator is an adaptive embedded Dormand-Prince 5(4) pair running in
 complex arithmetic with combined absolute/relative error control, one lane
 per transform variable u: evaluate_batch sweeps N lanes as one (N, d+1)
 array, each lane on the shared times or on a stop row of its own, and
-evaluate and evaluate_grid are one-lane batches.  The probes fold their
-independent integrations into one batch.  Steps land on every requested
-time, so no value is interpolated.  Blow-up is declared when
-a lane's accepted step collapses below t*1e-12 or |psi| exceeds an overflow
-guard; the blow-up time reported is the lane's last accepted time.
+evaluate and evaluate_grid are one-lane batches.  fd_regularity,
+boundedness_probe and cp_limit_check fold their independent integrations
+into one batch.  semiflow_residual runs the first legs of all its triples
+as one batch and each second leg, which starts from a first leg's psi, as
+one evaluate per triple; its errors come back in triple order.  Steps land
+on every requested time, so no value is interpolated.  Blow-up is declared
+when a lane's accepted step collapses below t*1e-12 or |psi| exceeds an
+overflow guard; the blow-up time reported is the lane's last accepted time.
 This deliberately conflates a vanishing transform factor with integrator
 failure, which is flagged in the result status rather than resolved.
 """
@@ -401,20 +404,36 @@ def parabola_FR(u):
 # -- analytic verification probes -------------------------------------------
 
 
-def semiflow_residual(p: AffineParams, t: float, s: float, u, tol: float = 1e-10) -> float:
+def semiflow_residual(p: AffineParams, t, s, u, tol: float = 1e-10):
     """Residual of the composition law
 
         phi(t+s,u) = phi(t,u) + phi(s, psi(t,u)),  psi(t+s,u) = psi(s, psi(t,u)),
 
-    as max of the phi defect and the psi defect norm.  Zero for t = 0 or
-    s = 0 by construction; bounded by a small multiple of tol otherwise.
+    as max of the phi defect and the psi defect norm, for N triples: t and s
+    of shape (N,) and u of shape (N, d) give the (N,) residuals, and a scalar
+    triple gives a float.  Zero for t = 0 or s = 0 by construction; bounded
+    by a small multiple of tol otherwise.
+
+    The first legs of all triples share one batch of 2N single-stop lanes,
+    (u_i, t_i + s_i) and (u_i, t_i); each second leg, (psi(t_i, u_i), s_i),
+    is one evaluate() call.  Every lane takes the steps it takes alone.  A
+    failing triple raises the error of the first failing lane in triple
+    order: lane (u_i, t_i + s_i), then (u_i, t_i), then triple i's second leg.
     """
-    # lanes (u, t + s) and (u, t), then psi(t, u) alone
-    b = _require_rows_ok(_batch(p, [[t + s], [t]], [u, u], tol))
-    r_s = _require_ok(evaluate(p, s, b.psi[1, 0], tol))
-    d_phi = abs(complex(b.phi[0, 0]) - complex(b.phi[1, 0]) - r_s.phi)
-    d_psi = float(np.linalg.norm(b.psi[0, 0] - r_s.psi))
-    return max(d_phi, d_psi)
+    scalar = np.ndim(t) == 0
+    t, s = np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    U = np.asarray(u, dtype=complex).reshape(len(t), p.dim)
+    b = _batch(p, np.column_stack([t + s, t]).reshape(-1, 1), np.repeat(U, 2, axis=0), tol)
+    res = np.empty(len(t))
+    for i, si in enumerate(s.tolist()):
+        for j in (2 * i, 2 * i + 1):
+            if b.status[j, 0] != STATUS_OK:
+                _require_ok(b.lane(j)[0])
+        r_s = _require_ok(evaluate(p, si, b.psi[2 * i + 1, 0], tol))
+        d_phi = abs(complex(b.phi[2 * i, 0]) - complex(b.phi[2 * i + 1, 0]) - r_s.phi)
+        d_psi = float(np.linalg.norm(b.psi[2 * i, 0] - r_s.psi))
+        res[i] = max(d_phi, d_psi)
+    return float(res[0]) if scalar else res
 
 
 @dataclass(frozen=True)

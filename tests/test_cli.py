@@ -114,6 +114,24 @@ class TestVerifyTask:
         del a["generated_at"], b["generated_at"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_semiflow_statistic_is_the_worst_one_triple_residual(self, tmp_path, monkeypatch):
+        calls, batched = [], cli.semiflow_residual
+
+        def recorded(p, t, s, u, tol):
+            calls.append((p, t, s, u, tol))
+            return batched(p, t, s, u, tol)
+
+        monkeypatch.setattr(cli, "semiflow_residual", recorded)
+        payload = {"task": "verify", "preset": "cir", "verify_suite": ["semiflow"],
+                   "tolerances": {"semiflow_triples": 10}}
+        code, out_dir = run(tmp_path, "verify", payload)
+        assert code == EXIT_OK
+        [(p, t, s, u, tol)] = calls
+        assert len(t) == len(s) == len(u) == 10
+        worst = max(transform.semiflow_residual(p, *triple, tol) for triple in zip(t, s, u))
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["checks"][0]["statistic"] == worst
+
     def test_seed_override_changes_report_seed(self, tmp_path):
         payload = {"task": "verify", "preset": "cir", "verify_suite": ["semiflow"],
                    "tolerances": {"semiflow_triples": 5}}
@@ -563,6 +581,16 @@ class TestSimulateTask:
             "mc": {"paths": 20, "steps": 10, "seed": 1, "T": 1.0}}, out="cir")
         assert code == EXIT_OK
         assert "jump-cap overflows 0, killed share 0)" in capsys.readouterr().out
+
+    def test_summary_counts_euler_clamps(self, tmp_path, capsys):
+        # sigma = 3 on the half-line: df = 4/9 < 1, so Euler draws it and clamps at 0
+        code, _ = run(tmp_path, "simulate", {
+            "task": "simulate", "space": {"kind": "half_line"},
+            "params": {"alpha": [[[9.0]]], "b": [1.0], "beta": [[-1.0]]},
+            "grids": {"x": [[0.04]]}, "mc": {"paths": 50, "steps": 10, "seed": 1, "T": 1.0}})
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert int(out.split("clamps ")[1].split(",")[0]) > 0
 
     def test_parabola_uses_exact_sampler(self, tmp_path):
         code, out_dir = run(tmp_path, "simulate", {

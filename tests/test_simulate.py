@@ -604,6 +604,24 @@ def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
     return out
 
 
+class TestClamps:
+    """Euler counts the live cells its full truncation moves back to 0."""
+
+    @pytest.mark.parametrize("killing", [0.0, 1.0])
+    def test_half_line_tuple_with_large_sigma_clamps(self, killing):
+        # df = 4/9 < 1: Euler draws it, and a coarse step often lands below 0
+        p = square_root(1.0, 1.0, 9.0).with_(c=killing)
+        ens = simulate_ensemble(p, [0.04], 1.0, 10, seed=3, n_paths=200)
+        assert ens.sampler == "euler"
+        # a clamped cell is stored as exactly 0.0, and a killed path's cells as nan
+        assert ens.clamps == np.count_nonzero(ens.states[:, 1:] == 0.0) > 0
+        assert stopped_ensemble(ens, 0.5).clamps == ens.clamps
+
+    def test_exact_samplers_record_none(self):
+        assert simulate_ensemble(cir(), [0.04], 1.0, 10, seed=1, n_paths=5).clamps == 0
+        assert simulate_parabola_ensemble([0.0, 0.0], [0.0, 1.0], 1, 5).clamps == 0
+
+
 class TestCirExact:
     """Square-root tuples with df = 4b/sigma^2 >= 1 get exact transitions,
     drawn in block substreams of _BLOCK paths; the rest stays on Euler."""

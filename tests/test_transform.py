@@ -547,6 +547,28 @@ class TestSemiflow:
         with pytest.raises(BlowUpError):
             semiflow_residual(parabola, 0.4, 0.4, [0.0, 1.0])
 
+    def test_triples_give_an_array_and_one_triple_a_float(self, parabola):
+        t, s = [0.1, 0.0, 0.2], [0.1, 0.25, 0.05]
+        U = [[1.0, -1.0], [1.0, -1.0], [0.5j, -0.3]]
+        res = semiflow_residual(parabola, t, s, U)
+        assert isinstance(res, np.ndarray) and res.shape == (3,) and res[1] == 0.0
+        one = semiflow_residual(parabola, 0.1, 0.1, [1.0, -1.0])
+        assert type(one) is float and one == res[0]
+
+    def test_raises_for_the_first_failing_triple(self, parabola):
+        # triple 0 passes; triple 1's lane (u, t + s) blows up at 1/4
+        with pytest.raises(BlowUpError, match="near t = 0.25"):
+            semiflow_residual(parabola, [0.1, 0.1], [0.1, 0.5], [[1.0, -1.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("order, error", [((0, 1), TransformDomainError),
+                                              ((1, 0), BlowUpError)])
+    def test_errors_come_back_in_triple_order(self, cir, order, error):
+        # u = 0.5 lies outside U; u = 3 blows up at ln 3 < t + s = 1.4
+        triples = [(0.1, 0.1, [0.5]), (0.7, 0.7, [3.0])]
+        t, s, u = zip(*(triples[i] for i in order))
+        with pytest.raises(error):
+            semiflow_residual(cir, t, s, u)
+
 
 class TestRegularity:
     def test_brownian_quotients_are_exact(self, brownian):
@@ -653,6 +675,7 @@ class TestProbeBatches:
     def test_semiflow_and_regularity(self, name, request, lanes):
         p = request.getfixturevalue(name)
         rng = np.random.default_rng(5)
+        triples, wants = [], []
         for _ in range(5):
             t, s = rng.uniform(0.0, 0.3, 2)
             u = random_u_in_domain(p.space, rng)
@@ -663,6 +686,12 @@ class TestProbeBatches:
             lanes.clear()
             assert semiflow_residual(p, t, s, u) == want
             assert lanes == [2, 1]
+            triples.append((t, s, u))
+            wants.append(want)
+        # all first legs in one batch, then one second leg per triple
+        lanes.clear()
+        assert semiflow_residual(p, *zip(*triples)).tolist() == wants
+        assert lanes == [2 * len(triples)] + [1] * len(triples)
         h = [1e-2, 1e-3, 1e-4]
         lanes.clear()
         probe = fd_regularity(p, u, h)
