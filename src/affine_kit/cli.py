@@ -14,10 +14,12 @@ grids.t; each delta and n * delta of martingale_pairs) must lie on it.
 
 Reports are reproducible byte for byte for a fixed config and seed; the
 only run-dependent value is isolated in the single "generated_at" key.
-CSV lines end in "\r\n" and floats are written in Python's shortest
-round-trip form, so float(cell) gives back the exact float64 that was
-computed.  In paths.csv "nan" marks a killed (cemetery) row and "inf"/"-inf"
-a value that overflowed.
+CSV lines end in "\r\n" and every float cell holds repr's bytes, Python's
+shortest round-trip form, so float(cell) gives back the exact float64 that
+was computed.  The digits come from orjson's Ryu formatter, which writes
+repr's bytes for +-0 and for 1e-4 <= |x| < 1e16, and from repr itself for
+a row that holds any other value (_csv_rows).  In paths.csv "nan" marks a
+killed (cemetery) row and "inf"/"-inf" a value that overflowed.
 There are no environment knobs.
 """
 
@@ -307,6 +309,30 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
+# CSV float cells
+
+
+def _csv_rows(num: np.ndarray) -> list:
+    """Row j of the C-contiguous float64 matrix num as b"c0,c1,...", every
+    cell repr(float(cell)) byte for byte.
+
+    orjson's Ryu digits equal repr's for +-0 and for 1e-4 <= |x| < 1e16.
+    Outside that range the notation differs (nan and inf become null, tiny
+    values are written positionally), so a row holding such a cell is
+    formatted with repr instead.
+    """
+    import orjson   # only the CSV writers need it; verify never loads it
+    if not len(num):
+        return []
+    rows = orjson.dumps(num, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    mag = np.abs(num)
+    ryu = ((mag >= 1e-4) & (mag < 1e16)) | (num == 0.0)
+    for j in np.flatnonzero(~ryu.all(axis=1)).tolist():
+        rows[j] = ",".join(map(repr, num[j].tolist())).encode()
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # task: transform
 
 
@@ -322,13 +348,12 @@ def run_transform(cfg: RunConfig, out_dir: str) -> int:
     u_cols = np.broadcast_to(np.hstack([b.u.real, b.u.imag])[:, None], b.t.shape + (2 * d,))
     num = np.concatenate([b.t[..., None], u_cols, b.phi.real[..., None], b.phi.imag[..., None],
                           b.psi.real, b.psi.imag], axis=-1)
-    # Python floats, not numpy scalars: repr is the shortest round-trip form
-    rows = num.reshape(-1, num.shape[-1]).tolist()
+    rows = _csv_rows(num.reshape(-1, num.shape[-1]))
+    ends = [f",{st}\r\n".encode() for st in b.status.ravel().tolist()]
     path = os.path.join(out_dir, "transform.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, r)) + f",{st}\r\n"
-                      for r, st in zip(rows, b.status.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        fh.writelines(map(b"".join, zip(rows, ends)))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -341,14 +366,17 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     ens = cfg.ensemble
     path = os.path.join(out_dir, "paths.csv")
     d, n_t = ens.dim, len(ens.times)
-    t_cells = [f",{t!r}," for t in ens.times.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]) + "\r\n")
+    buf = np.empty((n_t, 1 + d))    # one path's [t, x_1..x_d]
+    buf[:, 0] = ens.times
+    with open(path, "wb") as fh:
+        fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]).encode()
+                 + b"\r\n")
         for i in range(ens.n_paths):    # one write per path; each line starts with its id
-            x_cells = map(",".join, zip(*[map(repr, ens.states[i].ravel().tolist())] * d))
+            buf[:, 1:] = ens.states[i]
             au = int(ens.alive_until[i])
-            alive = [",1\r\n"] * au + [",0\r\n"] * (n_t - au)
-            fh.write(str(i) + str(i).join(map("".join, zip(t_cells, x_cells, alive))))
+            alive = [b",1\r\n"] * au + [b",0\r\n"] * (n_t - au)
+            head = b"%d," % i
+            fh.write(head + head.join(map(b"".join, zip(_csv_rows(buf), alive))))
     killed = float(np.mean(ens.alive_until < n_t))
     print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; "
           f"clamps {ens.clamps}, jump-cap overflows {ens.jump_overflows}, "

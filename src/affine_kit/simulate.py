@@ -84,6 +84,7 @@ __all__ = [
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream of the exact CIR sampler
+_EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 
 
 class SamplerError(ValueError):
@@ -167,7 +168,7 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
         a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
         s = np.sqrt(np.maximum(a * c - b * b, 0.0))
         t = np.sqrt(np.maximum(a + c + 2.0 * s, 0.0))[..., None, None]
-        return np.divide(mats + s[..., None, None] * np.eye(2), t,
+        return np.divide(mats + s[..., None, None] * _EYE2, t,
                          out=np.zeros(mats.shape), where=t > 0.0)
     w, v = np.linalg.eigh(mats)
     w = np.sqrt(np.maximum(w, 0.0))

@@ -606,6 +606,34 @@ class TestSimulateTask:
             assert float(r["x_2"]) == pytest.approx(float(r["x_1"]) ** 2, abs=1e-12)
 
 
+class TestCsvRows:
+    """_csv_rows writes every cell as repr does, inside orjson's range and out of it."""
+    TINY, HUGE = 1e-4, 1e16
+    # cells formatted by orjson: +-0 and 1e-4 <= |x| < 1e16
+    INSIDE = [0.0, -0.0, TINY, np.nextafter(TINY, 1.0), -TINY, np.nextafter(HUGE, 0.0),
+              -np.nextafter(HUGE, 0.0), 1.0, -3.0, 100.0, 123456789.0, 2.0**53,
+              0.1, 1 / 3, 2 / 3 * 1e15]
+    # cells whose rows fall back to repr
+    OUTSIDE = [np.nextafter(TINY, 0.0), -np.nextafter(TINY, 0.0), HUGE, -HUGE,
+               np.nextafter(HUGE, np.inf), 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-300, 7.419e-05, 1e300, -1e300, 1e20, np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
+    def test_cells_are_repr_bytes(self, n_cols):
+        rng = np.random.default_rng(1800 + n_cols)
+        num = 10.0 ** rng.uniform(-4.0, 15.9, (600, n_cols)) * rng.choice([-1.0, 1.0],
+                                                                           (600, n_cols))
+        num[:50] = np.round(num[:50])             # integer-valued floats, +-0 among them
+        for k, v in enumerate(self.INSIDE + self.OUTSIDE):
+            num[100 + k, k % n_cols] = v          # among ordinary cells
+            num[200 + k] = v                      # and a row of nothing else
+        assert cli._csv_rows(num) == [",".join(map(repr, row)).encode()
+                                      for row in num.tolist()]
+
+    def test_empty_matrix_has_no_rows(self):
+        assert cli._csv_rows(np.empty((0, 3))) == []
+
+
 class TestImportGraph:
     def test_no_task_imports_scipy(self, tmp_path):
         # scipy.stats alone took most of a second of every task's start-up
@@ -630,3 +658,21 @@ class TestImportGraph:
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_setup_and_verify_load_no_orjson(self, tmp_path):
+        # orjson formats CSV cells only; start-up and verify must not pay its import
+        path = write_config(tmp_path, "verify.json", {
+            "task": "verify", "preset": "cir", "mc": SMALL_MC,
+            "tolerances": {"semiflow_triples": 5}})
+        script = ["import sys", "from affine_kit import cli",
+                  f"cli.load_config({path!r})",
+                  "print(sorted(m for m in sys.modules if m.startswith('orjson')))",
+                  f"assert cli.main(['verify', '--config', {path!r}, "
+                  f"'--out', {str(tmp_path / 'out')!r}]) == 0",
+                  "print(sorted(m for m in sys.modules if m.startswith('orjson')))"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", "\n".join(script)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]")

@@ -1,10 +1,15 @@
+import ast
 import importlib
 import pkgutil
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 import affine_kit
 
+ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = [name for _, name, _ in pkgutil.iter_modules(affine_kit.__path__, "affine_kit.")]
 
 
@@ -19,3 +24,20 @@ def test_star_import_runs_in_a_fresh_namespace():
     namespace = {}
     exec("from affine_kit import *", namespace)
     assert set(affine_kit.__all__) <= namespace.keys()
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"affine_kit"}
+    assert third_party <= declared, (f"src/ imports {sorted(third_party - declared)}, "
+                                     "which pyproject.toml does not declare")
