@@ -473,7 +473,7 @@ def _suite_levy_structure(cfg: RunConfig) -> list:
     report = p.validate(samples=64)
     out = [_check("levy_structure", "admissibility of the state-affine "
                   "characteristics (PSD diffusion, nonnegative jump weights, "
-                  "nonnegative killing rate)",
+                  "nonnegative killing rate, jumps that land in D)",
                   float(len(report.violations)), 0.0, report.valid,
                   checked_points=report.checked_points, notes=list(report.notes))]
     # real part of the exponent is maximal at the origin of the imaginary axis

@@ -11,20 +11,23 @@ rather than recovered as a logarithm of the transform factor: continuing the
 ODE from t = 0 picks the continuous logarithm branch automatically and
 avoids phase unwrapping near the blow-up time.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair running in
-complex arithmetic with combined absolute/relative error control, one lane
-per transform variable u: evaluate_batch sweeps N lanes as one (N, d+1)
-array, each lane on the shared times or on a stop row of its own, and
-evaluate and evaluate_grid are one-lane batches.  fd_regularity,
-boundedness_probe and cp_limit_check fold their independent integrations
-into one batch.  semiflow_residual runs the first legs of all its triples
-as one batch and each second leg, which starts from a first leg's psi, as
-one evaluate per triple; its errors come back in triple order.  Steps land
-on every requested time, so no value is interpolated.  Blow-up is declared
-when a lane's accepted step collapses below t*1e-12 or |psi| exceeds an
-overflow guard; the blow-up time reported is the lane's last accepted time.
-This deliberately conflates a vanishing transform factor with integrator
-failure, which is flagged in the result status rather than resolved.
+The integrator is Hairer's adaptive Dormand-Prince 8(5,3) pair (DOP853)
+running in complex arithmetic, one lane per transform variable u.  A step
+makes 12 RHS calls (11 stages and f(y_new), reused as the next step's first
+stage), and its error is Hairer's norm: the 5th-order estimate, corrected by
+the 3rd-order one and scaled by atol + rtol*|y| per component.
+evaluate_batch sweeps N lanes as one (N, d+1) array, each lane on the shared
+times or on a stop row of its own, and evaluate and evaluate_grid are
+one-lane batches.  fd_regularity, boundedness_probe and cp_limit_check fold
+their independent integrations into one batch.  semiflow_residual runs the
+first legs of all its triples as one batch and each second leg, which starts
+from a first leg's psi, as one evaluate per triple; its errors come back in
+triple order.  Steps land on every requested time, so no value is
+interpolated.  Blow-up is declared when a lane's accepted step collapses
+below t*1e-12 or |psi| exceeds an overflow guard; the blow-up time reported
+is the lane's last accepted time.  This deliberately conflates a vanishing
+transform factor with integrator failure, which is flagged in the result
+status rather than resolved.
 """
 
 from __future__ import annotations
@@ -66,17 +69,41 @@ _STATUSES = np.array([STATUS_OK, STATUS_DOMAIN_EXIT, STATUS_BLOW_UP], dtype=obje
 PSI_OVERFLOW_GUARD = 1e8
 MAX_STEPS = 10 ** 6
 
-# Dormand-Prince 5(4) tableau, complex like the stages (no nodes: the system is
-# autonomous); the last row of _DP_A is the 5th-order weights (FSAL: k7 = f(y_new)).
-_DP_A = [np.array(row, dtype=complex) for row in (
-    [], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])]
-# row 0: the 5th-order weights b5; row 1: b5 - b4, the local error estimate
-_DP_BE = np.array([[35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-                   [71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                    -17253 / 339200, 22 / 525, -1 / 40]], dtype=complex)
+# Dormand-Prince 8(5,3) tableau (Hairer's DOP853), complex like the stages; no
+# nodes, since the system is autonomous.  _A[i] is stage i's row over stages
+# 0..i-1, _B the 8th-order weights over stages 0..11, and _E5 and _E3 the 5th-
+# and 3rd-order error rows over those stages and the FSAL stage 12, f(y_new).
+_A = [np.array(row, dtype=complex) for row in (
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636])]
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259], dtype=complex)
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0],
+               dtype=complex)
+_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0],
+               dtype=complex)
 
 
 class TransformError(RuntimeError):
@@ -102,6 +129,8 @@ class TransformResult:
     is inside the maximal domain: integration succeeded and psi stayed in U.
     steps and err_est are those of the row's lane: every row of evaluate_grid
     carries the accepted steps and summed error estimate of its one lane.
+    err_est sums, over the accepted steps, the largest component of Hairer's
+    error estimate h |E5.k|^2 / sqrt(|E5.k|^2 + 0.01 |E3.k|^2), unscaled.
     """
 
     t: float
@@ -128,8 +157,9 @@ class TransformBatch:
     """evaluate() for N transform variables at n_t times each, from one sweep.
 
     Row (i, j) is lane i (u[i]) at its j-th time; on a 'blow_up' row t[i, j] is the
-    lane's blow-up time, as in TransformResult.  steps, err_est and blow_up_time
-    (nan if none) are per lane, shared by the lane's rows.
+    lane's blow-up time, as in TransformResult.  steps, rejected, err_est (as in
+    TransformResult) and blow_up_time (nan if none) are per lane, shared by the
+    lane's rows.
     """
 
     t: np.ndarray               # (N, n_t)
@@ -138,7 +168,8 @@ class TransformBatch:
     psi: np.ndarray             # (N, n_t, d) complex
     status: np.ndarray          # (N, n_t) str
     steps: np.ndarray           # (N,) accepted steps
-    err_est: np.ndarray         # (N,) sum of the accepted steps' max |error estimate|
+    rejected: np.ndarray        # (N,) rejected steps
+    err_est: np.ndarray         # (N,) sum of the accepted steps' max error estimate
     blow_up_time: np.ndarray    # (N,)
 
     def lane(self, i: int) -> list:
@@ -167,22 +198,29 @@ def _initial_step(p, y0, f0, t_end, rtol, atol):
     h0 = np.where(np.minimum(d0, d1) < 1e-5, 1e-6 * t_end, np.minimum(0.01 * d0 / d1, t_end))
     f1 = _rhs(p, y0 + h0[:, None] * f0, np.empty_like(y0))
     d12 = np.maximum(d1, _rms((f1 - f0) / scale) / h0)
-    h1 = np.where(d12 <= 1e-15, np.maximum(1e-6 * t_end, h0 * 1e-3), (0.01 / d12) ** 0.2)
+    h1 = np.where(d12 <= 1e-15, np.maximum(1e-6 * t_end, h0 * 1e-3), (0.01 / d12) ** 0.125)
     return np.where(np.isfinite(f1).all(axis=1), np.minimum(np.minimum(100 * h0, h1), t_end),
                     np.maximum(h0 * 1e-3, t_end * 1e-12))
 
 
 def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float, atol: float):
-    """Adaptive DP54 sweep of the lanes y0 (n, d+1) from 0 through their stop rows.
+    """Adaptive DOP853 sweep of the lanes y0 (n, d+1) from 0 through their stop rows.
+
+    A step makes 12 RHS calls: 11 new stages and f(y_new), which is the next
+    step's first stage (FSAL).  Its error is Hairer's per-lane norm, with
+    s = atol + rtol * max(|y|, |y_new|), e5 = sum |E5.k / s|^2 and
+    e3 = sum |E3.k / s|^2 over the m components:
+    err = h * e5 / sqrt(m * (e5 + 0.01 * e3)).  A step is accepted iff
+    err < 1, and the next h is h * min(10, max(0.2, 0.9 * err**(-1/8))).
 
     t_stops is (n, n_t), each row sorted: lane i stops at t_stops[i].  Each
     lane has its own stops, t, step h, step floor, next stop, counters and
     outcome, so it takes exactly the steps it would take alone: a step runs
     on the live lanes as one array and masks accept or reject it per lane.
     Steps are shortened to land on every stop, so no state is interpolated.
-    Returns (states, t, steps, err_est, reached), the last four per lane:
-    states[i, j] is lane i at t_stops[i, j] for j < reached[i], else its
-    last accepted state, at t[i].  Lane i blew up iff reached[i] < n_t: a
+    Returns (states, t, steps, rejected, err_est, reached), the last five per
+    lane: states[i, j] is lane i at t_stops[i, j] for j < reached[i], else
+    its last accepted state, at t[i].  Lane i blew up iff reached[i] < n_t: a
     non-finite derivative at t = 0, a step below the floor, MAX_STEPS steps
     or |psi| past the overflow guard.
     """
@@ -191,20 +229,19 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
     states = np.empty((n, n_stops, m), dtype=complex)
     states[:] = y0[:, None]
     n_zero = (t_stops <= 0.0).sum(axis=1)
-    # per-lane results (t, steps, err_est, reached), filled as lanes retire
-    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n), n_zero]
+    # per-lane results (t, steps, rejected, err_est, reached), filled as lanes retire
+    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n), n_zero]
     ids = (n_zero < n_stops).nonzero()[0]       # a lane with only zero stops takes no step
     if not len(ids):
         return (states, *out)
     t_end = t_stops[ids, -1]
     h_floor = np.maximum(t_end * 1e-12, 5e-324)
-    fac_scale = 0.9 * m ** 0.1      # 0.9 * rms**-0.2 = fac_scale * err_sum**-0.1
     y, t_next = y0[ids], t_stops[ids, n_zero[ids]]
-    t, steps, err_est, ptr = (a[ids] for a in out)
+    t, steps, rejected, err_est, ptr = (a[ids] for a in out)
     with np.errstate(all="ignore"):
         # the stages, lane by lane (a sum over stages then never depends on
         # the other lanes); k[:, 0] is the derivative at y (FSAL)
-        k = np.empty((len(ids), 7, m), dtype=complex)
+        k = np.empty((len(ids), 13, m), dtype=complex)
         _rhs(p, y, k[:, 0])
         h = _initial_step(p, y, k[:, 0], t_end, rtol, atol)
         done = ~(np.isfinite(k[:, 0]).all(axis=1) & (h >= h_floor))
@@ -214,39 +251,48 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
                 for i in np.flatnonzero(done):
                     states[ids[i], ptr[i]:] = y[i]
                 gone, keep = ids[done], ~done
-                for full, live in zip(out, (t, steps, err_est, ptr)):
+                for full, live in zip(out, (t, steps, rejected, err_est, ptr)):
                     full[gone] = live[done]
                 if not keep.any():
                     return (states, *out)
-                ids, t, y, h, h_floor, ptr, t_next, steps, err_est, k = (
-                    a[keep] for a in (ids, t, y, h, h_floor, ptr, t_next, steps, err_est, k))
+                ids, t, y, h, h_floor, ptr, t_next, steps, rejected, err_est, k = (
+                    a[keep] for a in (ids, t, y, h, h_floor, ptr, t_next, steps, rejected,
+                                      err_est, k))
             gap = t_next - t
             # a step cut short to land on a stop keeps the proposal h, so
             # nearby stops do not drag the step size down to h_floor
             landing = h >= gap
             h_step = np.where(landing, gap, h)
             hs = h_step[:, None]
-            for i in range(1, 7):
-                _rhs(p, y + hs * (_DP_A[i] @ k[:, :i]), k[:, i])
-            inc = hs[:, None] * (_DP_BE @ k)
-            y_new = y + inc[:, 0]
+            for i in range(1, 12):
+                _rhs(p, y + hs * (_A[i] @ k[:, :i]), k[:, i])
+            y_new = y + hs * (_B @ k[:, :12])
+            _rhs(p, y_new, k[:, 12])
             abs_new = np.abs(y_new)
-            # + 0 * |y_new|: NaN where y_new is not finite, so the step is rejected
-            err = np.abs(inc[:, 1]) + 0.0 * abs_new
-            err_sum = ((err / (atol + rtol * np.maximum(np.abs(y), abs_new))) ** 2).sum(axis=1)
-            acc = err_sum <= m
-            # fmax: a NaN error (non-finite step) shrinks h by 0.2
-            h_new = h_step * np.minimum(5.0, np.fmax(0.2, fac_scale * err_sum ** -0.1))
+            scale = atol + rtol * np.maximum(np.abs(y), abs_new)
+            a5, a3, s2 = np.abs(_E5 @ k) ** 2, np.abs(_E3 @ k) ** 2, scale ** 2
+            e5, e3 = (a5 / s2).sum(axis=1), (a3 / s2).sum(axis=1)
+            # e5 == 0 is a zero error, not 0/0; a NaN e5 (a non-finite stage)
+            # stays NaN, and + 0 * |y_new| makes err NaN where y_new is not
+            # finite, so such a step is rejected
+            err = (np.where(e5 == 0.0, 0.0, h_step * e5 / np.sqrt(m * (e5 + 0.01 * e3)))
+                   + 0.0 * abs_new.sum(axis=1))
+            acc = err < 1.0
+            # fmax: a NaN error shrinks h by 0.2; err == 0 grows it by 10
+            h_new = h_step * np.minimum(10.0, np.fmax(0.2, 0.9 * err ** -0.125))
             h = np.where(acc & landing, np.maximum(h, h_new), h_new)
             steps += acc
-            err_est += np.where(acc, err.max(axis=1), 0.0)
+            rejected += ~acc
+            # the same estimate per component, unscaled: its largest entry
+            est = np.where(a5 == 0.0, 0.0, hs * a5 / np.sqrt(a5 + 0.01 * a3)).max(axis=1)
+            err_est += np.where(acc, est, 0.0)
             # past the guard, a lane stops at its last state below it
             done = acc & (abs_new[:, 1:].max(axis=1) > PSI_OVERFLOW_GUARD)
             move = acc & ~done
             # t + h_step can miss the stop by an ulp; land on it exactly
             t = np.where(move, np.where(landing, t_next, t + h_step), t)
             np.copyto(y, y_new, where=move[:, None])
-            np.copyto(k[:, 0], k[:, 6], where=move[:, None])
+            np.copyto(k[:, 0], k[:, 12], where=move[:, None])
             done |= ~(h >= h_floor) | (steps >= MAX_STEPS)
             for i in np.flatnonzero(t >= t_next):
                 row = t_stops[ids[i]]
@@ -276,7 +322,7 @@ def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
     y0[:, 1:] = U
     # a shared grid is sorted once and every lane reads it through a broadcast view
     stops = np.broadcast_to(np.sort(t_arr, axis=-1), (len(U), t_arr.shape[-1]))
-    states, t_last, steps, err_est, reached = _integrate(p, y0, stops, tol, tol)
+    states, t_last, steps, rejected, err_est, reached = _integrate(p, y0, stops, tol, tol)
     rank = t_arr.argsort(axis=-1, kind="stable").argsort(axis=-1)   # back to the caller's order
     y, blown = states[np.arange(len(U))[:, None], rank], rank >= reached[:, None]
     psi = y[..., 1:]
@@ -286,7 +332,7 @@ def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
     ok = inside[:, :1] & inside[:, 1:]
     status = _STATUSES[np.where(blown, 2, ~ok)]     # 0 ok, 1 domain_exit, 2 blow_up
     return TransformBatch(np.where(blown, t_last[:, None], t_arr), U, y[..., 0], psi,
-                          status, steps, err_est,
+                          status, steps, rejected, err_est,
                           np.where(reached < t_arr.shape[-1], t_last, math.nan))
 
 
@@ -295,9 +341,10 @@ def evaluate_batch(p: AffineParams, t_grid, U, tol: float = 1e-10) -> TransformB
 
     t_grid is either one list of times shared by every lane, or an (N, n_t)
     array whose row i lists lane i's times; either way unsorted, with
-    repeats allowed.  One DP54 loop runs a lane per u; a lane keeps its own
-    stops, steps, counters and status, so it takes the same steps as a batch
-    of its u and its times alone.
+    repeats allowed.  One DOP853 loop runs a lane per u, at 12 RHS calls per
+    step, accepted or rejected; a lane keeps its own stops, steps, counters
+    and status, so it takes the same steps as a batch of its u and its times
+    alone.
     """
     return _batch(p, t_grid, U, tol)
 
@@ -317,7 +364,7 @@ def evaluate(p: AffineParams, t: float, u, tol: float = 1e-10) -> TransformResul
 def evaluate_grid(p: AffineParams, u, t_list, tol: float = 1e-10) -> list:
     """evaluate() at several times in one integrator sweep: lane 0 of a batch.
 
-    The sweep's steps land on every requested time, so each row is a DP54
+    The sweep's steps land on every requested time, so each row is a DOP853
     state at its own t and the row for a single time equals evaluate().
     Times past a blow-up come back with status 'blow_up' carrying the estimate.
     """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affine_kit import transform
-from affine_kit.params import AffineParams
+from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.state_space import FullSpace, random_u_in_domain
 from affine_kit.transform import (
@@ -117,6 +117,18 @@ class TestEvaluate:
                 assert defect < 0.2 * prev
             prev = defect
         assert prev < 1e-5
+
+    def test_non_finite_stage_rejects_the_step(self):
+        # jumps of size 30 in m and mu^1: at u = 0.5 a trial step's stages
+        # overflow to inf and nan, which must reject the step, not accept a
+        # nan state; the lane then blows up at its last finite state
+        p = AffineParams.zeros(FullSpace(1)).with_(
+            m_measure=LevyMeasure.from_atoms([(1.0, [30.0])]),
+            mu_measures=(LevyMeasure.from_atoms([(1.0, [30.0])]),))
+        b = evaluate_batch(p, [0.1, 1.0, 5.0], [[0.5]])
+        assert np.isfinite(b.phi).all() and np.isfinite(b.psi).all()
+        assert (b.status == "blow_up").all()
+        assert 0.0 < b.blow_up_time[0] < 1e-6
 
     def test_rejects_negative_time_and_bad_tol(self, brownian):
         with pytest.raises(ValueError):
@@ -233,7 +245,8 @@ class TestEvaluateBatch:
         batch = evaluate_batch(svj, [0.1, 0.2], np.empty((0, 2)))
         assert batch.t.shape == batch.phi.shape == batch.status.shape == (0, 2)
         assert batch.psi.shape == (0, 2, 2)
-        assert batch.steps.shape == batch.err_est.shape == batch.blow_up_time.shape == (0,)
+        assert batch.steps.shape == batch.rejected.shape == batch.err_est.shape == (0,)
+        assert batch.blow_up_time.shape == (0,)
 
     def test_rejects_bad_tolerance_and_times(self, cir):
         for tol in (0.0, -1e-10, float("nan")):
@@ -343,6 +356,28 @@ class TestOneExponentPass:
         assert evaluate(svj, 0.5, [-0.4 + 1j, 0.7j]).ok
         assert calls["rhs"] > 6 and calls["exponent"] == calls["rhs"]
 
+    @pytest.mark.parametrize("case", [
+        ("svj", [-0.4 + 1j, 0.7j], [0.5, 0.1, 2.0]),
+        ("parabola", [0.0, 1.0], [0.6]),        # blows up at t = 1/2
+        ("cir", [3.0], [3.0]),                  # blows up at t = log 3
+    ])
+    def test_rhs_calls_count_accepted_and_rejected_steps(self, case, request, monkeypatch):
+        name, u, ts = case
+        p = request.getfixturevalue(name)
+        calls = {"rhs": 0}
+        rhs = transform._rhs
+
+        def counted(*args, **kwargs):
+            calls["rhs"] += 1
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "_rhs", counted)
+        b = evaluate_batch(p, ts, [u])
+        # 12 per step (11 stages and the FSAL f(y_new)), plus f(y0) and the
+        # initial-step probe
+        assert calls["rhs"] == 12 * (b.steps[0] + b.rejected[0]) + 2
+        assert (b.rejected[0] > 0) == (name != "svj")
+
 
 class TestProbeExponentPass:
     """fd_regularity and cp_limit_check read F(u) and R(u) from one exponent
@@ -373,6 +408,51 @@ class TestProbeExponentPass:
             calls.update(rhs=0, exponent=0)
             probe()
             assert calls["rhs"] > 6 and calls["exponent"] == calls["rhs"] + 1
+
+
+class TestDop853:
+    """The integrator's Dormand-Prince 8(5,3) tableau, its cost and its accuracy."""
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert len(transform._A) == 12 and len(transform._A[0]) == 0
+        for i in range(1, 12):
+            assert transform._A[i].tolist() == ref.A[i, :i].tolist(), i
+        for got, want in ((transform._B, ref.B), (transform._E5, ref.E5),
+                          (transform._E3, ref.E3)):
+            assert got.tolist() == want.tolist()
+
+    def test_order_conditions(self):
+        from scipy.integrate._ivp.dop853_coefficients import C
+
+        assert math.fsum(transform._B.real) == 1.0
+        assert abs(math.fsum(transform._E5.real)) <= 1e-15
+        assert abs(math.fsum(transform._E3.real)) <= 1e-15
+        for i in range(1, 12):
+            assert math.fsum(transform._A[i].real) == pytest.approx(C[i], abs=1e-14), i
+
+    def test_svj_lanes_take_few_steps(self, svj):
+        # the transform-svj workload's u distribution and horizons at tol 1e-10;
+        # a 5th-order pair takes about 69 accepted steps per lane here, so the
+        # bound fails if the integrator's order drops
+        rng = np.random.default_rng(19)
+        U = np.column_stack([-rng.uniform(0.0, 1.5, 64) + 1j * rng.uniform(-1.5, 1.5, 64),
+                             1j * rng.uniform(-1.5, 1.5, 64)])
+        b = evaluate_batch(svj, [0.05, 0.1, 0.25, 0.5, 1.0, 2.0], U, tol=1e-10)
+        assert (b.status == "ok").all()
+        assert b.steps.mean() <= 20
+
+    def test_cir_closed_form_on_random_points(self, cir):
+        rng = np.random.default_rng(11)
+        u = -rng.uniform(0.0, 2.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+        t = rng.uniform(0.01, 3.0, 200)
+        b = evaluate_batch(cir, t[:, None], u[:, None], tol=1e-10)
+        assert (b.status == "ok").all()
+        ref = np.array([cir_closed_form(ti, ui) for ti, ui in zip(t, u)])
+        got = np.column_stack([b.phi[:, 0], b.psi[:, 0, 0]])
+        # relative to 1 + |ref|, as the mixed atol = rtol = tol control bounds it
+        assert (np.abs(got - ref) / (1.0 + np.abs(ref))).max() <= 1e-10
 
 
 def riccati_reference(p: AffineParams, times, u) -> tuple:
