@@ -73,12 +73,14 @@ def _floats(v) -> list:
 
 # the tolerances.* keys a run reads, grouped by suite: default and converter
 _TOLERANCES = {
-    "ode": (1e-10, float), "semiflow": (1e-7, float), "semiflow_triples": (100, int),
+    "ode": (1e-10, float), "semiflow": (1e-7, float),
+    "semiflow_triples": (100, lambda v: _integer("tolerances.semiflow_triples", v)),
     "regularity_rel": (1e-4, float), "regularity_order": (0.9, float),
     "regularity_h": ([1e-2, 1e-3, 1e-4], _floats),
     "bounded_variation": (0.10, float), "bounded_t": ([1e-1, 1e-2, 1e-3, 1e-4, 1e-5], _floats),
     "cp_corr": (0.99, float), "cp_t": ([0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], _floats),
-    "martingale_pairs": ([[0.1, 5], [0.05, 10]], lambda v: [(float(d), int(n)) for d, n in v]),
+    "martingale_pairs": ([[0.1, 5], [0.05, 10]], lambda v: [
+        (float(d), _integer("tolerances.martingale_pairs", n)) for d, n in v]),
     "martingale_tol": (0.0, float), "martingale_stop_radius": (1.0, float),
     "characteristics_rel": (0.05, float),
 }
@@ -198,6 +200,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         raise ConfigParseError(f"verify_suite entries must be among {ALL_SUITES}")
 
     grids = raw.get("grids", {})
+    if not isinstance(grids, dict):
+        raise ConfigParseError("grids must be a JSON object")
     d = params.dim
     t_grid = _parsed("grids.t", lambda v: np.asarray(v, dtype=float),
                      grids.get("t", [0.05, 0.1, 0.2, 0.4]))
@@ -268,12 +272,14 @@ def _validate_config(cfg: RunConfig) -> None:
     if outside.any():
         raise ConfigValidationError(f"grid point u={cfg.u_grid[outside.argmax()]} lies "
                                     "outside the transform domain: support(u)=inf")
+    if not cfg.x_grid:
+        raise ConfigValidationError("grids.x must hold at least one state")
     for x in cfg.x_grid:
         if not cfg.space.contains(x):
             raise ConfigValidationError(f"grid point x={x} is not in the state space")
     if not (math.isfinite(cfg.ode_tol) and cfg.ode_tol > 0):
         raise ConfigValidationError(f"the ODE tolerance must be finite and > 0, got {cfg.ode_tol}")
-    report = cfg.params.validate(samples=64)
+    report = cfg.params.validate()
     if not report.valid:
         raise ConfigValidationError(f"parameters are not admissible:\n{report}")
     if cfg.n_paths < 2 or cfg.n_steps < 1 or not 0 < cfg.horizon < math.inf:
@@ -366,17 +372,17 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     ens = cfg.ensemble
     path = os.path.join(out_dir, "paths.csv")
     d, n_t = ens.dim, len(ens.times)
-    buf = np.empty((n_t, 1 + d))    # one path's [t, x_1..x_d]
-    buf[:, 0] = ens.times
+    t_cells = [c + b"," for c in _csv_rows(ens.times[:, None])]    # formatted once
     with open(path, "wb") as fh:
         fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]).encode()
                  + b"\r\n")
         for i in range(ens.n_paths):    # one write per path; each line starts with its id
-            buf[:, 1:] = ens.states[i]
+            # orjson serializes only C-contiguous arrays
+            x_rows = _csv_rows(np.ascontiguousarray(ens.states[i]))
             au = int(ens.alive_until[i])
             alive = [b",1\r\n"] * au + [b",0\r\n"] * (n_t - au)
             head = b"%d," % i
-            fh.write(head + head.join(map(b"".join, zip(_csv_rows(buf), alive))))
+            fh.write(head + head.join(map(b"".join, zip(t_cells, x_rows, alive))))
     killed = float(np.mean(ens.alive_until < n_t))
     print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; "
           f"clamps {ens.clamps}, jump-cap overflows {ens.jump_overflows}, "
@@ -470,7 +476,7 @@ def _suite_cp_limit(cfg: RunConfig) -> list:
 
 def _suite_levy_structure(cfg: RunConfig) -> list:
     p = cfg.params
-    report = p.validate(samples=64)
+    report = p.validate()
     out = [_check("levy_structure", "admissibility of the state-affine "
                   "characteristics (PSD diffusion, nonnegative jump weights, "
                   "nonnegative killing rate, jumps that land in D)",

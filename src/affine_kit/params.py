@@ -44,10 +44,11 @@ __all__ = [
     "Violation",
 ]
 
-# tolerances used by validate()
+# tolerances and sample count used by validate()
 _PSD_TOL = 1e-10       # minimum eigenvalue of A(x) may not drop below -this
 _KILL_TOL = 1e-12      # killing rate may not drop below -this
 _WEIGHT_TOL = 1e-12    # merged jump weights may not drop below -this
+_SAMPLES = 64          # Halton states of D checked besides the affine basis
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,13 @@ class AffineParams:
         for name, table in (("A", A), ("B", B), ("C", C), ("L", L), ("W", W), ("small", small)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-        # complex tables for F (row 0) and for F and R (all d+1 rows, one pass
-        # per Riccati RHS), None for an all-zero B or C, and the atoms as L.T;
-        # Q[r*d + i, j] = A_r[i, j]/2 gives every row's (A_r u)/2 as Q @ u
-        Q = 0.5 * A
-        object.__setattr__(self, "_exponent_tables", tuple(
-            (Q[r].reshape(-1, d).astype(complex),
-             *(t[r].astype(complex) if t[r].any() else None for t in (B, C)),
-             W[r].astype(complex), W[r] != 0.0) for r in (np.s_[:1], np.s_[:])))
+        # complex tables for F and R (all d+1 rows in one pass), None for an
+        # all-zero B or C, and the atoms as L.T; Q[r*d + i, j] = A_r[i, j]/2
+        # gives every row's (A_r u)/2 as Q @ u
+        object.__setattr__(self, "_exponent_tables", (
+            (0.5 * A).reshape(-1, d).astype(complex),
+            *(t.astype(complex) if t.any() else None for t in (B, C)),
+            W.astype(complex), W != 0.0))
         object.__setattr__(self, "_atoms", L.T.astype(complex))
         object.__setattr__(self, "a", A[0])
         object.__setattr__(self, "alpha", A[1:])
@@ -234,11 +234,10 @@ class AffineParams:
 
     # -- Levy-Khintchine exponents ---------------------------------------
 
-    def _exponent(self, u, all_rows):
-        """F as (..., 1), or with all_rows F and R as (..., d+1) with F in
-        column 0, at u of shape (..., d)."""
+    def _exponent(self, u):
+        """F and R as (..., d+1), F in column 0, at u of shape (..., d)."""
         u = np.asarray(u, dtype=complex)
-        Q, B, C, W, nonzero = self._exponent_tables[all_rows]
+        Q, B, C, W, nonzero = self._exponent_tables
         # row r is (A_r u / 2 + B_r) . u - C_r, a product per lane: a batched
         # zgemm would make a lane's bits depend on the batch size
         out = (Q @ u[..., None]).reshape(u.shape[:-1] + (-1, self.dim))
@@ -268,10 +267,9 @@ class AffineParams:
         """Constant part of the exponent: <u,au>/2 + <b,u> - c + jump integral of m.
         Shape (...) at u of shape (..., d); a complex at u of shape (d,).
 
-        Given an (..., d) array R_out, which must not overlap u, one pass over
-        all rows of the tuple also writes R(u) into R_out.  Without it only
-        row 0 is evaluated, so an R row that overflows cannot warn."""
-        FR = self._exponent(u, R_out is not None)
+        One pass evaluates every row of the tuple; given an (..., d) array
+        R_out, which must not overlap u, it also writes R(u) into R_out."""
+        FR = self._exponent(u)
         if R_out is not None:
             R_out[...] = FR[..., 1:]
         return complex(FR[..., 0]) if FR.ndim == 1 else FR[..., 0]
@@ -279,12 +277,12 @@ class AffineParams:
     def R_eval(self, u) -> np.ndarray:
         """State-coefficient part, (..., d) at u of shape (..., d): component i
         uses (alpha^i, beta^i, gamma^i, mu^i)."""
-        return self._exponent(u, True)[..., 1:]
+        return self._exponent(u)[..., 1:]
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, samples: int = 64) -> ValidationReport:
-        """Desk-scale admissibility check on affine_basis plus Halton samples of D.
+    def validate(self) -> ValidationReport:
+        """Desk-scale admissibility check on affine_basis plus sample_points(64) of D.
 
         Violations are report entries, never exceptions: at every checked
         state A(x) must be PSD (min eigenvalue >= -1e-10), the merged jump
@@ -292,9 +290,7 @@ class AffineParams:
         ("jump_leaves_state_space") and the killing rate c + <gamma, x> must
         be >= -1e-12.
         """
-        pts = np.asarray(self.space.affine_basis(), dtype=float)
-        if samples > 0:
-            pts = np.vstack([pts, self.space.sample_points(samples)])
+        pts = np.vstack([self.space.affine_basis(), self.space.sample_points(_SAMPLES)])
         xt = np.hstack([np.ones((len(pts), 1)), pts])
         lam_min = np.linalg.eigvalsh(np.tensordot(xt, self.A, axes=1))[:, 0]
         rates = xt @ self.C

@@ -198,7 +198,7 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
     x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     if not p.space.contains(x0):
         raise ValueError(f"x0={x0} is not in the state space")
-    report = p.validate(samples=32)
+    report = p.validate()
     if not report.valid:
         raise ValueError(f"parameters failed validation:\n{report}")
 

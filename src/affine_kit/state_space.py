@@ -37,6 +37,7 @@ __all__ = [
 
 # relative tolerance for the parabola membership band
 _PARABOLA_RTOL = 1e-12
+_SAMPLE_RADIUS = 5.0    # sample_points' scale: coordinates within [-5, 5]
 
 
 def _unwrap(a: np.ndarray):
@@ -87,9 +88,10 @@ class StateSpace:
         """(d+1, d) array of affinely independent points of D."""
         raise NotImplementedError
 
-    def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        """n unscrambled Halton points (radical inverse in the first d primes) of D
-        inside a box of half-width radius."""
+    def sample_points(self, n: int) -> np.ndarray:
+        """The first n unscrambled Halton points (radical inverse in the first d
+        primes) mapped into D: orthant coordinates into [0, 5], the others and
+        the parabola's y into [-5, 5].  Each call's points are a prefix of a longer call's."""
         raise NotImplementedError
 
     # -- shared helpers -------------------------------------------------
@@ -144,10 +146,10 @@ class CanonicalOrthantPlane(StateSpace):
     def affine_basis(self) -> np.ndarray:
         return np.vstack([np.zeros(self.dim), np.eye(self.dim)])
 
-    def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
+    def sample_points(self, n: int) -> np.ndarray:
         h = _halton(n, self.dim)
-        pts = (2.0 * h - 1.0) * radius
-        pts[:, : self.m] = h[:, : self.m] * radius
+        pts = (2.0 * h - 1.0) * _SAMPLE_RADIUS
+        pts[:, : self.m] = h[:, : self.m] * _SAMPLE_RADIUS
         return pts
 
 
@@ -194,8 +196,8 @@ class Parabola(StateSpace):
     def affine_basis(self) -> np.ndarray:
         return np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
 
-    def sample_points(self, n: int, radius: float = 5.0) -> np.ndarray:
-        y = (2.0 * _halton(n, 1)[:, 0] - 1.0) * radius
+    def sample_points(self, n: int) -> np.ndarray:
+        y = (2.0 * _halton(n, 1)[:, 0] - 1.0) * _SAMPLE_RADIUS
         return np.column_stack([y, y * y])
 
     def in_domain(self, u, tol=0.0):

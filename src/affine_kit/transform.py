@@ -15,7 +15,7 @@ The integrator is Hairer's adaptive Dormand-Prince 8(5,3) pair (DOP853)
 running in complex arithmetic, one lane per transform variable u.  A step
 makes 12 RHS calls (11 stages and f(y_new), reused as the next step's first
 stage), and its error is Hairer's norm: the 5th-order estimate, corrected by
-the 3rd-order one and scaled by atol + rtol*|y| per component.
+the 3rd-order one and scaled by tol*(1 + |y|) per component.
 evaluate_batch sweeps N lanes as one (N, d+1) array, each lane on the shared
 times or on a stop row of its own, and evaluate and evaluate_grid are
 one-lane batches.  fd_regularity, boundedness_probe and cp_limit_check fold
@@ -111,8 +111,8 @@ class TransformError(RuntimeError):
 
 
 class BlowUpError(TransformError):
-    def __init__(self, t_estimate: float, message: str | None = None):
-        super().__init__(message or f"transform blow-up near t = {t_estimate:.6g}")
+    def __init__(self, t_estimate: float):
+        super().__init__(f"transform blow-up near t = {t_estimate:.6g}")
         self.t_estimate = t_estimate
 
 
@@ -127,10 +127,8 @@ class TransformResult:
     For status 'blow_up', t and the values refer to the last accepted time
     (also exposed as blow_up_time).  status 'ok' guarantees the pair (t, u)
     is inside the maximal domain: integration succeeded and psi stayed in U.
-    steps and err_est are those of the row's lane: every row of evaluate_grid
-    carries the accepted steps and summed error estimate of its one lane.
-    err_est sums, over the accepted steps, the largest component of Hairer's
-    error estimate h |E5.k|^2 / sqrt(|E5.k|^2 + 0.01 |E3.k|^2), unscaled.
+    steps is the accepted steps of the row's lane, shared by every row of
+    evaluate_grid.
     """
 
     t: float
@@ -139,7 +137,6 @@ class TransformResult:
     psi: np.ndarray
     status: str
     steps: int
-    err_est: float
     blow_up_time: float | None = None
 
     @property
@@ -157,9 +154,8 @@ class TransformBatch:
     """evaluate() for N transform variables at n_t times each, from one sweep.
 
     Row (i, j) is lane i (u[i]) at its j-th time; on a 'blow_up' row t[i, j] is the
-    lane's blow-up time, as in TransformResult.  steps, rejected, err_est (as in
-    TransformResult) and blow_up_time (nan if none) are per lane, shared by the
-    lane's rows.
+    lane's blow-up time, as in TransformResult.  steps, rejected and blow_up_time
+    (nan if none) are per lane, shared by the lane's rows.
     """
 
     t: np.ndarray               # (N, n_t)
@@ -169,13 +165,12 @@ class TransformBatch:
     status: np.ndarray          # (N, n_t) str
     steps: np.ndarray           # (N,) accepted steps
     rejected: np.ndarray        # (N,) rejected steps
-    err_est: np.ndarray         # (N,) sum of the accepted steps' max error estimate
     blow_up_time: np.ndarray    # (N,)
 
     def lane(self, i: int) -> list:
         """Lane i as one TransformResult per requested time."""
-        steps, err, bt = int(self.steps[i]), float(self.err_est[i]), float(self.blow_up_time[i])
-        return [TransformResult(t, self.u[i], phi, psi, st, steps, err,
+        steps, bt = int(self.steps[i]), float(self.blow_up_time[i])
+        return [TransformResult(t, self.u[i], phi, psi, st, steps,
                                 bt if st == STATUS_BLOW_UP else None)
                 for t, phi, psi, st in zip(self.t[i].tolist(), self.phi[i].tolist(),
                                            self.psi[i], self.status[i].tolist())]
@@ -192,8 +187,8 @@ def _rms(z: np.ndarray) -> np.ndarray:
     return np.sqrt((np.abs(z) ** 2).sum(axis=-1) / z.shape[-1])
 
 
-def _initial_step(p, y0, f0, t_end, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
+def _initial_step(p, y0, f0, t_end, tol):
+    scale = tol + tol * np.abs(y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = np.where(np.minimum(d0, d1) < 1e-5, 1e-6 * t_end, np.minimum(0.01 * d0 / d1, t_end))
     f1 = _rhs(p, y0 + h0[:, None] * f0, np.empty_like(y0))
@@ -203,12 +198,12 @@ def _initial_step(p, y0, f0, t_end, rtol, atol):
                     np.maximum(h0 * 1e-3, t_end * 1e-12))
 
 
-def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float, atol: float):
+def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float):
     """Adaptive DOP853 sweep of the lanes y0 (n, d+1) from 0 through their stop rows.
 
     A step makes 12 RHS calls: 11 new stages and f(y_new), which is the next
     step's first stage (FSAL).  Its error is Hairer's per-lane norm, with
-    s = atol + rtol * max(|y|, |y_new|), e5 = sum |E5.k / s|^2 and
+    s = tol * (1 + max(|y|, |y_new|)), e5 = sum |E5.k / s|^2 and
     e3 = sum |E3.k / s|^2 over the m components:
     err = h * e5 / sqrt(m * (e5 + 0.01 * e3)).  A step is accepted iff
     err < 1, and the next h is h * min(10, max(0.2, 0.9 * err**(-1/8))).
@@ -218,7 +213,7 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
     outcome, so it takes exactly the steps it would take alone: a step runs
     on the live lanes as one array and masks accept or reject it per lane.
     Steps are shortened to land on every stop, so no state is interpolated.
-    Returns (states, t, steps, rejected, err_est, reached), the last five per
+    Returns (states, t, steps, rejected, reached), the last four per
     lane: states[i, j] is lane i at t_stops[i, j] for j < reached[i], else
     its last accepted state, at t[i].  Lane i blew up iff reached[i] < n_t: a
     non-finite derivative at t = 0, a step below the floor, MAX_STEPS steps
@@ -229,21 +224,21 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
     states = np.empty((n, n_stops, m), dtype=complex)
     states[:] = y0[:, None]
     n_zero = (t_stops <= 0.0).sum(axis=1)
-    # per-lane results (t, steps, rejected, err_est, reached), filled as lanes retire
-    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n), n_zero]
+    # per-lane results (t, steps, rejected, reached), filled as lanes retire
+    out = [np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int), n_zero]
     ids = (n_zero < n_stops).nonzero()[0]       # a lane with only zero stops takes no step
     if not len(ids):
         return (states, *out)
     t_end = t_stops[ids, -1]
     h_floor = np.maximum(t_end * 1e-12, 5e-324)
     y, t_next = y0[ids], t_stops[ids, n_zero[ids]]
-    t, steps, rejected, err_est, ptr = (a[ids] for a in out)
+    t, steps, rejected, ptr = (a[ids] for a in out)
     with np.errstate(all="ignore"):
         # the stages, lane by lane (a sum over stages then never depends on
         # the other lanes); k[:, 0] is the derivative at y (FSAL)
         k = np.empty((len(ids), 13, m), dtype=complex)
         _rhs(p, y, k[:, 0])
-        h = _initial_step(p, y, k[:, 0], t_end, rtol, atol)
+        h = _initial_step(p, y, k[:, 0], t_end, tol)
         done = ~(np.isfinite(k[:, 0]).all(axis=1) & (h >= h_floor))
         while True:
             if done.any():
@@ -251,13 +246,12 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
                 for i in np.flatnonzero(done):
                     states[ids[i], ptr[i]:] = y[i]
                 gone, keep = ids[done], ~done
-                for full, live in zip(out, (t, steps, rejected, err_est, ptr)):
+                for full, live in zip(out, (t, steps, rejected, ptr)):
                     full[gone] = live[done]
                 if not keep.any():
                     return (states, *out)
-                ids, t, y, h, h_floor, ptr, t_next, steps, rejected, err_est, k = (
-                    a[keep] for a in (ids, t, y, h, h_floor, ptr, t_next, steps, rejected,
-                                      err_est, k))
+                ids, t, y, h, h_floor, ptr, t_next, steps, rejected, k = (
+                    a[keep] for a in (ids, t, y, h, h_floor, ptr, t_next, steps, rejected, k))
             gap = t_next - t
             # a step cut short to land on a stop keeps the proposal h, so
             # nearby stops do not drag the step size down to h_floor
@@ -269,9 +263,9 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
             y_new = y + hs * (_B @ k[:, :12])
             _rhs(p, y_new, k[:, 12])
             abs_new = np.abs(y_new)
-            scale = atol + rtol * np.maximum(np.abs(y), abs_new)
-            a5, a3, s2 = np.abs(_E5 @ k) ** 2, np.abs(_E3 @ k) ** 2, scale ** 2
-            e5, e3 = (a5 / s2).sum(axis=1), (a3 / s2).sum(axis=1)
+            s2 = (tol + tol * np.maximum(np.abs(y), abs_new)) ** 2
+            e5, e3 = ((np.abs(_E5 @ k) ** 2 / s2).sum(axis=1),
+                      (np.abs(_E3 @ k) ** 2 / s2).sum(axis=1))
             # e5 == 0 is a zero error, not 0/0; a NaN e5 (a non-finite stage)
             # stays NaN, and + 0 * |y_new| makes err NaN where y_new is not
             # finite, so such a step is rejected
@@ -283,9 +277,6 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, rtol: float
             h = np.where(acc & landing, np.maximum(h, h_new), h_new)
             steps += acc
             rejected += ~acc
-            # the same estimate per component, unscaled: its largest entry
-            est = np.where(a5 == 0.0, 0.0, hs * a5 / np.sqrt(a5 + 0.01 * a3)).max(axis=1)
-            err_est += np.where(acc, est, 0.0)
             # past the guard, a lane stops at its last state below it
             done = acc & (abs_new[:, 1:].max(axis=1) > PSI_OVERFLOW_GUARD)
             move = acc & ~done
@@ -322,7 +313,7 @@ def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
     y0[:, 1:] = U
     # a shared grid is sorted once and every lane reads it through a broadcast view
     stops = np.broadcast_to(np.sort(t_arr, axis=-1), (len(U), t_arr.shape[-1]))
-    states, t_last, steps, rejected, err_est, reached = _integrate(p, y0, stops, tol, tol)
+    states, t_last, steps, rejected, reached = _integrate(p, y0, stops, tol)
     rank = t_arr.argsort(axis=-1, kind="stable").argsort(axis=-1)   # back to the caller's order
     y, blown = states[np.arange(len(U))[:, None], rank], rank >= reached[:, None]
     psi = y[..., 1:]
@@ -332,7 +323,7 @@ def _batch(p: AffineParams, t_grid, U, tol: float) -> TransformBatch:
     ok = inside[:, :1] & inside[:, 1:]
     status = _STATUSES[np.where(blown, 2, ~ok)]     # 0 ok, 1 domain_exit, 2 blow_up
     return TransformBatch(np.where(blown, t_last[:, None], t_arr), U, y[..., 0], psi,
-                          status, steps, rejected, err_est,
+                          status, steps, rejected,
                           np.where(reached < t_arr.shape[-1], t_last, math.nan))
 
 
@@ -490,16 +481,12 @@ class RegularityProbe:
     h: np.ndarray               # probe step sizes, decreasing
     F_quotients: np.ndarray     # phi(h,u)/h per h
     R_quotients: np.ndarray     # (psi(h,u)-u)/h per h, shape (len(h), d)
+    errors: np.ndarray          # |F_quotients - F_ref| + |R_quotients - R_ref| per h
     F_est: complex              # Richardson extrapolation from the two smallest h
     R_est: np.ndarray
     observed_order: float       # log-log slope of the error vs h (inf if at noise floor)
     F_ref: complex
     R_ref: np.ndarray
-
-    @property
-    def errors(self) -> np.ndarray:
-        return (np.abs(self.F_quotients - self.F_ref)
-                + np.linalg.norm(self.R_quotients - self.R_ref, axis=1))
 
     @property
     def rel_error_est(self) -> float:
@@ -541,7 +528,7 @@ def fd_regularity(p: AffineParams, u, h_list, tol: float = 1e-10) -> RegularityP
         order = math.inf
     else:
         order = float(np.polyfit(np.log(h[live]), np.log(err[live]), 1)[0])
-    return RegularityProbe(h, Fq, Rq, complex(F_est), R_est, order, complex(F_ref), R_ref)
+    return RegularityProbe(h, Fq, Rq, err, complex(F_est), R_est, order, complex(F_ref), R_ref)
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,13 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
         assert "support(u)=inf" in capsys.readouterr().err
 
+    def test_x_grid_without_a_state_is_validation_error(self, tmp_path, capsys):
+        # this used to end in an IndexError traceback and exit 1
+        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",
+                                             "grids": {"x": []}})
+        assert code == EXIT_VALIDATION_ERROR
+        assert "grids.x" in capsys.readouterr().err
+
     def test_inadmissible_params_is_validation_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", {
             "task": "verify",
@@ -318,7 +325,8 @@ class TestErrorStatuses:
         {"tolerances": {"ode": "abc"}},
         {"grids": {"t": ["a"]}},
         {"grids": {"x": [[1.0, 2.0]]}},
-    ], ids=["mc.T", "tolerances.ode", "grids.t", "grids.x"])
+        {"grids": 7},
+    ], ids=["mc.T", "tolerances.ode", "grids.t", "grids.x", "grids"])
     def test_unreadable_config_value_is_parse_error(self, tmp_path, extra):
         # each of these used to end in a bare ValueError traceback and exit 1
         code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir", **extra})
@@ -354,10 +362,15 @@ class TestErrorStatuses:
         {"bounded_t": ["a"]},
         {"martingale_pairs": [[0.1]]},
         {"characteristics_rel": None},
+        {"semiflow_triples": 1.5},
+        {"semiflow_triples": True},
+        {"martingale_pairs": [[0.1, 2.5]]},
     ], ids=["list", "semiflow", "semiflow_triples", "regularity_h", "bounded_t",
-            "martingale_pairs", "characteristics_rel"])
+            "martingale_pairs", "characteristics_rel", "semiflow_triples-float",
+            "semiflow_triples-bool", "martingale_pairs-float-n"])
     def test_unreadable_tolerances_are_parse_errors(self, tmp_path, tolerances):
-        # these used to end in an AttributeError or ValueError traceback and exit 1
+        # these used to end in an AttributeError or ValueError traceback and exit
+        # 1, or (the last three) to run truncated to an integer and exit 0
         code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
                                            "tolerances": tolerances})
         assert code == EXIT_PARSE_ERROR

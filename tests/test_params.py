@@ -204,8 +204,8 @@ class TestExponents:
             R_out = np.full(u.shape, np.nan, dtype=complex)
             F_fused = p.F_eval(u, R_out=R_out)
             assert type(F_fused) is (complex if u.ndim == 1 else np.ndarray)
-            np.testing.assert_allclose(F_fused, p.F_eval(u), rtol=1e-14, atol=0)
-            np.testing.assert_allclose(R_out, p.R_eval(u), rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(F_fused, p.F_eval(u), strict=True)
+            np.testing.assert_array_equal(R_out, p.R_eval(u), strict=True)
 
     def test_zero_weight_is_masked_per_row_of_a_batch(self):
         # the row [-800] overflows exp at the mu^1 atom, where m has weight 0;

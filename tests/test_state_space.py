@@ -161,7 +161,7 @@ class TestHalton:
             h = qmc.Halton(d=space.dim, scramble=False).random(64)
             want = (2.0 * h - 1.0) * radius
             want[:, : space.m] = h[:, : space.m] * radius
-        assert np.array_equal(space.sample_points(64, radius), want)
+        assert np.array_equal(space.sample_points(64), want)
 
 
 CONTRACT_SPACES = [FullSpace(1), FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 1),

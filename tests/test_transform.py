@@ -171,8 +171,8 @@ class TestEvaluateGrid:
                 assert r.psi == pytest.approx(psi_c, rel=1e-9)
                 single = evaluate(parabola, t, u, tol=1e-10)
                 row = evaluate_grid(parabola, u, [t], tol=1e-10)[0]
-                assert (row.t, row.phi, row.status, row.steps, row.err_est) == (
-                    single.t, single.phi, single.status, single.steps, single.err_est)
+                assert (row.t, row.phi, row.status, row.steps) == (
+                    single.t, single.phi, single.status, single.steps)
                 assert np.array_equal(row.psi, single.psi)
 
     def test_intermediate_stops_land_exactly(self):
@@ -245,7 +245,7 @@ class TestEvaluateBatch:
         batch = evaluate_batch(svj, [0.1, 0.2], np.empty((0, 2)))
         assert batch.t.shape == batch.phi.shape == batch.status.shape == (0, 2)
         assert batch.psi.shape == (0, 2, 2)
-        assert batch.steps.shape == batch.rejected.shape == batch.err_est.shape == (0,)
+        assert batch.steps.shape == batch.rejected.shape == (0,)
         assert batch.blow_up_time.shape == (0,)
 
     def test_rejects_bad_tolerance_and_times(self, cir):
@@ -259,7 +259,7 @@ class TestEvaluateBatch:
 
 def assert_lane_equals(batch, i, rows):
     """Lane i of a batch is bit for bit the single-lane rows of its u and times."""
-    assert all(r.steps == batch.steps[i] and r.err_est == batch.err_est[i] for r in rows)
+    assert all(r.steps == batch.steps[i] for r in rows)
     for j, r in enumerate(rows):
         assert (batch.t[i, j], batch.phi[i, j], batch.status[i, j]) == (r.t, r.phi, r.status)
         assert batch.psi[i, j].tobytes() == r.psi.tobytes()
