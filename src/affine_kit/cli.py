@@ -67,22 +67,36 @@ ALL_SUITES = ("semiflow", "regularity", "bounded", "cp_limit",
               "levy_structure", "affine_mc", "martingale", "characteristics")
 
 
-def _floats(v) -> list:
-    return [float(x) for x in v]
+def _integer(name: str, value) -> int:
+    """An integral JSON number as an int; anything else does not parse."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ConfigParseError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value) -> float:
+    """A JSON number as a float; a bool, a string or anything else does not parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigParseError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(name: str, v) -> list:
+    return [_number(name, x) for x in v]
 
 
 # the tolerances.* keys a run reads, grouped by suite: default and converter
 _TOLERANCES = {
-    "ode": (1e-10, float), "semiflow": (1e-7, float),
-    "semiflow_triples": (100, lambda v: _integer("tolerances.semiflow_triples", v)),
-    "regularity_rel": (1e-4, float), "regularity_order": (0.9, float),
-    "regularity_h": ([1e-2, 1e-3, 1e-4], _floats),
-    "bounded_variation": (0.10, float), "bounded_t": ([1e-1, 1e-2, 1e-3, 1e-4, 1e-5], _floats),
-    "cp_corr": (0.99, float), "cp_t": ([0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], _floats),
-    "martingale_pairs": ([[0.1, 5], [0.05, 10]], lambda v: [
-        (float(d), _integer("tolerances.martingale_pairs", n)) for d, n in v]),
-    "martingale_tol": (0.0, float), "martingale_stop_radius": (1.0, float),
-    "characteristics_rel": (0.05, float),
+    "ode": (1e-10, _number), "semiflow": (1e-7, _number), "semiflow_triples": (100, _integer),
+    "regularity_rel": (1e-4, _number), "regularity_order": (0.9, _number),
+    "regularity_h": ([1e-2, 1e-3, 1e-4], _numbers),
+    "bounded_variation": (0.10, _number), "bounded_t": ([1e-1, 1e-2, 1e-3, 1e-4, 1e-5], _numbers),
+    "cp_corr": (0.99, _number), "cp_t": ([0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], _numbers),
+    "martingale_pairs": ([[0.1, 5], [0.05, 10]], lambda name, v: [
+        (_number(name, d), _integer(name, n)) for d, n in v]),
+    "martingale_tol": (0.0, _number), "martingale_stop_radius": (1.0, _number),
+    "characteristics_rel": (0.05, _number),
 }
 
 
@@ -203,13 +217,13 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     if not isinstance(grids, dict):
         raise ConfigParseError("grids must be a JSON object")
     d = params.dim
-    t_grid = _parsed("grids.t", lambda v: np.asarray(v, dtype=float),
+    t_grid = _parsed("grids.t", lambda _, v: np.asarray(v, dtype=float),
                      grids.get("t", [0.05, 0.1, 0.2, 0.4]))
     if t_grid.ndim != 1 or not np.all((t_grid >= 0) & (t_grid < np.inf)):
         raise ConfigParseError("grids.t must be a list of finite nonnegative times")
     u_grid = [_parse_complex_vector(e, d) for e in grids.get("u", _default_u_grid(d))]
     x_default = [params.space.affine_basis()[-1].tolist()]
-    x_grid = _parsed("grids.x", lambda v: [np.asarray(x, dtype=float).reshape(d) for x in v],
+    x_grid = _parsed("grids.x", lambda _, v: [np.asarray(x, dtype=float).reshape(d) for x in v],
                      grids.get("x", x_default))
 
     mc = raw.get("mc", {})
@@ -231,7 +245,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         x_grid=x_grid,
         n_paths=_integer("mc.paths", mc.get("paths", 10000)),
         n_steps=_integer("mc.steps", mc.get("steps", 400)),
-        horizon=_parsed("mc.T", float, mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
+        horizon=_parsed("mc.T", _number, mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
         seed=seed,
         ode_tol=tolerances["ode"] if tol_override is None else float(tol_override),
         tolerances=tolerances,
@@ -240,18 +254,10 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     return cfg
 
 
-def _integer(name: str, value) -> int:
-    """An integral JSON number as an int; anything else does not parse."""
-    if isinstance(value, bool) or not (isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ConfigParseError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _parsed(name: str, convert, value):
-    """convert(value); a value it cannot convert does not parse."""
+    """convert(name, value); a value it cannot convert does not parse."""
     try:
-        return convert(value)
+        return convert(name, value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigParseError(f"{name} cannot be read from {value!r}: {e}") from e
 
@@ -272,6 +278,8 @@ def _validate_config(cfg: RunConfig) -> None:
     if outside.any():
         raise ConfigValidationError(f"grid point u={cfg.u_grid[outside.argmax()]} lies "
                                     "outside the transform domain: support(u)=inf")
+    if not cfg.u_grid:
+        raise ConfigValidationError("grids.u must hold at least one point")
     if not cfg.x_grid:
         raise ConfigValidationError("grids.x must hold at least one state")
     for x in cfg.x_grid:

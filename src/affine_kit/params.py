@@ -23,9 +23,11 @@ nonnegative on D; equivalently F(0) = -c and R(0) = -gamma, so that the
 small-time total-mass derivative F(0) + <x, R(0)> = -C(x) <= 0.  The
 validation report always records this convention.
 
-validate checks these conditions at sampled states x of D, and that nu(x, .)
-charges only jumps that land in D: x + xi in D for every atom xi of positive
-weight ("jump_leaves_state_space").
+validate checks these conditions at the rows of D's generators(): each
+affine characteristic's value at states of D and its slope along the
+directions in which D is unbounded, which is exact on the orthant plane.  It
+also checks that nu(x, .) charges only jumps that land in D: an atom xi that
+leaves D from some state has weight <= 0 there ("jump_leaves_state_space").
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ __all__ = [
     "Violation",
 ]
 
-# tolerances and sample count used by validate()
+# tolerances used by validate()
 _PSD_TOL = 1e-10       # minimum eigenvalue of A(x) may not drop below -this
 _KILL_TOL = 1e-12      # killing rate may not drop below -this
 _WEIGHT_TOL = 1e-12    # merged jump weights may not drop below -this
-_SAMPLES = 64          # Halton states of D checked besides the affine basis
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,9 @@ class LevyMeasure:
 class Violation:
     kind: str            # "diffusion_not_psd" | "negative_jump_weight" |
                          # "jump_leaves_state_space" | "negative_killing_rate"
-    x: np.ndarray        # witness state
-    value: float         # offending quantity (min eigenvalue, weight, rate)
-    detail: str
+    x: np.ndarray        # witness: a state of D, or a direction r in which D is unbounded
+    value: float         # min eigenvalue, rate or weight at x, or its slope along r
+    detail: str          # "at x = ...: ..." or "along r = ...: ..."
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,9 @@ class ValidationReport:
 
     def __str__(self) -> str:
         head = "valid" if self.valid else f"INVALID ({len(self.violations)} violations)"
-        lines = [f"parameter validation: {head} over {self.checked_points} states"]
+        lines = [f"parameter validation: {head} over {self.checked_points} generators of D"]
         for v in self.violations[:5]:
-            lines.append(f"  - {v.kind} at x={np.round(v.x, 6)}: {v.detail}")
+            lines.append(f"  - {v.kind}: {v.detail}")
         if len(self.violations) > 5:
             lines.append(f"  - ... and {len(self.violations) - 5} more")
         lines.extend(f"  note: {n}" for n in self.notes)
@@ -282,44 +283,46 @@ class AffineParams:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Desk-scale admissibility check on affine_basis plus sample_points(64) of D.
+        """Admissibility at the rows of space.generators(), exact on the orthant plane.
 
-        Violations are report entries, never exceptions: at every checked
-        state A(x) must be PSD (min eigenvalue >= -1e-10), the merged jump
-        weights nonnegative, every atom of weight > 1e-12 must land in D
-        ("jump_leaves_state_space") and the killing rate c + <gamma, x> must
-        be >= -1e-12.
+        Report entries, never exceptions: at each state (1, x), and by slope
+        along each direction (0, r), A is PSD (min eigenvalue >= -1e-10) and
+        C and every weight are >= -1e-12.  An atom that lands outside D from
+        some state is a violation at every row where its weight exceeds 1e-12.
         """
-        pts = np.vstack([self.space.affine_basis(), self.space.sample_points(_SAMPLES)])
-        xt = np.hstack([np.ones((len(pts), 1)), pts])
-        lam_min = np.linalg.eigvalsh(np.tensordot(xt, self.A, axes=1))[:, 0]
-        rates = xt @ self.C
-        w = xt @ self.W                                     # (points, atoms)
+        rows = self.space.generators()
+        states, pts = rows[:, 0] != 0.0, rows[:, 1:]
+        lam_min = np.linalg.eigvalsh(np.tensordot(rows, self.A, axes=1))[:, 0]
+        rates = rows @ self.C
+        w = rows @ self.W                                   # (rows, atoms)
         # initial=0: only a negative weight can be a violation, and k may be 0
         w_min = w.min(axis=1, initial=0.0)
-        leaves = (w > _WEIGHT_TOL) & ~self.space.contains(pts[:, None, :] + self.L)
+        outside = states[:, None] & ~self.space.contains(pts[:, None, :] + self.L)
+        leaves = (w > _WEIGHT_TOL) & outside.any(axis=0)
         violations = []
         for i in np.flatnonzero((lam_min < -_PSD_TOL) | (rates < -_KILL_TOL)
                                 | (w_min < -_WEIGHT_TOL) | leaves.any(axis=1)):
             x, lam, rate, w_lo = pts[i], lam_min[i], rates[i], w_min[i]
+            at, of = (f"at x = {x}", "{}(x)") if states[i] else (f"along r = {x}", "d{}/dr")
             if lam < -_PSD_TOL:
                 violations.append(Violation(
                     "diffusion_not_psd", x, float(lam),
-                    f"min eigenvalue of A(x) is {lam:.3e}"))
+                    f"{at}: min eigenvalue of {of.format('A')} is {lam:.3e}"))
             if rate < -_KILL_TOL:
                 violations.append(Violation(
                     "negative_killing_rate", x, float(rate),
-                    f"killing rate c + <gamma,x> is {rate:.3e}"))
+                    f"{at}: killing rate {of.format('C')} is {rate:.3e}"))
             if w_lo < -_WEIGHT_TOL:
                 violations.append(Violation(
                     "negative_jump_weight", x, float(w_lo),
-                    f"merged jump weight {w_lo:.3e}"))
+                    f"{at}: merged jump weight {of.format('w')} is {w_lo:.3e}"))
             if leaves[i].any():
                 j = leaves[i].argmax()
+                src = x if outside[i, j] else pts[outside[:, j].argmax()]
                 violations.append(Violation(
                     "jump_leaves_state_space", x, float(w[i, j]),
-                    f"atom {self.L[j]} of weight {w[i, j]:.3e} lands at {x + self.L[j]}, "
-                    "outside D"))
+                    f"{at}: atom {self.L[j]} of weight {of.format('w')} = {w[i, j]:.3e} "
+                    f"lands outside D from x = {src}, at {src + self.L[j]}"))
         notes = (
             "killing rate convention: C(x) = c + <gamma, x> is required to be "
             "nonnegative on D (equivalently F(0) = -c, R(0) = -gamma); the "
@@ -328,6 +331,6 @@ class AffineParams:
         return ValidationReport(
             valid=not violations,
             violations=violations,
-            checked_points=len(pts),
+            checked_points=len(rows),
             notes=notes,
         )

@@ -48,7 +48,8 @@ def parabola() -> AffineParams:
     a = diag(1, 0), b = (0, 1), alpha^1 = [[0,2],[2,0]], alpha^2 = [[0,0],[0,4]].
     A(x) = [[1, 2x1], [2x1, 4x1^2]] is PSD (rank one) on the parabola itself
     but indefinite on R^2, so these parameters are admissible only on the
-    curve.  validate() reflects that: it samples the curve, not the plane.
+    curve.  validate() reflects that: Parabola.generators() are states on the
+    curve, not directions of the plane.
     """
     p = AffineParams.zeros(Parabola())
     alpha = np.zeros((2, 2, 2))

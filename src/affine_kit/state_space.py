@@ -37,33 +37,11 @@ __all__ = [
 
 # relative tolerance for the parabola membership band
 _PARABOLA_RTOL = 1e-12
-_SAMPLE_RADIUS = 5.0    # sample_points' scale: coordinates within [-5, 5]
 
 
 def _unwrap(a: np.ndarray):
     """A 0-d answer as a Python scalar, any other as the array."""
     return a.item() if a.ndim == 0 else a
-
-
-def _halton(n: int, d: int) -> np.ndarray:
-    """(n, d) unscrambled Halton points: radical inverses of 0 .. n-1 in the first d primes.
-
-    Digits are added lowest first, each times a weight 1/base^k kept by repeated
-    division, which is the float order of the usual van der Corput loop.
-    """
-    primes, b = [], 2
-    while len(primes) < d:
-        if all(b % p for p in primes):
-            primes.append(b)
-        b += 1
-    out = np.zeros((n, d))
-    for j, base in enumerate(primes):
-        q, f = np.arange(n), 1.0 / base
-        while q.any():
-            out[:, j] += (q % base) * f
-            q //= base
-            f /= base
-    return out
 
 
 @dataclass(frozen=True)
@@ -88,10 +66,10 @@ class StateSpace:
         """(d+1, d) array of affinely independent points of D."""
         raise NotImplementedError
 
-    def sample_points(self, n: int) -> np.ndarray:
-        """The first n unscrambled Halton points (radical inverse in the first d
-        primes) mapped into D: orthant coordinates into [0, 5], the others and
-        the parabola's y into [-5, 5].  Each call's points are a prefix of a longer call's."""
+    def generators(self) -> np.ndarray:
+        """(k, d+1) homogeneous rows: (1, x) a state of D, (0, r) a direction in
+        which D is unbounded.  rows @ table gives an affine function's value at
+        each state and its slope along each direction."""
         raise NotImplementedError
 
     # -- shared helpers -------------------------------------------------
@@ -146,11 +124,11 @@ class CanonicalOrthantPlane(StateSpace):
     def affine_basis(self) -> np.ndarray:
         return np.vstack([np.zeros(self.dim), np.eye(self.dim)])
 
-    def sample_points(self, n: int) -> np.ndarray:
-        h = _halton(n, self.dim)
-        pts = (2.0 * h - 1.0) * _SAMPLE_RADIUS
-        pts[:, : self.m] = h[:, : self.m] * _SAMPLE_RADIUS
-        return pts
+    def generators(self) -> np.ndarray:
+        """The vertex 0, a ray e_i for each i < m and both of +-e_j for each j >= m.
+        Exact: an affine function is >= 0 on D iff its value and slopes here are."""
+        eye = np.eye(self.dim + 1)
+        return np.vstack([eye, 0.0 - eye[self.m + 1 :]])
 
 
 class FullSpace(CanonicalOrthantPlane):
@@ -196,9 +174,11 @@ class Parabola(StateSpace):
     def affine_basis(self) -> np.ndarray:
         return np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
 
-    def sample_points(self, n: int) -> np.ndarray:
-        y = (2.0 * _halton(n, 1)[:, 0] - 1.0) * _SAMPLE_RADIUS
-        return np.column_stack([y, y * y])
+    def generators(self) -> np.ndarray:
+        """The states (y, y^2) of the affine basis and of y = -5 + 10k/64, k < 64: a
+        fixed sample of the curve, not exact, since D has no finite generators."""
+        y = np.concatenate([[0.0, 1.0, -1.0], np.linspace(-5.0, 5.0, 64, endpoint=False)])
+        return np.column_stack([np.ones_like(y), y, y * y])
 
     def in_domain(self, u, tol=0.0):
         re = self._real(u)

@@ -395,39 +395,21 @@ def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
 # -- closed forms for the parabola-supported process -----------------------
 
 
-def _continued_log(t: float, u2: complex, n_sub: int = 64) -> complex:
-    """log(1 - 2 t u2) with the branch continued from t = 0.
-
-    1 - 2 s u2 traces a straight segment from 1 as s grows, so its argument
-    moves by less than pi/2 per sub-step once the segment is cut finely
-    enough; the winding is accumulated incrementally.
-    """
-    w_prev = 1.0 + 0.0j
-    angle = 0.0
-    for k in range(1, n_sub + 1):
-        w = 1.0 - 2.0 * (t * k / n_sub) * u2
-        if abs(w) < 1e-300:
-            raise ValueError("closed form evaluated at its pole 1 - 2 t u2 = 0")
-        step = np.angle(w / w_prev)
-        if abs(step) >= 0.5 * math.pi:
-            return _continued_log(t, u2, n_sub * 4)
-        angle += step
-        w_prev = w
-    return math.log(abs(w_prev)) + 1j * angle
-
-
 def closed_form_parabola(t: float, u):
     """Exact (phi, psi) for the process (w, w^2) driven by a Brownian w.
 
     phi(t,u) = -log(1 - 2 t u2)/2 + u1^2 t / (2 (1 - 2 t u2)), with the
     logarithm branch continued from t = 0, and psi(t,u) = u / (1 - 2 t u2).
-    Raises at the pole 1 - 2 t u2 = 0.
+    s -> 1 - 2 s u2 is a straight segment from 1, which meets the principal
+    cut (-inf, 0] only if it runs along the real axis through 0; otherwise the
+    continued logarithm is the principal one.  Raises at the pole 1 - 2 t u2 = 0
+    and past it, where 1 - 2 t u2 is real and negative.
     """
     u = np.asarray(u, dtype=complex).reshape(2)
     w = 1.0 - 2.0 * t * u[1]
-    if abs(w) < 1e-14:
-        raise ValueError("closed form evaluated at its pole 1 - 2 t u2 = 0")
-    phi = -0.5 * _continued_log(float(t), complex(u[1])) + u[0] ** 2 * t / (2.0 * w)
+    if abs(w) < 1e-14 or (w.imag == 0.0 and w.real < 0.0):
+        raise ValueError("closed form evaluated at or past its pole 1 - 2 t u2 = 0")
+    phi = -0.5 * np.log(w) + u[0] ** 2 * t / (2.0 * w)
     return complex(phi), u / w
 
 

@@ -271,6 +271,24 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
         assert "grids.x" in capsys.readouterr().err
 
+    def test_u_grid_without_a_point_is_validation_error(self, tmp_path, capsys):
+        # this used to exit 0 with the u-looping suites silently empty
+        code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
+                                           "grids": {"u": []}})
+        assert code == EXIT_VALIDATION_ERROR
+        assert "grids.u" in capsys.readouterr().err
+
+    def test_diffusion_negative_past_x_10_is_validation_error(self, tmp_path, capsys):
+        # A(x) = 1 - 0.1x on the half-line: levy_structure used to PASS at x0 = 12
+        code, _ = run(tmp_path, "verify", {
+            "task": "verify",
+            "space": {"kind": "half_line"},
+            "params": {"a": [[1.0]], "alpha": [[[-0.1]]]},
+            "grids": {"x": [[12.0]]},
+        })
+        assert code == EXIT_VALIDATION_ERROR
+        assert "diffusion_not_psd: along r = [1.]" in capsys.readouterr().err
+
     def test_inadmissible_params_is_validation_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", {
             "task": "verify",
@@ -326,7 +344,10 @@ class TestErrorStatuses:
         {"grids": {"t": ["a"]}},
         {"grids": {"x": [[1.0, 2.0]]}},
         {"grids": 7},
-    ], ids=["mc.T", "tolerances.ode", "grids.t", "grids.x", "grids"])
+        {"mc": {"T": True}},
+        {"tolerances": {"ode": True}},
+    ], ids=["mc.T", "tolerances.ode", "grids.t", "grids.x", "grids", "mc.T-bool",
+            "tolerances.ode-bool"])
     def test_unreadable_config_value_is_parse_error(self, tmp_path, extra):
         # each of these used to end in a bare ValueError traceback and exit 1
         code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir", **extra})
@@ -365,12 +386,20 @@ class TestErrorStatuses:
         {"semiflow_triples": 1.5},
         {"semiflow_triples": True},
         {"martingale_pairs": [[0.1, 2.5]]},
+        {"semiflow": True},
+        {"regularity_h": ["1e-2", "1e-3", "1e-4"]},
+        {"bounded_t": [True]},
+        {"cp_t": ["0.1", "0.05"]},
+        {"martingale_pairs": [["0.1", 5]]},
     ], ids=["list", "semiflow", "semiflow_triples", "regularity_h", "bounded_t",
             "martingale_pairs", "characteristics_rel", "semiflow_triples-float",
-            "semiflow_triples-bool", "martingale_pairs-float-n"])
+            "semiflow_triples-bool", "martingale_pairs-float-n", "semiflow-bool",
+            "regularity_h-strings", "bounded_t-bool", "cp_t-strings",
+            "martingale_pairs-string-delta"])
     def test_unreadable_tolerances_are_parse_errors(self, tmp_path, tolerances):
         # these used to end in an AttributeError or ValueError traceback and exit
-        # 1, or (the last three) to run truncated to an integer and exit 0
+        # 1, or (from semiflow_triples-float on) to run on a truncated integer or on
+        # float() of a bool or a string
         code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
                                            "tolerances": tolerances})
         assert code == EXIT_PARSE_ERROR

@@ -297,6 +297,50 @@ class TestExponents:
                 assert val <= base + 1e-12
 
 
+QUARTERS = st.sampled_from([k / 4.0 for k in range(-4, 5)])
+
+
+@st.composite
+def orthant_tuples(draw):
+    """A tuple on R_+^m x R^n, m + n <= 3, of entries in multiples of 0.25 in
+    [-1, 1] and 0-2 atoms, admissible or not."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0 if m else 1, 3 - m))
+    d = m + n
+
+    def vec(k):    # each table is zero or drawn whole, so that some tuples pass
+        return np.array(draw(st.lists(QUARTERS, min_size=k, max_size=k))) * draw(st.booleans())
+
+    def sym():
+        upper = np.triu(vec(d * d).reshape(d, d))
+        return upper + np.triu(upper, 1).T
+
+    locs = np.array([draw(st.lists(QUARTERS, min_size=d, max_size=d).filter(any))
+                     for _ in range(draw(st.integers(0, 2)))]).reshape(-1, d)
+    W = np.array([vec(len(locs)) for _ in range(d + 1)]).reshape(d + 1, len(locs))
+    return AffineParams(
+        space=CanonicalOrthantPlane(m, n), a=sym(), alpha=np.array([sym() for _ in range(d)]),
+        b=vec(d), beta=vec(d * d).reshape(d, d), c=float(vec(1)[0]), gamma=vec(d),
+        m_measure=LevyMeasure(np.abs(W[0]), locs),
+        mu_measures=tuple(LevyMeasure(W[1 + i], locs) for i in range(d)))
+
+
+def failures(p, x) -> set:
+    """The kinds of admissibility condition that fail at the state x of D."""
+    xt = np.concatenate([[1.0], x])
+    A, rate, w = np.tensordot(xt, p.A, axes=1), xt @ p.C, xt @ p.W
+    out = set()
+    if np.linalg.eigvalsh(A)[0] < -1e-10 * (1.0 + np.abs(A).max()):
+        out.add("diffusion_not_psd")
+    if rate < -1e-12:
+        out.add("negative_killing_rate")
+    if (w < -1e-12).any():
+        out.add("negative_jump_weight")
+    if ((w > 1e-12) & ~p.space.contains(x + p.L)).any():
+        out.add("jump_leaves_state_space")
+    return out
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", ["brownian", "cir", "parabola", "svj"])
     def test_presets_are_admissible(self, name, request):
@@ -338,11 +382,9 @@ class TestValidate:
         # b = 1 and m = 2 delta_{-1}: from every x < 1 the atom jumps below 0
         p = AffineParams.zeros(HalfLine()).with_(
             b=np.array([1.0]), m_measure=LevyMeasure.from_atoms([(2.0, -1.0)]))
-        bad = p.validate().violations
-        assert {v.kind for v in bad} == {"jump_leaves_state_space"}
-        assert all(v.x[0] < 1.0 and v.value == 2.0 for v in bad)
-        assert len(bad) == sum(x[0] < 1.0 for x in np.vstack(
-            [p.space.affine_basis(), p.space.sample_points(64)]))
+        (v,) = p.validate().violations
+        assert (v.kind, v.x.tolist(), v.value) == ("jump_leaves_state_space", [0.0], 2.0)
+        assert v.detail.startswith("at x = [0.]")
 
     def test_the_same_jump_on_the_full_line_is_valid(self):
         p = AffineParams.zeros(FullSpace(dim=1)).with_(
@@ -350,11 +392,13 @@ class TestValidate:
         assert p.validate().valid
 
     def test_an_atom_of_zero_weight_may_leave(self):
-        # mu^1 = 2 delta_{-1}: weight 2x, zero at x = 0, where the jump would leave
+        # mu^1 = 2 delta_{-1}: weight 2x, zero at x = 0, but it grows along r = 1
+        # and the jump leaves from every 0 < x < 1
         p = AffineParams.zeros(HalfLine()).with_(
             mu_measures=(LevyMeasure.from_atoms([(2.0, -1.0)]),))
-        bad = p.validate().violations
-        assert bad and all(0.0 < v.x[0] < 1.0 and v.value == 2.0 * v.x[0] for v in bad)
+        (v,) = p.validate().violations
+        assert (v.kind, v.x.tolist(), v.value) == ("jump_leaves_state_space", [1.0], 2.0)
+        assert v.detail.startswith("along r = [1.]") and "from x = [0.]" in v.detail
 
     def test_landing_is_checked_per_coordinate(self):
         # on R_+ x R only the first coordinate must stay >= 0
@@ -364,6 +408,48 @@ class TestValidate:
         assert free.validate().valid
         leaving = free.with_(m_measure=LevyMeasure.from_atoms([(1.0, [-0.5, 3.0])]))
         assert {v.kind for v in leaving.validate().violations} == {"jump_leaves_state_space"}
+
+    @pytest.mark.parametrize("name", ["A", "C", "w", "full-line A"])
+    def test_sign_conditions_hold_on_all_of_d(self, name):
+        # each tuple passes at every state with coordinates in [-5, 5] and fails past it
+        half = AffineParams.zeros(HalfLine())
+        p, kind, r = {
+            "A": (half.with_(a=np.eye(1), alpha=np.array([[[-0.1]]])),
+                  "diffusion_not_psd", [1.0]),
+            "C": (half.with_(c=1.0, gamma=np.array([-0.1])), "negative_killing_rate", [1.0]),
+            "w": (half.with_(m_measure=LevyMeasure.from_atoms([(1.0, 1.0)]),
+                             mu_measures=(LevyMeasure.from_atoms([(-0.1, 1.0)]),)),
+                  "negative_jump_weight", [1.0]),
+            "full-line A": (AffineParams.zeros(FullSpace(1)).with_(
+                a=np.array([[100.0]]), alpha=np.array([[[1.0]]])), "diffusion_not_psd", [-1.0]),
+        }[name]
+        report = p.validate()
+        assert [(v.kind, v.x.tolist()) for v in report.violations] == [(kind, r)]
+        assert report.violations[0].detail.startswith(f"along r = {np.array(r)}")
+        assert f"{kind}: along r" in str(report)
+
+    @given(p=orthant_tuples())
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    def test_validate_is_sound_on_the_orthant_plane(self, p):
+        report = p.validate()
+        kinds = {v.kind for v in report.violations}
+        if report.valid:
+            # coordinates of magnitude 1e-3 to 1e3, log-uniform: near 0, where
+            # jumps leave, and far out, where the slopes dominate
+            rng = np.random.default_rng(0)
+            states = 10.0 ** rng.uniform(-3.0, 3.0, size=(100, p.dim))
+            states[:, p.space.m :] *= rng.choice([-1.0, 1.0], size=(100, p.space.n))
+            for x in states:
+                assert not failures(p, x)
+        for v in report.violations:
+            if v.detail.startswith("at x"):
+                assert v.kind in failures(p, v.x)
+            elif v.kind != "jump_leaves_state_space":
+                assert v.kind in failures(p, 1e4 * v.x)
+            else:
+                # the atom leaves D from near 0, where its weight grows along r,
+                # unless that weight is already negative at 0
+                assert v.kind in failures(p, 1e-3 * v.x) or "negative_jump_weight" in kinds
 
     def test_base_measure_must_be_nonnegative(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from affine_kit.state_space import (
     FullSpace,
     HalfLine,
     Parabola,
-    _halton,
     random_u_in_domain,
     space_from_config,
 )
@@ -130,8 +129,13 @@ class TestAffineBasis:
 class TestSamplingAndConfig:
     @pytest.mark.parametrize("space", ALL_SPACES)
     def test_samples_lie_in_space(self, space):
-        for x in space.sample_points(50):
+        rows = space.generators()
+        states, directions = rows[rows[:, 0] == 1.0, 1:], rows[rows[:, 0] == 0.0, 1:]
+        assert len(states) + len(directions) == len(rows) and len(states)
+        for x in states:
             assert space.contains(x)
+            for r in directions:    # D is unbounded along each direction row
+                assert space.contains(x + 1e3 * r)
 
     def test_space_from_config_round_trip(self):
         assert space_from_config({"kind": "full", "d": 3}).dim == 3
@@ -142,26 +146,23 @@ class TestSamplingAndConfig:
             space_from_config({"kind": "dodecahedron"})
 
 
-class TestHalton:
-    """The radical-inverse Halton points equal scipy's unscrambled engine bitwise."""
-
-    @pytest.mark.parametrize("d", range(1, 8))
-    @pytest.mark.parametrize("n", [0, 1, 7, 64, 1000])
-    def test_equals_scipy_halton(self, d, n):
-        assert np.array_equal(_halton(n, d), qmc.Halton(d=d, scramble=False).random(n))
-
+class TestGenerators:
     @pytest.mark.parametrize("space", [FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 2),
                                        Parabola()])
-    def test_sample_points_equal_the_scipy_formula(self, space):
-        radius = 5.0
+    def test_rows_follow_the_layout(self, space):
+        rows = space.generators()
         if isinstance(space, Parabola):
-            y = (2.0 * qmc.Halton(d=1, scramble=False).random(64)[:, 0] - 1.0) * radius
-            want = np.column_stack([y, y * y])
+            # the affine basis and the 64 states of the unscrambled Halton sequence in y
+            y = (2.0 * qmc.Halton(d=1, scramble=False).random(64)[:, 0] - 1.0) * 5.0
+            want = np.vstack([space.affine_basis(), np.column_stack([y, y * y])])
+            assert (rows[:, 0] == 1.0).all()
+            assert sorted(map(tuple, rows[:, 1:])) == sorted(map(tuple, want))
         else:
-            h = qmc.Halton(d=space.dim, scramble=False).random(64)
-            want = (2.0 * h - 1.0) * radius
-            want[:, : space.m] = h[:, : space.m] * radius
-        assert np.array_equal(space.sample_points(64), want)
+            # the vertex 0, a ray e_i for each i < m and both of +-e_j for j >= m
+            eye = np.eye(space.dim + 1)
+            want = np.vstack([eye, -eye[space.m + 1:]])
+            assert np.array_equal(rows, want)
+            assert len(rows) == 1 + space.m + 2 * space.n
 
 
 CONTRACT_SPACES = [FullSpace(1), FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 1),
@@ -223,7 +224,7 @@ class TestArrayContract:
         for x in rng.standard_normal((50, space.dim)):
             assert space.contains(x) == orthant.contains(x)
         assert np.array_equal(space.affine_basis(), orthant.affine_basis())
-        assert np.array_equal(space.sample_points(40), orthant.sample_points(40))
+        assert np.array_equal(space.generators(), orthant.generators())
         r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(20):
             assert np.array_equal(random_u_in_domain(space, r1), random_u_in_domain(orthant, r2))

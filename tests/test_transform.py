@@ -559,8 +559,9 @@ class TestParabolaClosedForm:
             assert np.exp(phi) == pytest.approx(expected, rel=1e-12)
 
     def test_pole_is_rejected(self):
-        with pytest.raises(ValueError):
-            closed_form_parabola(0.5, [0.0, 1.0])
+        for t, u in ((0.5, [0.0, 1.0]), (0.6, [0.0, 1.0])):    # at the pole and past it
+            with pytest.raises(ValueError):
+                closed_form_parabola(t, u)
 
     def test_branch_continuation_beyond_principal_cut(self):
         # purely imaginary u2 with large |u2| t: winding accumulates continuously
