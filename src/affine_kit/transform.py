@@ -23,11 +23,16 @@ their independent integrations into one batch.  semiflow_residual runs the
 first legs of all its triples as one batch and each second leg, which starts
 from a first leg's psi, as one evaluate per triple; its errors come back in
 triple order.  Steps land on every requested time, so no value is
-interpolated.  Blow-up is declared when a lane's accepted step collapses
-below t*1e-12 or |psi| exceeds an overflow guard; the blow-up time reported
-is the lane's last accepted time.  This deliberately conflates a vanishing
-transform factor with integrator failure, which is flagged in the result
-status rather than resolved.
+interpolated, and a proposal within a margin of 1.1 of the next time lands
+on it at once instead of leaving a sliver step; the margin stays below
+1/0.9, so a retry after a rejected step is never stretched back to the step
+that failed.  Blow-up is declared when a lane's step collapses below
+t*1e-12, it makes MAX_STEPS attempts or |psi| exceeds an overflow guard;
+past the guard the blow-up time reported is T* = t + |psi_j| / |R_j(psi)| at
+the last accepted state (j its largest |psi| component, where psi_j grows
+like 1 / (c (T* - t))), otherwise the lane's last accepted time.  This
+deliberately conflates a vanishing transform factor with integrator
+failure, which is flagged in the result status rather than resolved.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ _STATUSES = np.array([STATUS_OK, STATUS_DOMAIN_EXIT, STATUS_BLOW_UP], dtype=obje
 
 PSI_OVERFLOW_GUARD = 1e8
 MAX_STEPS = 10 ** 6
+# a proposal h with _LANDING_MARGIN * h >= gap steps onto the next stop; kept
+# below 1/0.9 (see _integrate)
+_LANDING_MARGIN = 1.1
 
 # Dormand-Prince 8(5,3) tableau (Hairer's DOP853), complex like the stages; no
 # nodes, since the system is autonomous.  _A[i] is stage i's row over stages
@@ -124,9 +132,10 @@ class TransformDomainError(TransformError):
 class TransformResult:
     """Value of (phi, psi) at (t, u) with integrator diagnostics.
 
-    For status 'blow_up', t and the values refer to the last accepted time
-    (also exposed as blow_up_time).  status 'ok' guarantees the pair (t, u)
-    is inside the maximal domain: integration succeeded and psi stayed in U.
+    For status 'blow_up', t is the blow-up time (also exposed as
+    blow_up_time) and the values are the lane's last accepted state before
+    it.  status 'ok' guarantees the pair (t, u) is inside the maximal
+    domain: integration succeeded and psi stayed in U.
     steps is the accepted steps of the row's lane, shared by every row of
     evaluate_grid.
     """
@@ -207,20 +216,28 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float)
     e3 = sum |E3.k / s|^2 over the m components:
     err = h * e5 / sqrt(m * (e5 + 0.01 * e3)).  A step is accepted iff
     err < 1, and the next h is h * min(10, max(0.2, 0.9 * err**(-1/8))).
+    A proposal h with _LANDING_MARGIN * h >= gap to the next stop steps the
+    gap; the margin is below 1/0.9, so a retry after a rejection is never
+    stretched back to the step that failed.
 
     t_stops is (n, n_t), each row sorted: lane i stops at t_stops[i].  Each
     lane has its own stops, t, step h, step floor, next stop, counters and
     outcome, so it takes exactly the steps it would take alone: a step runs
     on the live lanes as one array and masks accept or reject it per lane.
-    Steps are shortened to land on every stop, so no state is interpolated.
-    Returns (states, t, steps, rejected, reached), the last four per
-    lane: states[i, j] is lane i at t_stops[i, j] for j < reached[i], else
-    its last accepted state, at t[i].  Lane i blew up iff reached[i] < n_t: a
-    non-finite derivative at t = 0, a step below the floor, MAX_STEPS steps
-    or |psi| past the overflow guard.
+    Steps are cut or stretched to land on every stop, so no state is
+    interpolated; the lanes that reach a stop in a pass record it in one
+    array pass, not lane by lane.  Returns (states, t, steps,
+    rejected, reached), the last four per lane: states[i, j] is lane i at
+    t_stops[i, j] for j < reached[i], else its last accepted state, and t[i]
+    is that state's time.  Lane i blew up iff reached[i] < n_t: a non-finite
+    derivative at t = 0, a step below the floor, MAX_STEPS attempted steps or
+    |psi| past the overflow guard.  For the last, t[i] is instead
+    T* = t + |psi_j| / |R_j(psi)| at the last accepted state, j its largest
+    |psi| component and R from the FSAL stage k[:, 0]: near a pole psi_j
+    grows like 1 / (c (T* - t)).
     """
     (n, m), n_stops = y0.shape, t_stops.shape[1]
-    # rows at t = 0 keep y0; a lane writes each later row as it reaches or retires
+    # rows at t = 0 keep y0; a lane writes each later row as it reaches or blows up
     states = np.empty((n, n_stops, m), dtype=complex)
     states[:] = y0[:, None]
     n_zero = (t_stops <= 0.0).sum(axis=1)
@@ -240,11 +257,9 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float)
         _rhs(p, y, k[:, 0])
         h = _initial_step(p, y, k[:, 0], t_end, tol)
         done = ~(np.isfinite(k[:, 0]).all(axis=1) & (h >= h_floor))
+        cols, attempts = np.arange(n_stops), 0
         while True:
             if done.any():
-                # retire: rows past a blow-up get the last accepted state
-                for i in np.flatnonzero(done):
-                    states[ids[i], ptr[i]:] = y[i]
                 gone, keep = ids[done], ~done
                 for full, live in zip(out, (t, steps, rejected, ptr)):
                     full[gone] = live[done]
@@ -255,7 +270,7 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float)
             gap = t_next - t
             # a step cut short to land on a stop keeps the proposal h, so
             # nearby stops do not drag the step size down to h_floor
-            landing = h >= gap
+            landing = _LANDING_MARGIN * h >= gap
             h_step = np.where(landing, gap, h)
             hs = h_step[:, None]
             for i in range(1, 12):
@@ -277,20 +292,33 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float)
             h = np.where(acc & landing, np.maximum(h, h_new), h_new)
             steps += acc
             rejected += ~acc
+            attempts += 1       # every live lane attempts one step per pass
             # past the guard, a lane stops at its last state below it
-            done = acc & (abs_new[:, 1:].max(axis=1) > PSI_OVERFLOW_GUARD)
-            move = acc & ~done
+            over = acc & (abs_new[:, 1:].max(axis=1) > PSI_OVERFLOW_GUARD)
+            move = acc & ~over
             # t + h_step can miss the stop by an ulp; land on it exactly
             t = np.where(move, np.where(landing, t_next, t + h_step), t)
             np.copyto(y, y_new, where=move[:, None])
             np.copyto(k[:, 0], k[:, 12], where=move[:, None])
-            done |= ~(h >= h_floor) | (steps >= MAX_STEPS)
-            for i in np.flatnonzero(t >= t_next):
-                row = t_stops[ids[i]]
-                j = row.searchsorted(t[i], side="right")
-                states[ids[i], ptr[i]:j] = y[i]
-                ptr[i], done[i] = j, done[i] or j == n_stops
-                t_next[i] = row[min(j, n_stops - 1)]
+            done = over | ~(h >= h_floor) | (attempts >= MAX_STEPS)
+            hit = ((t >= t_next) | done).nonzero()[0]
+            if len(hit):
+                # a lane at a stop or blown up writes its state into its rows
+                # from ptr on: rows past a blow-up keep the last accepted
+                # state, and rows past t are written again as it reaches them
+                lane = ids[hit]
+                r, c = (cols >= ptr[hit, None]).nonzero()
+                states[lane[r], c] = y[hit[r]]
+                ptr[hit] = (t_stops[lane] <= t[hit, None]).sum(axis=1)
+                t_next[hit] = t_stops[lane, np.minimum(ptr[hit], n_stops - 1)]
+            done |= ptr == n_stops
+            if over.any():
+                # T* from the last accepted state; t where |R_j| is 0
+                psi = np.abs(y[over, 1:])
+                j = psi.argmax(axis=1)[:, None]
+                dt = (np.take_along_axis(psi, j, 1)
+                      / np.abs(np.take_along_axis(k[over, 0, 1:], j, 1)))[:, 0]
+                t[over] += np.where(np.isfinite(dt), dt, 0.0)
 
 
 def _domain_tol(tol: float, psi: np.ndarray) -> np.ndarray:
@@ -344,9 +372,9 @@ def evaluate(p: AffineParams, t: float, u, tol: float = 1e-10) -> TransformResul
     """Integrate the Riccati system to time t from psi(0) = u, phi(0) = 0.
 
     tol controls the local error (used as both absolute and relative
-    tolerance).  The result status records blow-up (with the last accepted
-    time) and exits from the transform domain U; out-of-domain inputs are
-    integrated anyway -- the ODEs are entire in u for finite-activity jumps
+    tolerance).  The result status records blow-up (with its time) and
+    exits from the transform domain U; out-of-domain inputs are integrated
+    anyway -- the ODEs are entire in u for finite-activity jumps
     -- but can never come back with status 'ok'.  Lane 0 of a batch over [t].
     """
     return _batch(p, [float(t)], [u], tol).lane(0)[0]

@@ -87,6 +87,29 @@ class TestEvaluate:
         assert r.blow_up_time == pytest.approx(0.5, abs=1e-3)
         assert r.blow_up_time > 0.0
 
+    @pytest.mark.parametrize("name, u, pole", [
+        *(("parabola", [0.0, u2], 1.0 / (2.0 * u2)) for u2 in (0.5, 1.0, 10.0)),
+        *(("cir", [u], -math.log(1.0 - 2.0 * CIR_KAPPA / (CIR_SIGMA ** 2 * u)) / CIR_KAPPA)
+          for u in (3.0, 5.0, 50.0)),
+    ], ids=lambda v: repr(v) if isinstance(v, list) else None)
+    def test_blow_up_time_meets_the_closed_form_pole(self, name, u, pole, request):
+        # the guard retires the lane at its last accepted state, and
+        # t + |psi_j| / |R_j(psi)| extrapolates from there to the pole
+        b = evaluate_batch(request.getfixturevalue(name), [2.0 * pole], [u])
+        assert b.status[0, 0] == "blow_up"
+        assert b.t[0, 0] == b.blow_up_time[0]
+        assert abs(b.blow_up_time[0] - pole) <= 1e-10 * pole
+
+    def test_blow_up_time_stays_finite_where_the_largest_psi_is_constant(self):
+        # R = (0, 2 psi2^2): psi1 = 9.9e7 stays the largest |psi| while psi2
+        # passes the guard, and |psi1| / |R1| is infinite; the lane reports
+        # its last accepted time instead
+        p = AffineParams.zeros(FullSpace(2)).with_(
+            alpha=np.array([np.zeros((2, 2)), [[0.0, 0.0], [0.0, 4.0]]]))
+        b = evaluate_batch(p, [1.0], [[9.9e7, 1.0]])
+        assert b.status[0, 0] == "blow_up"
+        assert 0.5 - 1e-6 < b.blow_up_time[0] < 0.5
+
     def test_out_of_domain_input_is_flagged_but_computed(self, parabola):
         r = evaluate(parabola, 0.3, [0.0, 1.0])
         assert r.status == "domain_exit"
@@ -441,7 +464,21 @@ class TestDop853:
                              1j * rng.uniform(-1.5, 1.5, 64)])
         b = evaluate_batch(svj, [0.05, 0.1, 0.25, 0.5, 1.0, 2.0], U, tol=1e-10)
         assert (b.status == "ok").all()
-        assert b.steps.mean() <= 20
+        # a proposal within 1.1 of its stop lands on it instead of leaving a
+        # sliver step: 14.25 steps per lane, 14.78 when only h >= gap lands
+        assert b.steps.mean() <= 14.5
+        assert b.rejected.sum() == 0
+
+    def test_retry_after_a_rejection_is_not_stretched(self, svj, monkeypatch):
+        # lane 1 of the grid above: with a landing margin of 1.2 its retry
+        # after a rejected 0.15 step proposes 0.1334, which 1.2 * 0.1334 >= 0.15
+        # stretches back to the same step, rejected forever; MAX_STEPS counts
+        # every attempt, so such a loop ends at 40 as a blow-up
+        monkeypatch.setattr(transform, "MAX_STEPS", 40)
+        b = evaluate_batch(svj, [0.05, 0.1, 0.25, 0.5, 1.0, 2.0],
+                           [[-1.3888 + 0.2414j, 0.3221j]], tol=1e-10)
+        assert (b.status == "ok").all()
+        assert b.steps[0] + b.rejected[0] <= 40
 
     def test_cir_closed_form_on_random_points(self, cir):
         rng = np.random.default_rng(11)
