@@ -391,11 +391,14 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
             alive = [b",1\r\n"] * au + [b",0\r\n"] * (n_t - au)
             head = b"%d," % i
             fh.write(head + head.join(map(b"".join, zip(t_cells, x_rows, alive))))
-    killed = float(np.mean(ens.alive_until < n_t))
-    print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; "
-          f"clamps {ens.clamps}, jump-cap overflows {ens.jump_overflows}, "
-          f"killed share {killed:.4g})")
+    print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; {_ensemble_summary(ens)})")
     return EXIT_OK
+
+
+def _ensemble_summary(ens) -> str:
+    """How an ensemble was drawn, as simulate and verify print it."""
+    return (f"sampler {ens.sampler}, clamps {ens.clamps}, jump-cap overflows "
+            f"{ens.jump_overflows}, killed share {np.mean(ens.alive_until < len(ens.times)):.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +621,8 @@ def run_verify(cfg: RunConfig, out_dir: str) -> int:
         state = "SKIP" if "skipped" in c.get("detail", {}) else "PASS" if c["pass"] else "FAIL"
         print(f"[{state}] {c['check']}: statistic={c['statistic']:.4g} "
               f"threshold={c['threshold']:.4g}")
+    if "ensemble" in vars(cfg):     # a Monte Carlo suite drew it
+        print(f"ensemble: {_ensemble_summary(cfg.ensemble)}")
     print(f"wrote {path}")
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 

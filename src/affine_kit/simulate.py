@@ -18,19 +18,27 @@ alone, one of three samplers and records which in Ensemble.sampler:
 
   * "euler": Euler-Maruyama for every other tuple on the orthant plane.
 
-The Euler scheme:
+The Euler scheme reads one coefficient table, built once per call: rows
+(1, x_1..x_d) and columns, all times dt, for the net drift B - int h dnu,
+the killing rate C, the jump weights W and the diffusion.  A step computes
+coef = T_0 + sum_i x_i T_i by elementwise products over the nonzero rows;
+no BLAS call runs across paths, so a path's bits do not depend on n_paths.
 
-  * drift B(X) - int h(xi) nu(X, dxi), so that uncompensated jumps combined
-    with this drift reproduce the exponents' truncation convention;
-  * diffusion through the symmetric PSD square root of A(X), in closed form
-    for d <= 2 (no LAPACK call per step) and by a batched eigh for d >= 3;
-    a constant A is rooted once;
-  * jump counts per step drawn from the frozen-rate Poisson law by inverse
-    CDF (thinning against the per-step mass bound), capped at
-    _JUMPS_PER_STEP_CAP per step, atoms by categorical inverse CDF; the
-    path-steps cut by the cap are counted in Ensemble.jump_overflows;
-  * killing by a single Exp(1) clock matched against the accumulated hazard
-    int C(X_s) ds along the discrete path (inverse CDF, exact given the path).
+  * drift coef_B: uncompensated jumps combined with it reproduce the
+    exponents' truncation convention;
+  * diffusion: if exactly one row A_r of (a, alpha) is nonzero (a single
+    factor; A_r is PSD and x_r >= 0 on D), R_r = root(A_r) is taken once and
+    the noise is sqrt(max(x_r dt, 0)) R_r z, or sqrt(dt) R_0 z for r = 0.
+    Otherwise coef_A = A(X) dt is rooted per step, in closed form for d <= 2
+    (no LAPACK call) and by a batched eigh for d >= 3;
+  * jumps on the paths whose uniform exceeds exp(-sum max(coef_W, 0)):
+    counts by inverse CDF of the frozen-rate Poisson law, capped at
+    _JUMPS_PER_STEP_CAP (the live path-steps cut are counted in
+    Ensemble.jump_overflows), atoms by categorical inverse CDF;
+  * killing by one Exp(1) clock per path against the running hazard
+    sum max(coef_C, 0) (inverse CDF, exact given the path): a path is alive
+    while hazard < clock.  Dead paths step on unfrozen; their cells from
+    alive_until on are set to nan in one pass after the loop.
 
 Orthant-constrained coordinates use full truncation: coefficients are
 evaluated at the clamped state and the stored state is projected back onto
@@ -105,13 +113,14 @@ class Ensemble:
     """A set of paths on a common grid, stored as (n_paths, n_times, d); path i
     starts at states[i, 0].
 
-    alive_until holds per-path first-dead indices (n_times if never killed).
-    stop_radius is set by stopped_ensemble and consumed by the martingale
-    test.  jump_overflows counts the live path-steps whose Poisson draw was
-    above the count cap and was truncated to it.  clamps counts the live
-    (path, step, coordinate) cells that Euler's full truncation moved from
-    below 0 back to 0; the exact samplers record 0.  sampler names the
-    sampler that drew the paths: "euler", "cir_exact" or "parabola_exact".
+    alive_until is per path 1 plus the number of steps it lived (n_times if
+    never killed); its cells from alive_until on are nan.  stop_radius is
+    set by stopped_ensemble and consumed by the martingale test.
+    jump_overflows counts the live path-steps whose Poisson draw was above
+    the count cap and was truncated to it.  clamps counts the live (path,
+    step, coordinate) cells that Euler's full truncation moved from below 0
+    back to 0; the exact samplers record 0.  sampler names the sampler that
+    drew the paths: "euler", "cir_exact" or "parabola_exact".
     """
 
     times: np.ndarray
@@ -266,11 +275,10 @@ def _cir_exact(x0: np.ndarray, times: np.ndarray, kappa: float, sigma2: float, d
 def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
            n_paths: int) -> Ensemble:
     """Euler-Maruyama on the uniform grid `times` (module docstring)."""
-    d = p.dim
+    d, m, k = p.dim, p.space.m, len(p.L)
     n_steps = len(times) - 1
     dt = times[-1] / n_steps
-    has_jumps = p.has_jumps
-    has_killing = p.has_killing
+    has_jumps, has_killing = p.has_jumps, p.has_killing
 
     # fixed per-path draw order: normals, then jump uniforms, then the clock
     normals = np.empty((n_paths, n_steps, d))
@@ -284,81 +292,82 @@ def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
         if has_killing:
             kill_clock[i] = rng.standard_exponential()
 
-    # affine pieces, precomputed: B(x) = b + x @ beta etc.
-    constant_diffusion = not p.alpha.any()
-    if constant_diffusion:
-        sqrt_a = _psd_sqrt(p.a)
-    if has_jumps:
-        # jump weights w(x) = W0 + x @ W1 over the atom table, and the
-        # truncation compensation int h dnu(x) = hm0 + x @ hm1
-        W0, W1 = p.W[0], p.W[1:]
-        atom_locs = p.L
-        hm = (p.W * p.small) @ p.L
-        hm0, hm1 = hm[0], hm[1:]
+    # the coefficient table times dt (module docstring); a single factor's normals become R_r z
+    rows = [r for r in range(d + 1) if p.A[r].any()] or [0]
+    if len(rows) == 1:
+        r, root = rows[0], _psd_sqrt(p.A[rows[0]])
+        if np.array_equal(root, np.diag(np.diagonal(root))):
+            normals *= np.diagonal(root)        # in place: no second array of normals
+        else:
+            normals = np.einsum("jk,pik->pij", root, normals)
+        if r == 0:
+            normals *= math.sqrt(dt)
+        diffusion = np.eye(d + 1)[:, [r]]
+    else:
+        diffusion = p.A.reshape(d + 1, d * d)
+    table = np.hstack([p.B - (p.W * p.small) @ p.L, p.C[:, None], p.W, diffusion]) * dt
+    base = np.broadcast_to(table[0], (n_paths, table.shape[1]))
+    terms = [(i, row) for i, row in enumerate(table[1:]) if row.any()]
 
-    m = p.space.m
     states = np.empty((n_paths, n_steps + 1, d))
-    states[:, 0, :] = x0
-    alive_until = np.full(n_paths, n_steps + 1, dtype=np.int64)
-    hazard = np.zeros(n_paths)
-    X = np.broadcast_to(x0, (n_paths, d)).copy()
-    alive = np.ones(n_paths, dtype=bool)
+    X = states[:, 0, :] = np.broadcast_to(x0, (n_paths, d))
+    alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
+    hazard, alive = np.zeros(n_paths), np.ones(n_paths, dtype=bool)
     jump_overflows = clamps = 0
-    sqdt = math.sqrt(dt)
 
     for step in range(n_steps):
+        coef = base
+        for i, row in terms:
+            coef = coef + X[:, i, None] * row
         if has_killing:
-            rate = np.maximum(p.c + X @ p.gamma, 0.0)
-            hazard += rate * dt
-            dying = alive & (hazard >= kill_clock)
-            alive_until[dying] = step + 1
-            alive &= ~dying
-
-        drift = p.b + X @ p.beta
-        if has_jumps:
-            drift = drift - (hm0 + X @ hm1)
-        if constant_diffusion:
-            noise = normals[:, step, :] @ sqrt_a.T
+            hazard += np.maximum(coef[:, d], 0.0)
+            alive = hazard < kill_clock
+            alive_until += alive
+        if len(rows) > 1:
+            A = coef[:, d + 1 + k:].reshape(n_paths, d, d)
+            noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), normals[:, step])
+        elif r:
+            noise = np.sqrt(np.maximum(coef[:, -1:], 0.0)) * normals[:, step]
         else:
-            A = p.a + np.einsum("pi,ijk->pjk", X, p.alpha)
-            noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), normals[:, step, :])
-        X_new = X + drift * dt + sqdt * noise
+            noise = normals[:, step]
+        X_new = X + coef[:, :d] + noise
 
         if has_jumps:
-            w = np.maximum(W0 + X @ W1, 0.0)          # (n_paths, k_atoms)
-            lam = w.sum(axis=1) * dt
-            # Poisson count by inverse CDF from one uniform per (path, step)
-            u_cnt = jump_u[:, step, 0]
+            w = np.maximum(coef[:, d + 1:d + 1 + k], 0.0)
+            lam = w.sum(axis=1)
             pk = np.exp(-lam)
-            cdf = pk.copy()
-            counts = np.zeros(n_paths, dtype=np.int64)
-            for j in range(1, _JUMPS_PER_STEP_CAP + 1):
-                more = u_cnt > cdf
-                if not more.any():
-                    break
-                counts[more] = j
-                pk = pk * lam / j
-                cdf = cdf + pk
-            else:
-                # the count loop reached the cap: draws above its CDF are cut
-                jump_overflows += int(np.count_nonzero(alive & (u_cnt > cdf)))
-            atom_cdf = np.cumsum(w, axis=1)
-            for j in range(_JUMPS_PER_STEP_CAP):
-                hit = counts > j
-                if not hit.any():
-                    break
-                v = jump_u[hit, step, 1 + j] * atom_cdf[hit, -1]
-                idx = (v[:, None] <= atom_cdf[hit]).argmax(axis=1)
-                X_new[hit] += atom_locs[idx]
+            # the count, atom and cumsum work runs on the paths with N >= 1 only
+            ids = np.flatnonzero(jump_u[:, step, 0] > pk)
+            if len(ids):
+                u, lam, pk = jump_u[ids, step], lam[ids], pk[ids]
+                # Poisson count by inverse CDF from one uniform per (path, step)
+                cdf = pk.copy()
+                counts = np.zeros(len(ids), dtype=np.int64)
+                for j in range(1, _JUMPS_PER_STEP_CAP + 1):
+                    more = u[:, 0] > cdf
+                    if not more.any():
+                        break
+                    counts[more] = j
+                    pk = pk * lam / j
+                    cdf = cdf + pk
+                else:
+                    # the count loop reached the cap: draws above its CDF are cut
+                    jump_overflows += int(np.count_nonzero(alive[ids] & (u[:, 0] > cdf)))
+                atom_cdf = np.cumsum(w[ids], axis=1)
+                for j in range(_JUMPS_PER_STEP_CAP):
+                    hit = counts > j
+                    if not hit.any():
+                        break
+                    v = u[hit, 1 + j] * atom_cdf[hit, -1]
+                    idx = (v[:, None] <= atom_cdf[hit]).argmax(axis=1)
+                    X_new[ids[hit]] += p.L[idx]
 
         clamps += int(np.count_nonzero((X_new[:, :m] < 0.0) & alive[:, None]))
         np.maximum(X_new[:, :m], 0.0, out=X_new[:, :m])
-        if has_killing:
-            X = np.where(alive[:, None], X_new, X)
-            states[:, step + 1, :] = np.where(alive[:, None], X, np.nan)
-        else:   # every path stays alive
-            X = states[:, step + 1, :] = X_new
+        X = states[:, step + 1, :] = X_new
 
+    for i in np.flatnonzero(alive_until <= n_steps):   # dead paths kept stepping
+        states[i, alive_until[i]:] = np.nan
     return Ensemble(times=times, states=states, alive_until=alive_until,
                     jump_overflows=jump_overflows, clamps=clamps)
 

@@ -29,8 +29,8 @@ on it at once instead of leaving a sliver step; the margin stays below
 that failed.  Blow-up is declared when a lane's step collapses below
 t*1e-12, it makes MAX_STEPS attempts or |psi| exceeds an overflow guard;
 past the guard the blow-up time reported is T* = t + |psi_j| / |R_j(psi)| at
-the last accepted state (j its largest |psi| component, where psi_j grows
-like 1 / (c (T* - t))), otherwise the lane's last accepted time.  This
+the last accepted state (j the largest |psi| of the step past the guard:
+psi_j grows like 1 / (c (T* - t))), otherwise its last accepted time.  This
 deliberately conflates a vanishing transform factor with integrator
 failure, which is flagged in the result status rather than resolved.
 """
@@ -232,9 +232,9 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float)
     is that state's time.  Lane i blew up iff reached[i] < n_t: a non-finite
     derivative at t = 0, a step below the floor, MAX_STEPS attempted steps or
     |psi| past the overflow guard.  For the last, t[i] is instead
-    T* = t + |psi_j| / |R_j(psi)| at the last accepted state, j its largest
-    |psi| component and R from the FSAL stage k[:, 0]: near a pole psi_j
-    grows like 1 / (c (T* - t)).
+    T* = t + |psi_j| / |R_j(psi)| at the last accepted state, j the largest
+    |psi| component of the step that crossed the guard and R from the FSAL
+    stage k[:, 0]: near a pole psi_j grows like 1 / (c (T* - t)).
     """
     (n, m), n_stops = y0.shape, t_stops.shape[1]
     # rows at t = 0 keep y0; a lane writes each later row as it reaches or blows up
@@ -315,7 +315,7 @@ def _integrate(p: AffineParams, y0: np.ndarray, t_stops: np.ndarray, tol: float)
             if over.any():
                 # T* from the last accepted state; t where |R_j| is 0
                 psi = np.abs(y[over, 1:])
-                j = psi.argmax(axis=1)[:, None]
+                j = abs_new[over, 1:].argmax(axis=1)[:, None]   # the component past the guard
                 dt = (np.take_along_axis(psi, j, 1)
                       / np.abs(np.take_along_axis(k[over, 0, 1:], j, 1)))[:, 0]
                 t[over] += np.where(np.isfinite(dt), dt, 0.0)

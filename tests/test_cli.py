@@ -214,6 +214,24 @@ class TestOneEnsemble:
         [(params, x0, T, steps, seed, paths)] = calls
         assert (T, steps, seed, paths) == (0.5, 400, 0, 10000) and x0.tolist() == [1.0]
 
+    def test_verify_prints_the_ensemble_summary(self, tmp_path, capsys):
+        _, out_dir = run(tmp_path, "verify", {
+            "task": "verify", **SVJ, "verify_suite": ["affine_mc", "semiflow"],
+            "mc": {"paths": 200, "steps": 40, "seed": 2, "T": 0.5}})
+        lines = capsys.readouterr().out.splitlines()
+        ens = simulate_ensemble(cli.load_config(str(tmp_path / "verify.json")).params,
+                                [0.04, 0.0], 0.5, 40, 2, 200)
+        killed = np.mean(ens.alive_until < 41)
+        assert lines[-2] == (f"ensemble: sampler euler, clamps {ens.clamps}, jump-cap "
+                             f"overflows {ens.jump_overflows}, killed share {killed:.4g}")
+        assert "ensemble" not in (out_dir / "report.json").read_text()
+
+    def test_verify_without_monte_carlo_prints_no_ensemble(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
+                                           "verify_suite": ["semiflow", "regularity"]})
+        assert code == EXIT_OK
+        assert "ensemble:" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("payload", [
         {"verify_suite": ["affine_mc"], "grids": {"t": [0.05000000001, 0.1]}},
         {"grids": {"t": [0.05, 0.13]}},

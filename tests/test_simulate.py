@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from affine_kit import simulate
 from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
@@ -69,8 +70,49 @@ def eigh_root(mats):
 
 
 def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
-    """Step-by-step Euler paths of a jump- and killing-free tuple, with every
-    A(X) rooted by `root` (the sampler's own _psd_sqrt unless given)."""
+    """Step-by-step Euler paths of a jump- and killing-free tuple, in the
+    sampler's documented order, from p.a, p.alpha, p.b and p.beta.
+
+    With the tables times dt, the drift is b dt + sum_i x_i (beta^i dt).  If
+    at most one of the rows a, alpha^1..alpha^d is nonzero, A_r, the noise is
+    sqrt(max(x_r dt, 0)) (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z) for
+    r = 0; otherwise it is root(a dt + sum_i x_i (alpha^i dt)) z."""
+    d = p.dim
+    dt = T / n_steps
+    z = np.stack([pinned_stream(seed, i).standard_normal((n_steps, d))
+                  for i in range(n_paths)])
+    orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
+                           else int(isinstance(p.space, HalfLine)))
+    rows = [r for r, A_r in enumerate([p.a, *p.alpha]) if A_r.any()] or [0]
+    if len(rows) == 1:
+        r = rows[0]
+        z = np.einsum("jk,pik->pij", root(p.a if r == 0 else p.alpha[r - 1]), z)
+        if r == 0:
+            z *= math.sqrt(dt)
+    X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    out = [X]
+    for k in range(n_steps):
+        drift = p.b * dt
+        for i in range(d):
+            drift = drift + X[:, i, None] * (p.beta[i] * dt)
+        if len(rows) > 1:
+            A = p.a * dt
+            for i in range(d):
+                A = A + X[:, i, None, None] * (p.alpha[i] * dt)
+            noise = np.einsum("pjk,pk->pj", root(A), z[:, k])
+        elif r:
+            noise = np.sqrt(np.maximum(X[:, r - 1, None] * dt, 0.0)) * z[:, k]
+        else:
+            noise = z[:, k]
+        X = X + drift + noise
+        X[:, orth] = np.maximum(X[:, orth], 0.0)
+        out.append(X)
+    return np.stack(out, axis=1)
+
+
+def textbook_euler(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
+    """The textbook Euler step X + (b + X beta) dt + sqrt(dt) root(A(X)) z of a
+    jump- and killing-free tuple, with full truncation."""
     d = p.dim
     dt = T / n_steps
     normals = np.stack([pinned_stream(seed, i).standard_normal((n_steps, d))
@@ -297,6 +339,26 @@ class TestKilling:
         est = mc_char_fn(ens, 1.0, [1j])
         assert abs(est.value) < 0.05
 
+    def test_svj_alive_until_matches_a_recount(self, svj):
+        # alive_until is the first k with sum_{j<k} max(c + gamma.X_j, 0) dt >= the
+        # path's clock, read from the stored states; its cells are nan from there on
+        seed, n_steps, dt = 7, 200, 1.0 / 200
+        ens = simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=seed, n_paths=400)
+        assert 0 < np.count_nonzero(ens.alive_until <= n_steps) < ens.n_paths
+        for i in range(ens.n_paths):
+            rng = pinned_stream(seed, i)
+            rng.standard_normal((n_steps, 2))
+            rng.random((n_steps, 1 + _JUMPS_PER_STEP_CAP))
+            clock, hazard, want = rng.standard_exponential(), 0.0, n_steps + 1
+            for k in range(1, n_steps + 1):
+                hazard += max(svj.c + svj.gamma @ ens.states[i, k - 1], 0.0) * dt
+                if hazard >= clock:
+                    want = k
+                    break
+            assert ens.alive_until[i] == want
+            assert np.isnan(ens.states[i, want:]).all()
+            assert not np.isnan(ens.states[i, :want]).any()
+
 
 class TestJumps:
     def test_levy_process_matches_transform(self):
@@ -438,14 +500,22 @@ def plane_3d():
     )
 
 
+def tiny_negative_diagonal():
+    """Half-line tuple with a = -1e-12 and alpha = 0.25: two nonzero rows of A."""
+    return AffineParams.zeros(HalfLine()).with_(
+        a=np.array([[-1e-12]]), alpha=np.array([[[0.25]]]), b=np.array([0.3]))
+
+
 def spectral_norm(mats):
     return np.linalg.norm(mats, ord=2, axis=(-2, -1))
 
 
 class TestDiffusionRoot:
     """The Euler step roots A(X) with _psd_sqrt (closed form for d <= 2, eigh
-    for d >= 3); the sampler and euler_reference give the same floats, and
-    _psd_sqrt agrees with the independent eigh_root oracle."""
+    for d >= 3), or a single factor's A_r once; the sampler and
+    euler_reference give the same floats, the sampler stays within rounding
+    of the textbook step, and _psd_sqrt agrees with the independent eigh_root
+    oracle."""
 
     # cir(sigma=3.0) has df = 4b/sigma^2 < 1, so Euler, not the exact sampler, draws it
     @pytest.mark.parametrize("make, x0", [(lambda: cir(sigma=3.0), [0.04]),
@@ -464,8 +534,7 @@ class TestDiffusionRoot:
 
     def test_tiny_negative_diagonal_clamps_to_zero(self):
         # A(0) = -1e-12 passes validation; its root is 0, as a clamped eigh gives
-        p = AffineParams.zeros(HalfLine()).with_(
-            a=np.array([[-1e-12]]), alpha=np.array([[[0.25]]]), b=np.array([0.3]))
+        p = tiny_negative_diagonal()
         ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=1, n_paths=20)
         np.testing.assert_array_equal(ens.states[:, 1, 0], 0.3 * 0.1)
         np.testing.assert_array_equal(ens.states, euler_reference(p, [0.0], 1.0, 10, 1, 20))
@@ -524,6 +593,28 @@ class TestDiffusionRoot:
         np.testing.assert_array_equal(ens.states, ref)
         np.testing.assert_array_equal(
             ref, euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100, root=eigh_root))
+
+    @pytest.mark.parametrize("root", [_psd_sqrt, eigh_root], ids=["psd_sqrt", "eigh_root"])
+    @pytest.mark.parametrize("make, x0", [
+        (lambda: cir(sigma=3.0), [0.04]), (diagonal_plane, [0.1, 0.0]),
+        ("svj", [0.04, 0.0]), (tiny_negative_diagonal, [0.0]), (plane_3d, [0.2, 0.0, 0.0])],
+        ids=["cir", "diagonal_plane", "svj_diffusion", "tiny_negative", "plane_3d"])
+    def test_sampler_matches_the_textbook_step(self, make, x0, root, svj):
+        p = svj_diffusion(svj) if make == "svj" else make()
+        ens = simulate_ensemble(p, x0, 1.0, 60, seed=5, n_paths=300)
+        ref = textbook_euler(p, x0, 1.0, 60, 5, 300, root=root)
+        assert np.all(np.abs(ens.states - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("make, x0, want", [
+        ("svj", [0.04, 0.0], [(2, 2)]),                     # alpha^1 alone: rooted once
+        (plane_3d, [0.2, 0.0, 0.0], [(100, 3, 3)] * 40)],   # a and alpha^1: every step
+        ids=["svj", "plane_3d"])
+    def test_a_single_factor_is_rooted_once_any_other_tuple_every_step(
+            self, make, x0, want, svj, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "_psd_sqrt", lambda m: calls.append(m.shape) or _psd_sqrt(m))
+        simulate_ensemble(svj if make == "svj" else make(), x0, 1.0, 40, seed=4, n_paths=100)
+        assert calls == want
 
 
 def recount_jump_overflows(p, ens, seed):

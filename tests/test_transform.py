@@ -100,15 +100,15 @@ class TestEvaluate:
         assert b.t[0, 0] == b.blow_up_time[0]
         assert abs(b.blow_up_time[0] - pole) <= 1e-10 * pole
 
-    def test_blow_up_time_stays_finite_where_the_largest_psi_is_constant(self):
-        # R = (0, 2 psi2^2): psi1 = 9.9e7 stays the largest |psi| while psi2
-        # passes the guard, and |psi1| / |R1| is infinite; the lane reports
-        # its last accepted time instead
+    def test_blow_up_time_follows_the_component_that_crosses_the_guard(self):
+        # R = (0, 2 psi2^2), pole at t = 1/(2 u2) = 0.5: psi1 = 9.9e7 stays the
+        # largest |psi| of the last accepted state, with R1 = 0, while psi2
+        # crosses the guard; T* comes from psi2
         p = AffineParams.zeros(FullSpace(2)).with_(
             alpha=np.array([np.zeros((2, 2)), [[0.0, 0.0], [0.0, 4.0]]]))
         b = evaluate_batch(p, [1.0], [[9.9e7, 1.0]])
         assert b.status[0, 0] == "blow_up"
-        assert 0.5 - 1e-6 < b.blow_up_time[0] < 0.5
+        assert abs(b.blow_up_time[0] - 0.5) <= 1e-10 * 0.5
 
     def test_out_of_domain_input_is_flagged_but_computed(self, parabola):
         r = evaluate(parabola, 0.3, [0.0, 1.0])
