@@ -23,7 +23,6 @@ from .state_space import (
     HalfLine,
     Parabola,
     StateSpace,
-    space_from_config,
 )
 from .transform import (
     BlowUpError,
@@ -62,7 +61,6 @@ __all__ = [
     "HalfLine",
     "Parabola",
     "StateSpace",
-    "space_from_config",
     "BlowUpError",
     "TransformDomainError",
     "TransformBatch",

@@ -8,9 +8,31 @@ Exit status: 0 all requested checks pass, 1 a check failed, 2 the config
 does not parse, 3 the config fails semantic validation (unresolvable
 preset, grid point outside the transform domain, invalid parameters, ...).
 
+The config is a JSON object that names a preset or both space and params.
+Each object in it holds only these keys ([default], (values)), and any
+other key does not parse (_SCHEMA):
+
+    config      task, preset, space, params, verify_suite [all], grids, mc, tolerances
+    space       kind (full, half_line, orthant_plane, parabola), d [1], m, n
+    params      a, alpha, b, beta, c, gamma [0], m, mu [no atoms]
+    atom        w, xi
+    grids       t [0.05, 0.1, 0.2, 0.4], u [i e_k, -i/sqrt(d)], x [an affine basis point]
+    mc          paths [10000], steps [400], T [max(grids.t, 0.5)], seed [0]
+    tolerances  ode [1e-10], semiflow_triples [100]
+
+Every number is a JSON number, never a bool or a string; a component of a
+point u is a number or [re, im]; of the space keys, kind full reads d and
+orthant_plane reads m and n.
+
+The verify thresholds are constants, not settings: semi-flow 1e-7;
+regularity at h = 1e-2 ... 1e-4 to error 1e-4 and order 0.9; bounded 0.10
+over t = 1e-1 ... 1e-5; cp_limit correlation 0.99 over t = 0.1 ... 0.001;
+martingale stop radius 1.0; characteristics 5%; Monte Carlo 3 std errors.
+
 The Monte Carlo suites of a verify run share one ensemble, simulate's, on
 the mc grid linspace(0, mc.T, mc.steps + 1).  The times they read (positive
-grids.t; each delta and n * delta of martingale_pairs) must lie on it.
+grids.t; delta and n * delta of the martingale pairs (delta, n) = (0.1, 5)
+and (0.05, 10)) must lie on it.
 
 Reports are reproducible byte for byte for a fixed config and seed; the
 only run-dependent value is isolated in the single "generated_at" key.
@@ -32,7 +54,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +69,14 @@ from .simulate import (
     simulate_ensemble,
     stopped_ensemble,
 )
-from .state_space import random_u_in_domain, space_from_config
+from .state_space import (
+    CanonicalOrthantPlane,
+    FullSpace,
+    HalfLine,
+    Parabola,
+    StateSpace,
+    random_u_in_domain,
+)
 from .transform import (
     TransformError,
     boundedness_probe,
@@ -79,25 +108,46 @@ def _number(name: str, value) -> float:
     """A JSON number as a float; a bool, a string or anything else does not parse."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigParseError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return _parsed(name, lambda _, v: float(v), value)
 
 
-def _numbers(name: str, v) -> list:
-    return [_number(name, x) for x in v]
+def _array(name: str, value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array."""
+    if not isinstance(value, list):
+        return np.array(_number(name, value))
+    return _parsed(name, lambda _, v: np.array(v, dtype=float), [_array(name, v) for v in value])
 
 
-# the tolerances.* keys a run reads, grouped by suite: default and converter
-_TOLERANCES = {
-    "ode": (1e-10, _number), "semiflow": (1e-7, _number), "semiflow_triples": (100, _integer),
-    "regularity_rel": (1e-4, _number), "regularity_order": (0.9, _number),
-    "regularity_h": ([1e-2, 1e-3, 1e-4], _numbers),
-    "bounded_variation": (0.10, _number), "bounded_t": ([1e-1, 1e-2, 1e-3, 1e-4, 1e-5], _numbers),
-    "cp_corr": (0.99, _number), "cp_t": ([0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001], _numbers),
-    "martingale_pairs": ([[0.1, 5], [0.05, 10]], lambda name, v: [
-        (_number(name, d), _integer(name, n)) for d, n in v]),
-    "martingale_tol": (0.0, _number), "martingale_stop_radius": (1.0, _number),
-    "characteristics_rel": (0.05, _number),
+# the keys each JSON object of a config may hold (module docstring)
+_SCHEMA = {
+    "config": ("task", "preset", "space", "params", "verify_suite", "grids", "mc", "tolerances"),
+    "space": ("kind", "d", "m", "n"),
+    "params": ("a", "alpha", "b", "beta", "c", "gamma", "m", "mu"),
+    "atom": ("w", "xi"),
+    "grids": ("t", "u", "x"),
+    "mc": ("paths", "steps", "T", "seed"),
+    "tolerances": ("ode", "semiflow_triples"),
 }
+
+
+def _object(kind: str, value) -> dict:
+    """value, a JSON object that holds only keys of _SCHEMA[kind]."""
+    if not isinstance(value, dict):
+        raise ConfigParseError(f"{kind} must be a JSON object")
+    for key in value:
+        if key not in _SCHEMA[kind]:
+            raise ConfigParseError(f"{kind} has unknown key {key!r}; "
+                                   f"known: {', '.join(_SCHEMA[kind])}")
+    return value
+
+
+# the verify thresholds and probe steps: numerics that judge fixed identities
+_SEMIFLOW_TOL = 1e-7
+_REGULARITY_REL, _REGULARITY_ORDER, _REGULARITY_H = 1e-4, 0.9, (1e-2, 1e-3, 1e-4)
+_BOUNDED_VARIATION, _BOUNDED_T = 0.10, (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+_CP_CORR, _CP_T = 0.99, (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+_MARTINGALE_PAIRS, _STOP_RADIUS = ((0.1, 5), (0.05, 10)), 1.0    # (delta, n); radius
+_CHARACTERISTICS_REL = 0.05
 
 
 class ConfigParseError(Exception):
@@ -110,40 +160,56 @@ class ConfigValidationError(Exception):
 
 def _parse_complex_vector(entry, d: int) -> np.ndarray:
     """JSON encoding of u: each component a number or a [re, im] pair."""
-    if not isinstance(entry, (list, tuple)) or len(entry) != d:
+    if not isinstance(entry, list) or len(entry) != d:
         raise ConfigParseError(f"u entry {entry!r} is not a length-{d} vector")
     out = np.empty(d, dtype=complex)
     for i, c in enumerate(entry):
-        if isinstance(c, (int, float)):
-            out[i] = complex(c)
-        elif isinstance(c, (list, tuple)) and len(c) == 2:
-            out[i] = complex(float(c[0]), float(c[1]))
-        else:
-            raise ConfigParseError(f"component {c!r} is neither a number nor [re, im]")
+        re, im = c if isinstance(c, list) and len(c) == 2 else (c, 0.0)
+        out[i] = complex(_number("grids.u", re), _number("grids.u", im))
     return out
 
 
-def _measure_from_json(entries, d: int) -> LevyMeasure:
+# each space.kind: its class and the integer keys it is built from
+_SPACES = {"full": (FullSpace, ("d",)), "half_line": (HalfLine, ()),
+           "orthant_plane": (CanonicalOrthantPlane, ("m", "n")), "parabola": (Parabola, ())}
+
+
+def _space_from_config(spec) -> StateSpace:
+    """The state space of a JSON descriptor {"kind": ..., ...}."""
+    kind = _object("space", spec).get("kind")
+    if kind not in _SPACES:
+        raise ValueError(f"unknown state space kind: {kind!r}")
+    build, keys = _SPACES[kind]
+    unread = set(spec) - {"kind", *keys}
+    if unread:
+        raise ConfigParseError(f"a space of kind {kind!r} has no key {sorted(unread)[0]!r}")
+    return build(*(_integer(f"space.{k}", {"d": 1, **spec}[k]) for k in keys))
+
+
+def _measure_from_json(name: str, entries, d: int) -> LevyMeasure:
     atoms = []
     for e in entries:
-        atoms.append((float(e["w"]), np.asarray(e["xi"], dtype=float).reshape(d)))
+        e = _object("atom", e)
+        atoms.append((_number(f"{name}.w", e["w"]), _array(f"{name}.xi", e["xi"]).reshape(d)))
     return LevyMeasure.from_atoms(atoms, dim=d) if atoms else LevyMeasure.empty(d)
 
 
-def _params_from_json(space, spec: dict) -> AffineParams:
+def _params_from_json(space, spec) -> AffineParams:
     d = space.dim
     base = AffineParams.zeros(space)
-    kw = {k: np.asarray(spec[k], dtype=float)
+    spec = _object("params", spec)
+    kw = {k: _array(f"params.{k}", spec[k])
           for k in ("a", "alpha", "b", "beta", "gamma") if k in spec}
     if "c" in spec:
-        kw["c"] = float(spec["c"])
+        kw["c"] = _number("params.c", spec["c"])
     if "m" in spec:
-        kw["m_measure"] = _measure_from_json(spec["m"], d)
+        kw["m_measure"] = _measure_from_json("params.m", spec["m"], d)
     if "mu" in spec:
         mus = spec["mu"]
         if len(mus) != d:
             raise ConfigParseError(f"'mu' must list {d} measures")
-        kw["mu_measures"] = tuple(_measure_from_json(m, d) for m in mus)
+        kw["mu_measures"] = tuple(_measure_from_json(f"params.mu[{i}]", m, d)
+                                  for i, m in enumerate(mus))
     return base.with_(**kw)
 
 
@@ -161,7 +227,7 @@ class RunConfig:
     horizon: float
     seed: int
     ode_tol: float
-    tolerances: dict = field(default_factory=dict)     # every key of _TOLERANCES, converted
+    semiflow_triples: int
 
     @property
     def space(self):
@@ -187,8 +253,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigParseError(f"cannot read config {path}: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigParseError("config must be a JSON object")
+    raw = _object("config", raw)
 
     task = raw.get("task")
     if task not in ("transform", "simulate", "verify"):
@@ -199,12 +264,14 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         if preset not in presets.PRESET_NAMES:
             raise ConfigParseError(
                 f"unknown preset {preset!r}; known: {presets.PRESET_NAMES}")
+        if "space" in raw or "params" in raw:
+            raise ConfigParseError("config names a preset, so it takes no 'space' or 'params'")
         params = presets.get(preset)
     else:
         if "space" not in raw or "params" not in raw:
             raise ConfigParseError("config needs either 'preset' or 'space' + 'params'")
         try:
-            space = space_from_config(raw["space"])
+            space = _space_from_config(raw["space"])
             params = _params_from_json(space, raw["params"])
         except (ValueError, KeyError, TypeError) as e:
             raise ConfigParseError(f"bad space/params spec: {e}") from e
@@ -213,28 +280,21 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     if not isinstance(suite, list) or any(s not in ALL_SUITES for s in suite):
         raise ConfigParseError(f"verify_suite entries must be among {ALL_SUITES}")
 
-    grids = raw.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigParseError("grids must be a JSON object")
+    grids = _object("grids", raw.get("grids", {}))
     d = params.dim
-    t_grid = _parsed("grids.t", lambda _, v: np.asarray(v, dtype=float),
-                     grids.get("t", [0.05, 0.1, 0.2, 0.4]))
+    t_grid = _array("grids.t", grids.get("t", [0.05, 0.1, 0.2, 0.4]))
     if t_grid.ndim != 1 or not np.all((t_grid >= 0) & (t_grid < np.inf)):
         raise ConfigParseError("grids.t must be a list of finite nonnegative times")
-    u_grid = [_parse_complex_vector(e, d) for e in grids.get("u", _default_u_grid(d))]
+    u_grid = _parsed("grids.u", lambda _, v: [_parse_complex_vector(e, d) for e in v],
+                     grids.get("u", _default_u_grid(d)))
     x_default = [params.space.affine_basis()[-1].tolist()]
-    x_grid = _parsed("grids.x", lambda _, v: [np.asarray(x, dtype=float).reshape(d) for x in v],
+    x_grid = _parsed("grids.x", lambda n, v: [_array(n, x).reshape(d) for x in v],
                      grids.get("x", x_default))
 
-    mc = raw.get("mc", {})
-    if not isinstance(mc, dict):
-        raise ConfigParseError("mc must be a JSON object")
+    mc = _object("mc", raw.get("mc", {}))
     seed = _integer("mc.seed", mc.get("seed", 0) if seed_override is None else seed_override)
-    tols = raw.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigParseError("tolerances must be a JSON object")
-    tolerances = {k: _parsed(f"tolerances.{k}", convert, tols.get(k, default))
-                  for k, (default, convert) in _TOLERANCES.items()}
+    tols = _object("tolerances", raw.get("tolerances", {}))
+    ode_tol = _number("tolerances.ode", tols.get("ode", 1e-10))
     cfg = RunConfig(
         task=task,
         params=params,
@@ -245,10 +305,11 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         x_grid=x_grid,
         n_paths=_integer("mc.paths", mc.get("paths", 10000)),
         n_steps=_integer("mc.steps", mc.get("steps", 400)),
-        horizon=_parsed("mc.T", _number, mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
+        horizon=_number("mc.T", mc.get("T", max(float(t_grid.max(initial=0.0)), 0.5))),
         seed=seed,
-        ode_tol=tolerances["ode"] if tol_override is None else float(tol_override),
-        tolerances=tolerances,
+        ode_tol=ode_tol if tol_override is None else float(tol_override),
+        semiflow_triples=_integer("tolerances.semiflow_triples",
+                                  tols.get("semiflow_triples", 100)),
     )
     _validate_config(cfg)
     return cfg
@@ -294,25 +355,13 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigValidationError("mc settings must satisfy paths>=2, steps>=1, 0<T<inf")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigValidationError(f"the seed must lie in [0, 2**64), got {cfg.seed}")
-    tols = cfg.tolerances
-    # the probes' step lists: finite, positive, decreasing, and long enough to fit
-    for key, least in (("regularity_h", 3), ("bounded_t", 1), ("cp_t", 2)):
-        steps = np.asarray(tols[key])
-        if len(steps) < least or not (np.all((steps > 0) & (steps < math.inf))
-                                      and np.all(np.diff(steps) < 0)):
-            raise ConfigValidationError(f"tolerances.{key} must hold >= {least} finite, "
-                                        f"positive, decreasing values, got {tols[key]}")
-    if not all(0 < delta < math.inf and n >= 1 for delta, n in tols["martingale_pairs"]):
-        raise ConfigValidationError("tolerances.martingale_pairs must be [delta, n] pairs with "
-                                    f"0 < delta < inf and n >= 1, got {tols['martingale_pairs']}")
-    if tols["semiflow_triples"] < 1 or not tols["martingale_stop_radius"] >= 0:
-        raise ConfigValidationError("tolerances.semiflow_triples must be >= 1 and "
-                                    "tolerances.martingale_stop_radius >= 0")
+    if cfg.semiflow_triples < 1:
+        raise ConfigValidationError("tolerances.semiflow_triples must be >= 1")
     if cfg.task == "verify":   # the times the Monte Carlo suites read lie on the mc grid
         grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
         reads = [t for t in cfg.t_grid if t > 0] if "affine_mc" in cfg.verify_suite else []
         if "martingale" in cfg.verify_suite:
-            reads += [t for delta, n in tols["martingale_pairs"] for t in (delta, n * delta)]
+            reads += [t for delta, n in _MARTINGALE_PAIRS for t in (delta, n * delta)]
         for t in reads:
             try:
                 grid_index(grid, t)
@@ -327,8 +376,8 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 def _csv_rows(num: np.ndarray) -> list:
-    """Row j of the C-contiguous float64 matrix num as b"c0,c1,...", every
-    cell repr(float(cell)) byte for byte.
+    """Row j of the float64 matrix num as b"c0,c1,...", every cell
+    repr(float(cell)) byte for byte.
 
     orjson's Ryu digits equal repr's for +-0 and for 1e-4 <= |x| < 1e16.
     Outside that range the notation differs (nan and inf become null, tiny
@@ -338,6 +387,7 @@ def _csv_rows(num: np.ndarray) -> list:
     import orjson   # only the CSV writers need it; verify never loads it
     if not len(num):
         return []
+    num = np.ascontiguousarray(num)     # orjson serializes only C-contiguous arrays
     rows = orjson.dumps(num, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
     mag = np.abs(num)
     ryu = ((mag >= 1e-4) & (mag < 1e16)) | (num == 0.0)
@@ -385,8 +435,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
         fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]).encode()
                  + b"\r\n")
         for i in range(ens.n_paths):    # one write per path; each line starts with its id
-            # orjson serializes only C-contiguous arrays
-            x_rows = _csv_rows(np.ascontiguousarray(ens.states[i]))
+            x_rows = _csv_rows(ens.states[i])
             au = int(ens.alive_until[i])
             alive = [b",1\r\n"] * au + [b",0\r\n"] * (n_t - au)
             head = b"%d," % i
@@ -420,8 +469,7 @@ def _check(name: str, prop: str, statistic: float, threshold: float, ok: bool,
 
 
 def _suite_semiflow(cfg: RunConfig) -> list:
-    n_triples = cfg.tolerances["semiflow_triples"]
-    thr = cfg.tolerances["semiflow"]
+    n_triples = cfg.semiflow_triples
     rng = np.random.default_rng(cfg.seed)
     triples = [(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3),
                 random_u_in_domain(cfg.space, rng)) for _ in range(n_triples)]
@@ -429,21 +477,19 @@ def _suite_semiflow(cfg: RunConfig) -> list:
     worst = float(np.max(semiflow_residual(cfg.params, t, s, u, cfg.ode_tol)))
     return [_check("semiflow", "transform composition law phi(t+s,u) = phi(t,u) + "
                    "phi(s,psi(t,u)), psi(t+s,u) = psi(s,psi(t,u))",
-                   worst, thr, worst <= thr, triples=n_triples)]
+                   worst, _SEMIFLOW_TOL, worst <= _SEMIFLOW_TOL, triples=n_triples)]
 
 
 def _suite_regularity(cfg: RunConfig) -> list:
-    thr_rel = cfg.tolerances["regularity_rel"]
-    thr_order = cfg.tolerances["regularity_order"]
     out = []
     for u in cfg.u_grid[:3]:
-        probe = fd_regularity(cfg.params, u, cfg.tolerances["regularity_h"], cfg.ode_tol)
-        ok = probe.rel_error_est <= thr_rel and probe.observed_order >= thr_order
+        probe = fd_regularity(cfg.params, u, _REGULARITY_H, cfg.ode_tol)
+        ok = probe.rel_error_est <= _REGULARITY_REL and probe.observed_order >= _REGULARITY_ORDER
         out.append(_check(
             "regularity",
             "existence of the transform's time derivatives at t=0+ "
             "(difference quotients recover F and R)",
-            probe.rel_error_est, thr_rel, ok,
+            probe.rel_error_est, _REGULARITY_REL, ok,
             observed_order=(None if math.isinf(probe.observed_order)
                             else probe.observed_order),
             u=[[c.real, c.imag] for c in u]))
@@ -451,35 +497,32 @@ def _suite_regularity(cfg: RunConfig) -> list:
 
 
 def _suite_bounded(cfg: RunConfig) -> list:
-    thr = cfg.tolerances["bounded_variation"]
     d = cfg.params.dim
     rng = np.random.default_rng(cfg.seed + 1)
     z = rng.standard_normal((20, d))
     grid = [1j * row / max(np.linalg.norm(row), 1e-12) for row in z]
-    table = boundedness_probe(cfg.params, grid, cfg.tolerances["bounded_t"], cfg.ode_tol)
+    table = boundedness_probe(cfg.params, grid, _BOUNDED_T, cfg.ode_tol)
     tail = table.sup[-3:]
     variation = float((tail.max() - tail.min()) / max(tail.min(), 1e-300))
-    ok = variation <= thr and not table.divergence_suspected
+    ok = variation <= _BOUNDED_VARIATION and not table.divergence_suspected
     return [_check("bounded", "small-time boundedness of |phi(t,u)|/t + "
                    "|psi(t,u)-u|/t on a compact u-grid",
-                   variation, thr, ok, sup_by_t=list(map(float, table.sup)))]
+                   variation, _BOUNDED_VARIATION, ok, sup_by_t=list(map(float, table.sup)))]
 
 
 def _suite_cp_limit(cfg: RunConfig) -> list:
-    thr_corr = cfg.tolerances["cp_corr"]
     out = []
     pairs = [(x, u) for x in cfg.x_grid[:3] for u in cfg.u_grid[:3]][:3]
     for x, u in pairs:
-        table = cp_limit_check(cfg.params, x, u, cfg.tolerances["cp_t"], cfg.ode_tol)
+        table = cp_limit_check(cfg.params, x, u, _CP_T, cfg.ode_tol)
         err = np.maximum(table.errors, 1e-15)
         corr = float(np.corrcoef(np.log(table.t), np.log(err))[0, 1])
         slope_c = float(np.max(err / table.t))
-        ok = corr >= thr_corr
         out.append(_check(
             "cp_limit",
             "small-time limit of the centered transform difference quotient "
             "towards (F(u)+c) + <x, R(u)+gamma>, with linear error decay",
-            corr, thr_corr, ok,
+            corr, _CP_CORR, corr >= _CP_CORR,
             fitted_linear_constant=slope_c,
             x=list(map(float, x)), u=[[c.real, c.imag] for c in u]))
     return out
@@ -539,17 +582,15 @@ def _suite_affine_mc(cfg: RunConfig) -> list:
 
 
 def _suite_martingale(cfg: RunConfig) -> list:
-    tol = cfg.tolerances["martingale_tol"]
-    radius = cfg.tolerances["martingale_stop_radius"]
     ens = cfg.ensemble
-    stopped = stopped_ensemble(ens, radius)
+    stopped = stopped_ensemble(ens, _STOP_RADIUS)
     out = []
-    for delta, n in cfg.tolerances["martingale_pairs"]:
+    for delta, n in _MARTINGALE_PAIRS:
         for label, e in (("unstopped", ens), ("stopped", stopped)):
             for u in _up_to_conjugates(cfg.u_grid[:3]):
                 est = martingale_L_test(cfg.params, e, delta, n, u, cfg.ode_tol)
                 gap = abs(est.value - 1.0)
-                thr = max(3.0 * est.std_error, tol)
+                thr = 3.0 * est.std_error
                 out.append(_check(
                     "martingale",
                     "unit mean of the exponential compensated functional "
@@ -561,20 +602,20 @@ def _suite_martingale(cfg: RunConfig) -> list:
 
 
 def _suite_characteristics(cfg: RunConfig) -> list:
-    thr = cfg.tolerances["characteristics_rel"]
     if cfg.params.has_jumps or cfg.params.has_killing:
         # a check that does not apply is not a failure; the entry keeps the suite named
         return [_check("characteristics",
                        "realized quadratic covariation vs int A(X_s) ds "
                        "(diffusion-only check)",
-                       math.nan, thr, True,
+                       math.nan, _CHARACTERISTICS_REL, True,
                        skipped="process has jumps or killing; check not applicable")]
     ens = cfg.ensemble
     rep = characteristics_check(ens, cfg.params)
     out = [_check("characteristics",
                   "realized quadratic covariation matches int A(X_s) ds in "
                   "ensemble mean",
-                  rep.ensemble_rel_error, thr, rep.ensemble_rel_error <= thr,
+                  rep.ensemble_rel_error, _CHARACTERISTICS_REL,
+                  rep.ensemble_rel_error <= _CHARACTERISTICS_REL,
                   sampler=ens.sampler),
            _check("characteristics",
                   "drift residual X_T - X_0 - int B(X_s) ds is centered",

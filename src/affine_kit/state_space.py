@@ -32,7 +32,6 @@ __all__ = [
     "CanonicalOrthantPlane",
     "Parabola",
     "random_u_in_domain",
-    "space_from_config",
 ]
 
 # relative tolerance for the parabola membership band
@@ -202,16 +201,3 @@ def random_u_in_domain(space: StateSpace, rng: np.random.Generator) -> np.ndarra
         re[: space.m] = -rng.uniform(0.0, 1.5, size=space.m)
     return re + 1j * y
 
-
-def space_from_config(cfg: dict) -> StateSpace:
-    """Build a state space from its JSON descriptor {"kind": ..., ...}."""
-    kind = cfg.get("kind")
-    if kind == "full":
-        return FullSpace(dim=int(cfg.get("d", 1)))
-    if kind == "half_line":
-        return HalfLine()
-    if kind == "orthant_plane":
-        return CanonicalOrthantPlane(m=int(cfg["m"]), n=int(cfg["n"]))
-    if kind == "parabola":
-        return Parabola()
-    raise ValueError(f"unknown state space kind: {kind!r}")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,10 @@ def run(tmp_path, task, payload, out="out", extra=()):
 
 
 SMALL_MC = {"paths": 400, "steps": 50, "seed": 3, "T": 0.5}
+
+# the cir preset's tuple, as JSON
+CIR = {"space": {"kind": "half_line"},
+       "params": {"alpha": [[[1.0]]], "b": [1.0], "beta": [[-1.0]]}}
 
 # the stochastic-volatility tuple with jumps and killing of the svj fixture, as JSON
 SVJ = {"space": {"kind": "orthant_plane", "m": 1, "n": 1},
@@ -88,13 +93,13 @@ class TestVerifyTask:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["preset"] is None
 
-    def test_failing_check_returns_status_one(self, tmp_path):
+    def test_failing_check_returns_status_one(self, tmp_path, monkeypatch):
         # an impossible variation threshold forces a legitimate check failure
+        monkeypatch.setattr(cli, "_BOUNDED_VARIATION", 0.0)
         code, out_dir = run(tmp_path, "verify", {
             "task": "verify",
             "preset": "parabola",
             "verify_suite": ["bounded"],
-            "tolerances": {"bounded_variation": 0.0},
         })
         assert code == EXIT_CHECK_FAILED
         report = json.loads((out_dir / "report.json").read_text())
@@ -235,13 +240,15 @@ class TestOneEnsemble:
     @pytest.mark.parametrize("payload", [
         {"verify_suite": ["affine_mc"], "grids": {"t": [0.05000000001, 0.1]}},
         {"grids": {"t": [0.05, 0.13]}},
-        {"tolerances": {"martingale_pairs": [[0.1, 6]]}},
-        {"tolerances": {"martingale_pairs": [[0.03, 5]]}},
+        # the martingale pairs (delta, n) are (0.1, 5) and (0.05, 10): n * delta = 0.5
+        {"verify_suite": ["martingale"], "mc": {"paths": 200, "steps": 40, "T": 0.4}},
+        {"verify_suite": ["martingale"], "mc": {"paths": 200, "steps": 40, "T": 0.6}},
     ], ids=["affine_mc-near-miss", "affine_mc-off-grid", "martingale-past-T",
             "martingale-off-grid"])
     def test_a_read_time_off_the_mc_grid_fails_validation(self, tmp_path, capsys,
                                                           monkeypatch, payload):
-        # mc grid linspace(0, 0.5, 41); rejected at load, before any suite runs
+        # mc grid linspace(0, 0.5, 41) unless the payload sets mc; rejected at load,
+        # before any suite runs
         monkeypatch.setattr(cli, "_SUITES", {})
         code, out_dir = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
                                                  "mc": {"paths": 200, "steps": 40}, **payload})
@@ -252,8 +259,7 @@ class TestOneEnsemble:
     def test_read_times_of_unselected_suites_are_not_checked(self, tmp_path):
         code, _ = run(tmp_path, "verify", {
             "task": "verify", "preset": "cir", "verify_suite": ["characteristics"],
-            "grids": {"t": [0.13]}, "tolerances": {"martingale_pairs": [[0.03, 5]]},
-            "mc": {"paths": 200, "steps": 40}})
+            "grids": {"t": [0.13]}, "mc": {"paths": 200, "steps": 40, "T": 0.4}})
         assert code == EXIT_OK
 
 
@@ -364,12 +370,52 @@ class TestErrorStatuses:
         {"grids": 7},
         {"mc": {"T": True}},
         {"tolerances": {"ode": True}},
+        {"space": {"kind": "full", "d": 2.7}, "params": {}},
+        {"space": {"kind": "full", "d": True}, "params": {}},
+        {**CIR, "params": {**CIR["params"], "b": [True]}},
+        {**CIR, "params": {**CIR["params"], "c": "0.0"}},
+        {**CIR, "params": {**CIR["params"], "alpha": [[["1.0"]]]}},
+        {**CIR, "params": {**CIR["params"], "m": [{"w": "0.5", "xi": [0.1]}]}},
+        {"grids": {"t": ["0.1", True]}},
+        {"grids": {"x": [["1"]]}},
+        {"grids": {"u": [[True]]}},
+        {"grids": {"u": [[[0, "1"]]]}},
+        {"grids": {"u": 5}},
     ], ids=["mc.T", "tolerances.ode", "grids.t", "grids.x", "grids", "mc.T-bool",
-            "tolerances.ode-bool"])
+            "tolerances.ode-bool", "space.d-float", "space.d-bool", "params.b-bool",
+            "params.c-string", "params.alpha-string", "atom.w-string", "grids.t-string-bool",
+            "grids.x-string", "grids.u-bool", "grids.u-string", "grids.u-number"])
     def test_unreadable_config_value_is_parse_error(self, tmp_path, extra):
-        # each of these used to end in a bare ValueError traceback and exit 1
-        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir", **extra})
+        # the first seven used to end in a bare ValueError traceback and exit 1; the
+        # rest ran on a truncated integer or on float() of a bool or a string, or
+        # (grids.u-number) ended in a TypeError traceback
+        payload = {"task": "simulate", "mc": {"paths": 2, "steps": 2}, **extra}
+        if "space" not in extra:
+            payload["preset"] = "cir"
+        code, _ = run(tmp_path, "simulate", payload)
         assert code == EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"tolerances": {"semiflw": 1e-30}}, "semiflw"),
+        ({"tolerances": {"semiflow": 1e-7}}, "semiflow"),
+        ({"grid": {"t": [0.1]}}, "grid"),
+        ({"mc": {"pathz": 10}}, "pathz"),
+        ({**CIR, "params": {**CIR["params"], "sigma": 4}}, "sigma"),
+        ({**CIR, "params": {**CIR["params"], "m": [{"weight": 0.5, "xi": [0.1]}]}}, "weight"),
+        ({"space": {"kind": "full", "dim": 2}, "params": {}}, "dim"),
+        ({"space": {"kind": "half_line", "d": 2}, "params": {}}, "d"),
+        ({"params": {}}, "params"),
+    ], ids=["tolerances.semiflw", "tolerances.semiflow", "grid", "mc.pathz", "params.sigma",
+            "atom.weight", "space.dim", "space.d-half_line", "preset-and-params"])
+    def test_unknown_key_is_parse_error(self, tmp_path, capsys, extra, key):
+        # each of these used to run, and exit 0, with the key ignored
+        payload = {"task": "verify", "verify_suite": ["levy_structure"], **extra}
+        if "space" not in extra:
+            payload["preset"] = "cir"
+        code, out_dir = run(tmp_path, "verify", payload)
+        assert code == EXIT_PARSE_ERROR
+        assert repr(key) in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf")])
     def test_non_finite_time_is_rejected(self, tmp_path, t):
@@ -417,26 +463,16 @@ class TestErrorStatuses:
     def test_unreadable_tolerances_are_parse_errors(self, tmp_path, tolerances):
         # these used to end in an AttributeError or ValueError traceback and exit
         # 1, or (from semiflow_triples-float on) to run on a truncated integer or on
-        # float() of a bool or a string
+        # float() of a bool or a string; every key but ode and semiflow_triples is now
+        # a constant, so naming it at all does not parse
         code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
                                            "tolerances": tolerances})
         assert code == EXIT_PARSE_ERROR
 
     @pytest.mark.parametrize("tolerances", [
-        {"regularity_h": [1e-4, 1e-3, 1e-2]},
-        {"bounded_t": [1e-3, 1e-2, 1e-1]},
-        {"cp_t": [0.001, 0.01, 0.1]},
-        {"martingale_pairs": [[0.1, 0]]},
-        {"martingale_pairs": [[-0.1, 5]]},
-        {"bounded_t": []},
-        {"cp_t": [0.1]},
         {"semiflow_triples": 0},
-        {"martingale_stop_radius": -1.0},
-    ], ids=["regularity_h-increasing", "bounded_t-increasing", "cp_t-increasing",
-            "martingale_pairs-n0", "martingale_pairs-negative-delta", "bounded_t-empty",
-            "cp_t-single", "semiflow_triples-0", "martingale_stop_radius-negative"])
+    ], ids=["semiflow_triples-0"])
     def test_impossible_tolerances_are_validation_errors(self, tmp_path, capsys, tolerances):
-        # these used to exit 1: a library ValueError traceback, or (one cp_t) a NaN statistic
         code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
                                            "tolerances": tolerances})
         assert code == EXIT_VALIDATION_ERROR
@@ -528,22 +564,25 @@ class TestTransformTask:
             assert row["status"] == b.status[i, j]
 
     def test_csv_bytes_match_a_csv_writer(self, tmp_path):
-        t_grid, u_grid = [0.0, 0.25, 1e-5], [[[-0.5, 1.0]], [[0.0, -2.0]]]
-        code, out_dir = run(tmp_path, "transform", {
-            "task": "transform", "preset": "cir", "grids": {"t": t_grid, "u": u_grid}})
-        assert code == EXIT_OK
-        b = evaluate_batch(presets.get("cir"), t_grid, [[complex(*u[0])] for u in u_grid],
-                           1e-10)
-        want = io.StringIO(newline="")
-        w = csv.writer(want)
-        w.writerow(["t", "re_u1", "im_u1", "re_phi", "im_phi", "re_psi1", "im_psi1",
-                    "status"])
-        for i, j in np.ndindex(b.t.shape):
-            w.writerow([float(b.t[i, j]), float(b.u[i, 0].real), float(b.u[i, 0].imag),
-                        float(b.phi[i, j].real), float(b.phi[i, j].imag),
-                        float(b.psi[i, j, 0].real), float(b.psi[i, j, 0].imag),
-                        b.status[i, j]])
-        assert (out_dir / "transform.csv").read_bytes() == want.getvalue().encode()
+        # one u and several times: the (1, n_t, 7) cell block is not C-contiguous, which
+        # used to end in orjson's TypeError and exit 1
+        for t_grid, u_grid in [([0.0, 0.25, 1e-5], [[[-0.5, 1.0]], [[0.0, -2.0]]]),
+                               ([0.1, 0.2, 0.4], [[[0.0, 1.0]]])]:
+            code, out_dir = run(tmp_path, "transform", {
+                "task": "transform", "preset": "cir", "grids": {"t": t_grid, "u": u_grid}})
+            assert code == EXIT_OK
+            b = evaluate_batch(presets.get("cir"), t_grid,
+                               [[complex(*u[0])] for u in u_grid], 1e-10)
+            want = io.StringIO(newline="")
+            w = csv.writer(want)
+            w.writerow(["t", "re_u1", "im_u1", "re_phi", "im_phi", "re_psi1", "im_psi1",
+                        "status"])
+            for i, j in np.ndindex(b.t.shape):
+                w.writerow([float(b.t[i, j]), float(b.u[i, 0].real), float(b.u[i, 0].imag),
+                            float(b.phi[i, j].real), float(b.phi[i, j].imag),
+                            float(b.psi[i, j, 0].real), float(b.psi[i, j, 0].imag),
+                            b.status[i, j]])
+            assert (out_dir / "transform.csv").read_bytes() == want.getvalue().encode()
 
 
 class TestSimulateTask:
@@ -692,6 +731,33 @@ class TestCsvRows:
 
     def test_empty_matrix_has_no_rows(self):
         assert cli._csv_rows(np.empty((0, 3))) == []
+
+    def test_any_memory_layout(self):
+        num = np.arange(1.0, 25.0).reshape(4, 6) / 7.0
+        for view in (np.asfortranarray(num), num[:, ::2], num[::-1].T):
+            assert not view.flags.c_contiguous
+            assert cli._csv_rows(view) == [",".join(map(repr, row)).encode()
+                                           for row in view.tolist()]
+
+
+class TestConfigDocs:
+    # the tolerances.* keys that became constants of cli, or (martingale_tol) went
+    REMOVED = ("semiflow", "regularity_rel", "regularity_order", "regularity_h",
+               "bounded_variation", "bounded_t", "cp_corr", "cp_t", "martingale_pairs",
+               "martingale_tol", "martingale_stop_radius", "characteristics_rel")
+
+    def test_docstring_lists_the_schema(self):
+        # one table line per config object: its keys in schema order, with [defaults]
+        # and (values) between them
+        table = {name: re.sub(r"\[[^]]*\]|\([^)]*\)", "", keys) for name, keys in
+                 re.findall(r"^    (\w+) +(.*)$", cli.__doc__, re.M)}
+        assert table.keys() == cli._SCHEMA.keys()
+        for name, keys in cli._SCHEMA.items():
+            assert [k.strip() for k in table[name].split(",")] == list(keys), name
+
+    def test_docstring_names_no_removed_tolerance(self):
+        for key in self.REMOVED:
+            assert not re.search(rf"\b{key}\b", cli.__doc__), key
 
 
 class TestImportGraph:
