@@ -6,7 +6,8 @@
 
 Exit status: 0 all requested checks pass, 1 a check failed, 2 the config
 does not parse, 3 the config fails semantic validation (unresolvable
-preset, grid point outside the transform domain, invalid parameters, ...).
+preset, grid point outside the transform domain, invalid parameters, a
+verify that selects no check or a transform with no time, ...).
 
 The config is a JSON object that names a preset or both space and params.
 Each object in it holds only these keys ([default], (values)), and any
@@ -79,8 +80,8 @@ from .state_space import (
 )
 from .transform import (
     TransformError,
+    _require_rows_ok,
     boundedness_probe,
-    char_fn,
     cp_limit_check,
     evaluate_batch,
     fd_regularity,
@@ -357,9 +358,17 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigValidationError(f"the seed must lie in [0, 2**64), got {cfg.seed}")
     if cfg.semiflow_triples < 1:
         raise ConfigValidationError("tolerances.semiflow_triples must be >= 1")
-    if cfg.task == "verify":   # the times the Monte Carlo suites read lie on the mc grid
-        grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    if cfg.task == "transform" and not len(cfg.t_grid):
+        raise ConfigValidationError("grids.t must hold at least one time")
+    if cfg.task == "verify":
+        # a run that checks nothing, then the times the Monte Carlo suites read on the mc grid
         reads = [t for t in cfg.t_grid if t > 0] if "affine_mc" in cfg.verify_suite else []
+        if not cfg.verify_suite:
+            raise ConfigValidationError("verify_suite selects no suite")
+        if "affine_mc" in cfg.verify_suite and not reads:
+            raise ConfigValidationError("affine_mc reads the times t > 0 of grids.t, "
+                                        "and grids.t holds none")
+        grid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
         if "martingale" in cfg.verify_suite:
             reads += [t for delta, n in _MARTINGALE_PAIRS for t in (delta, n * delta)]
         for t in reads:
@@ -482,7 +491,7 @@ def _suite_semiflow(cfg: RunConfig) -> list:
 
 def _suite_regularity(cfg: RunConfig) -> list:
     out = []
-    for u in cfg.u_grid[:3]:
+    for u in cfg.u_grid:
         probe = fd_regularity(cfg.params, u, _REGULARITY_H, cfg.ode_tol)
         ok = probe.rel_error_est <= _REGULARITY_REL and probe.observed_order >= _REGULARITY_ORDER
         out.append(_check(
@@ -512,7 +521,7 @@ def _suite_bounded(cfg: RunConfig) -> list:
 
 def _suite_cp_limit(cfg: RunConfig) -> list:
     out = []
-    pairs = [(x, u) for x in cfg.x_grid[:3] for u in cfg.u_grid[:3]][:3]
+    pairs = [(x, u) for x in cfg.x_grid for u in cfg.u_grid]
     for x, u in pairs:
         table = cp_limit_check(cfg.params, x, u, _CP_T, cfg.ode_tol)
         err = np.maximum(table.errors, 1e-15)
@@ -562,22 +571,23 @@ def _up_to_conjugates(us: list) -> list:
 def _suite_affine_mc(cfg: RunConfig) -> list:
     x0 = cfg.x_grid[0]
     ens = cfg.ensemble
+    tu = [(t, u) for t in cfg.t_grid.tolist() if t > 0 for u in _up_to_conjugates(cfg.u_grid)]
+    # the references: one single-stop lane per (t, u), each taking the steps it takes alone
+    b = _require_rows_ok(evaluate_batch(cfg.params, [[t] for t, _ in tu], [u for _, u in tu],
+                                        cfg.ode_tol))
     out = []
-    for t in cfg.t_grid:
-        if t <= 0:
-            continue
-        for u in _up_to_conjugates(cfg.u_grid[:3]):
-            est = mc_char_fn(ens, float(t), u)
-            ref = char_fn(cfg.params, x0, float(t), u, cfg.ode_tol)
-            gap = abs(est.value - ref)
-            thr = 3.0 * est.std_error
-            out.append(_check(
-                "affine_mc",
-                "exponential-affine dependence of the Fourier-Laplace transform "
-                "on the initial state (Monte Carlo vs Riccati)",
-                gap, thr, gap <= thr,
-                t=float(t), u=[[c.real, c.imag] for c in u],
-                std_error=est.std_error, sampler=ens.sampler))
+    for (t, u), phi, psi in zip(tu, b.phi[:, 0], b.psi[:, 0]):
+        est = mc_char_fn(ens, t, u)
+        ref = complex(np.exp(phi + x0 @ psi))     # char_fn's arithmetic
+        gap = abs(est.value - ref)
+        thr = 3.0 * est.std_error
+        out.append(_check(
+            "affine_mc",
+            "exponential-affine dependence of the Fourier-Laplace transform "
+            "on the initial state (Monte Carlo vs Riccati)",
+            gap, thr, gap <= thr,
+            t=t, u=[[c.real, c.imag] for c in u],
+            std_error=est.std_error, sampler=ens.sampler))
     return out
 
 
@@ -587,7 +597,7 @@ def _suite_martingale(cfg: RunConfig) -> list:
     out = []
     for delta, n in _MARTINGALE_PAIRS:
         for label, e in (("unstopped", ens), ("stopped", stopped)):
-            for u in _up_to_conjugates(cfg.u_grid[:3]):
+            for u in _up_to_conjugates(cfg.u_grid):
                 est = martingale_L_test(cfg.params, e, delta, n, u, cfg.ode_tol)
                 gap = abs(est.value - 1.0)
                 thr = 3.0 * est.std_error

@@ -49,17 +49,18 @@ Grid: every sampler returns every time of linspace(0, T, n_steps + 1).
 grid_index is the one rule for whether a time lies on a grid.
 
 Randomness: Euler and the parabola sampler give path i the counter-based
-stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])).  The exact CIR
-sampler draws in block substreams: block k of _BLOCK paths reads the stream
-of counter [0, 0, k, 1], kept apart from the per-path counters by the last
-word, and always draws a whole block.  Either way path i depends only on
-(seed, i, grid), so ensembles are deterministic and order-independent.  A
-drawing thread builds one generator and resets it to each stream's counter
-with an empty buffer, without a generator per stream.  The exact CIR
-sampler splits its blocks into one run per CPU in the process's affinity
-and draws and steps each run on a thread of its own.  A run writes only
-its own paths, so the bytes do not depend on the number of threads, and
-the threads end before the call returns.
+stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])); a drawing
+thread builds one generator and resets it to each path's counter with an
+empty buffer, without a generator per path.  The exact CIR sampler draws in
+block substreams: block k of _BLOCK paths reads the stream of
+Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))), whose normals and
+gammas cost about two thirds of Philox's, and always draws a whole block.
+Either way path i depends only on (seed, i, grid), so ensembles are
+deterministic and order-independent.  The exact CIR sampler splits its
+blocks into one run per CPU in the process's affinity and draws and steps
+each run on a thread of its own.  A run writes only its own paths, so the
+bytes do not depend on the number of threads, and the threads end before
+the call returns.
 """
 
 from __future__ import annotations
@@ -148,16 +149,15 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return int(idx[0])
 
 
-def _path_streams(seed: int, ks, word: int = 0):
-    """Yield one generator for each k of ks, reset to the stream of
-    Generator(Philox(key=seed, counter=[0, 0, k, word])): that counter block
-    with an empty output buffer.  Word 0 gives path k's stream, word 1 the
-    stream of block k of the exact CIR sampler."""
+def _path_streams(seed: int, ks):
+    """Yield one generator for each path k of ks, reset to path k's stream
+    Generator(Philox(key=seed, counter=[0, 0, k, 0])): that counter block
+    with an empty output buffer."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = rng.bit_generator.state
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     for k in ks:
-        state["state"]["counter"][:] = (0, 0, k, word)
+        state["state"]["counter"][:] = (0, 0, k, 0)
         rng.bit_generator.state = state
         yield rng
 
@@ -243,7 +243,9 @@ def _cir_exact(x0: np.ndarray, times: np.ndarray, kappa: float, sigma2: float, d
 
     def run(blocks: range):
         """Draw a run of blocks, then step its paths through the times."""
-        for k, rng in zip(blocks, _path_streams(seed, blocks, word=1)):
+        for k in blocks:
+            bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
+            rng = np.random.Generator(bits)
             rows = slice(k * _BLOCK, min(n_paths, (k + 1) * _BLOCK))
             width = rows.stop - rows.start
             z[:, rows] = rng.standard_normal((n, _BLOCK))[:, :width]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -186,7 +187,46 @@ class TestVerifyTask:
         assert "[SKIP] characteristics" in capsys.readouterr().out
 
 
+class TestEveryGridPoint:
+    """The suites check every grids.u point, and cp_limit every (x, u) pair."""
+
+    def test_four_u_points_and_two_states(self, tmp_path, capsys):
+        us = [[[0.0, 1.0]], [[0.0, -1.0]], [[-0.5, 0.0]], [[-1.0, 2.0]]]
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "preset": "cir", "verify_suite": ["regularity", "cp_limit"],
+            "grids": {"u": us, "x": [[1.0], [0.5]]}})
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.count("] regularity:") == 4
+        checks = json.loads((out_dir / "report.json").read_text())["checks"]
+        assert [c["detail"]["u"] for c in checks if c["check"] == "regularity"] == us
+        assert [(c["detail"]["x"], c["detail"]["u"]) for c in checks
+                if c["check"] == "cp_limit"] == [([x], u) for x in (1.0, 0.5) for u in us]
+
+    def test_default_full_space_3_grid_checks_its_diagonal_point(self, tmp_path):
+        # FullSpace(3)'s default grid is i e_1, i e_2, i e_3 and the diagonal -i/sqrt(3)
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "space": {"kind": "full", "d": 3},
+            "params": {"a": np.eye(3).tolist()},
+            "mc": {"paths": 400, "steps": 50, "seed": 1},
+            "tolerances": {"semiflow_triples": 10}})
+        assert code == EXIT_OK
+        diagonal = [[0.0, -1.0 / math.sqrt(3)]] * 3
+        checks = json.loads((out_dir / "report.json").read_text())["checks"]
+        for name in ("regularity", "cp_limit", "affine_mc", "martingale"):
+            assert diagonal in [c["detail"]["u"] for c in checks if c["check"] == name], name
+
+
 class TestFalseAlarms:
+    def test_cir_default_verify_fails_on_at_most_one_of_20_seeds(self, tmp_path):
+        # all eight suites on the exact sampler's ensemble: 3 SE flags noise, not bias
+        path = write_config(tmp_path, "cir.json", {"task": "verify", "preset": "cir"})
+        failing = []
+        for seed in range(20):
+            cfg = cli.load_config(path, seed_override=seed)
+            if not all(c["pass"] for name in cfg.verify_suite for c in cli._SUITES[name](cfg)):
+                failing.append(seed)
+        assert len(failing) <= 1, failing
+
     def test_cir_martingale_suite_fails_on_at_most_one_of_20_seeds(self, tmp_path):
         # the exact sampler leaves no discretization bias for 3 SE to flag
         path = write_config(tmp_path, "cir.json", {"task": "verify", "preset": "cir"})
@@ -294,6 +334,27 @@ class TestErrorStatuses:
                                              "grids": {"x": []}})
         assert code == EXIT_VALIDATION_ERROR
         assert "grids.x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, extra, message", [
+        ("verify", {"verify_suite": []}, "verify_suite"),
+        ("verify", {"verify_suite": ["affine_mc"], "grids": {"t": [0.0]}}, "affine_mc"),
+        ("verify", {"verify_suite": ["affine_mc"], "grids": {"t": []}}, "affine_mc"),
+        ("transform", {"grids": {"t": []}}, "grids.t"),
+    ], ids=["no-suite", "affine_mc-t0", "affine_mc-no-t", "transform-no-t"])
+    def test_a_run_that_checks_nothing_is_validation_error(self, tmp_path, capsys, task,
+                                                          extra, message):
+        # each of these used to exit 0: a report with no check, or a CSV with no row
+        code, out_dir = run(tmp_path, task, {"task": task, "preset": "cir", **extra})
+        assert code == EXIT_VALIDATION_ERROR
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("t", [[0.0], []])
+    def test_simulate_reads_no_time_grid(self, tmp_path, t):
+        # verify_suite defaults to every suite, affine_mc too, but only verify runs it
+        code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",
+                                             "grids": {"t": t}, "mc": SMALL_MC})
+        assert code == EXIT_OK
 
     def test_u_grid_without_a_point_is_validation_error(self, tmp_path, capsys):
         # this used to exit 0 with the u-looping suites silently empty

@@ -674,9 +674,10 @@ def square_root_moments(x0, t, b, kappa, sigma2):
 
 
 def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
-    """Path by path: path i reads block i // _BLOCK's stream, counter
-    [0, 0, i // _BLOCK, 1], as Z of shape (n, _BLOCK) then G of shape
-    (_BLOCK, n), and steps X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G]."""
+    """Path by path: path i reads block i // _BLOCK's stream, that of
+    Generator(SFC64(SeedSequence(seed, spawn_key=(i // _BLOCK,)))), as Z of
+    shape (n, _BLOCK) then G of shape (_BLOCK, n), and steps
+    X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G]."""
     h = np.diff(times)
     n = len(h)
     decay = np.exp(-kappa * h)
@@ -684,7 +685,7 @@ def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
     out = np.empty((n_paths, n + 1))
     for i in range(n_paths):
         k, col = divmod(i, _BLOCK)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, k, 1]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,))))
         z = rng.standard_normal((n, _BLOCK))[:, col]
         g = rng.standard_gamma(0.5 * (4.0 * b / sigma2 - 1.0), (_BLOCK, n))[col]
         out[i, 0] = x = x0
@@ -748,6 +749,16 @@ class TestCirExact:
         c = sigma2 * -math.expm1(-kappa * T) / (4.0 * kappa)
         law = stats.ncx2(4.0 * b / sigma2, x0 * math.exp(-kappa * T) / c)
         assert stats.kstest(ens.states[:, 1, 0] / c, law.cdf).pvalue > 0.01
+
+    def test_many_steps_across_blocks_keep_the_exact_law(self):
+        # exact transitions compose, so X_T after 25 steps has the one-step law over T:
+        # a block that reused another block's stream would show here
+        b, kappa, sigma2, x0, T = 0.5, 1.5, 0.8, 0.2, 0.7
+        ens = simulate_ensemble(square_root(b, kappa, sigma2), [x0], T, 25, seed=3,
+                                n_paths=3 * _BLOCK + 17)
+        c = sigma2 * -math.expm1(-kappa * T) / (4.0 * kappa)
+        law = stats.ncx2(4.0 * b / sigma2, x0 * math.exp(-kappa * T) / c)
+        assert stats.kstest(ens.states[:, -1, 0] / c, law.cdf).pvalue > 0.01
 
     def test_paths_are_a_prefix_across_a_block_boundary(self):
         p = cir()
