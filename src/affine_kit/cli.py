@@ -31,7 +31,8 @@ over t = 1e-1 ... 1e-5; cp_limit correlation 0.99 over t = 0.1 ... 0.001;
 martingale stop radius 1.0; characteristics 5%; Monte Carlo 3 std errors.
 
 The Monte Carlo suites of a verify run share one ensemble, simulate's, on
-the mc grid linspace(0, mc.T, mc.steps + 1).  The times they read (positive
+the mc grid linspace(0, mc.T, mc.steps + 1) from grids.x[0], which their
+entries name as x.  The times they read (positive
 grids.t; delta and n * delta of the martingale pairs (delta, n) = (0.1, 5)
 and (0.05, 10)) must lie on it.
 
@@ -586,13 +587,13 @@ def _suite_affine_mc(cfg: RunConfig) -> list:
             "exponential-affine dependence of the Fourier-Laplace transform "
             "on the initial state (Monte Carlo vs Riccati)",
             gap, thr, gap <= thr,
-            t=t, u=[[c.real, c.imag] for c in u],
+            x=list(map(float, x0)), t=t, u=[[c.real, c.imag] for c in u],
             std_error=est.std_error, sampler=ens.sampler))
     return out
 
 
 def _suite_martingale(cfg: RunConfig) -> list:
-    ens = cfg.ensemble
+    x0, ens = list(map(float, cfg.x_grid[0])), cfg.ensemble
     stopped = stopped_ensemble(ens, _STOP_RADIUS)
     out = []
     for delta, n in _MARTINGALE_PAIRS:
@@ -606,7 +607,7 @@ def _suite_martingale(cfg: RunConfig) -> list:
                     "unit mean of the exponential compensated functional "
                     "L(n, delta, u), stopped and unstopped",
                     gap, thr, gap <= thr,
-                    delta=delta, n=n, mode=label,
+                    x=x0, delta=delta, n=n, mode=label,
                     u=[[c.real, c.imag] for c in u], sampler=ens.sampler))
     return out
 

@@ -1,12 +1,9 @@
 """Path simulation and Monte Carlo verifiers for affine processes.
 
-simulate_ensemble is the one sampler interface.  It picks, from the tuple
-alone, one of three samplers and records which in Ensemble.sampler:
+simulate_ensemble is the one sampler interface: the first sampler of the
+table _SAMPLERS that takes the tuple draws the paths, and Ensemble.sampler
+names it.  In order:
 
-  * "parabola_exact": the parabola preset's process (w, w^2), by
-    simulate_parabola_ensemble, which maps Brownian increments through
-    w -> (w, w^2).  The parabola is a curve with no tube around it, so no
-    other parabola tuple is simulated (SamplerError);
   * "cir_exact": the square-root diffusion dX = (b - kappa X)dt + sigma
     sqrt(X) dW on the half-line (no jumps, no killing, a = 0, alpha = sigma^2
     > 0) whose dimension df = 4b/sigma^2 is >= 1.  Over a step of length h,
@@ -16,13 +13,17 @@ alone, one of three samplers and records which in Ensemble.sampler:
         X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G],
         Z ~ N(0, 1), G ~ Gamma((df - 1)/2);
 
+  * "parabola_exact": the parabola preset's process (w, w^2), by
+    simulate_parabola_ensemble.  The parabola is a curve with no tube around
+    it, so any other parabola tuple raises SamplerError;
   * "euler": Euler-Maruyama for every other tuple on the orthant plane.
 
 The Euler scheme reads one coefficient table, built once per call: rows
 (1, x_1..x_d) and columns, all times dt, for the net drift B - int h dnu,
 the killing rate C, the jump weights W and the diffusion.  A step computes
 coef = T_0 + sum_i x_i T_i by elementwise products over the nonzero rows;
-no BLAS call runs across paths, so a path's bits do not depend on n_paths.
+no BLAS call runs across paths, so a path's bits depend neither on n_paths
+nor on the runs (below) that step it.
 
   * drift coef_B: uncompensated jumps combined with it reproduce the
     exponents' truncation convention;
@@ -48,19 +49,17 @@ counts the coordinates so projected.
 Grid: every sampler returns every time of linspace(0, T, n_steps + 1).
 grid_index is the one rule for whether a time lies on a grid.
 
-Randomness: Euler and the parabola sampler give path i the counter-based
-stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])); a drawing
-thread builds one generator and resets it to each path's counter with an
-empty buffer, without a generator per path.  The exact CIR sampler draws in
-block substreams: block k of _BLOCK paths reads the stream of
-Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))), whose normals and
-gammas cost about two thirds of Philox's, and always draws a whole block.
-Either way path i depends only on (seed, i, grid), so ensembles are
-deterministic and order-independent.  The exact CIR sampler splits its
-blocks into one run per CPU in the process's affinity and draws and steps
-each run on a thread of its own.  A run writes only its own paths, so the
-bytes do not depend on the number of threads, and the threads end before
-the call returns.
+Randomness, one rule for every sampler: block k of _BLOCK paths reads
+Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and always draws whole
+blocks, in a fixed order: Euler its normals (_BLOCK, n_steps, d), jump
+uniforms (_BLOCK, n_steps, 1 + _JUMPS_PER_STEP_CAP) and kill clocks
+(_BLOCK,); the parabola sampler its normals (_BLOCK, n_steps); the exact CIR
+sampler Z (n_steps, _BLOCK), then G (_BLOCK, n_steps).  Path i reads entry
+i % _BLOCK of block i // _BLOCK's draws along the path axis, so it depends
+only on (seed, i, grid).  The engine, _in_blocks, splits the blocks into one
+run per CPU in the process's affinity; a run draws its blocks, then steps
+its own paths and returns its own counts, so the bytes do not depend on the
+number of runs.  Two or more runs go on threads that end before it returns.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ __all__ = [
 ]
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
-_BLOCK = 256             # paths per block substream of the exact CIR sampler
+_BLOCK = 256             # paths per block substream, the unit every sampler draws
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 
 
@@ -149,19 +148,6 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return int(idx[0])
 
 
-def _path_streams(seed: int, ks):
-    """Yield one generator for each path k of ks, reset to path k's stream
-    Generator(Philox(key=seed, counter=[0, 0, k, 0])): that counter block
-    with an empty output buffer."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    state = rng.bit_generator.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    for k in ks:
-        state["state"]["counter"][:] = (0, 0, k, 0)
-        rng.bit_generator.state = state
-        yield rng
-
-
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     """Batched symmetric PSD square root of (..., d, d) stacks.
 
@@ -186,35 +172,52 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
                       n_paths: int) -> Ensemble:
-    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1).
+    """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1),
+    drawn by the first sampler of _SAMPLERS that takes the tuple.
 
-    Deterministic in (params, x0, T, n_steps, seed); path i depends only on
-    (seed, i) and the grid.  The sampler follows from the tuple (module
-    docstring): the parabola preset's tuple (equal A, B, C and W tables) gets
-    simulate_parabola_ensemble, any other parabola tuple raises SamplerError;
-    a square-root diffusion with df >= 1 gets the exact CIR transition;
-    every other tuple gets Euler-Maruyama.
+    One stream rule (module docstring): block k of _BLOCK paths reads
+    Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and draws whole
+    blocks, and path i is its row of block i // _BLOCK's draws.  So the
+    ensemble is deterministic in (params, x0, T, n_steps, seed), path i
+    depends only on (seed, i) and the grid, and the bytes depend neither on
+    n_paths nor on the number of CPUs.
     """
     if T <= 0 or n_steps < 1:
         raise ValueError("need T > 0 and n_steps >= 1")
-    times = np.linspace(0.0, T, n_steps + 1)
-    if isinstance(p.space, Parabola):
-        ref = presets.parabola()
-        if not all(np.array_equal(getattr(p, t), getattr(ref, t)) for t in "ABCW"):
-            raise SamplerError("the parabola is a curve and cannot be simulated by Euler; only "
-                               "the parabola preset's tuple, (w, w^2), has an exact sampler")
-        return simulate_parabola_ensemble(x0, times, seed, n_paths)
     x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     if not p.space.contains(x0):
         raise ValueError(f"x0={x0} is not in the state space")
     report = p.validate()
     if not report.valid:
         raise ValueError(f"parameters failed validation:\n{report}")
+    times = np.linspace(0.0, T, n_steps + 1)
+    for match, sample in _SAMPLERS:
+        args = match(p)
+        if args is not None:
+            return sample(x0, times, seed, n_paths, *args)
 
-    square_root = _square_root_diffusion(p)
-    if square_root is not None:
-        return _cir_exact(x0, times, *square_root, seed, n_paths)
-    return _euler(p, x0, times, seed, n_paths)
+
+def _in_blocks(seed: int, n_paths: int, draw, advance) -> list:
+    """The samplers' engine (module docstring): draw(rng, block) fills the
+    _BLOCK rows `block` of arrays padded to whole blocks from the block's
+    generator; then advance(paths) steps a run's slice of paths.  Returns
+    each run's advance result."""
+    n_blocks = -(-n_paths // _BLOCK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_runs = max(1, min(cpus or 1, n_blocks))
+
+    def run(w: int):
+        blocks = range(w * n_blocks // n_runs, (w + 1) * n_blocks // n_runs)
+        for k in blocks:
+            bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
+            draw(np.random.Generator(bits), slice(k * _BLOCK, (k + 1) * _BLOCK))
+        return advance(slice(blocks.start * _BLOCK, min(n_paths, blocks.stop * _BLOCK)))
+
+    if n_runs == 1:
+        return [run(0)]
+    # a run writes only its own paths; the draws and the array arithmetic release the GIL
+    with ThreadPoolExecutor(n_runs) as pool:
+        return list(pool.map(run, range(n_runs)))
 
 
 def _square_root_diffusion(p: AffineParams):
@@ -229,147 +232,149 @@ def _square_root_diffusion(p: AffineParams):
     return (-float(p.beta[0, 0]), sigma2, df) if df >= 1.0 else None
 
 
-def _cir_exact(x0: np.ndarray, times: np.ndarray, kappa: float, sigma2: float, df: float,
-               seed: int, n_paths: int) -> Ensemble:
+def _cir_exact(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int, kappa: float,
+               sigma2: float, df: float) -> Ensemble:
     """Exact square-root transitions between consecutive times (module docstring)."""
     h = np.diff(times)
     decay = np.exp(-kappa * h)
     c = sigma2 * h / 4.0 if kappa == 0.0 else -sigma2 * np.expm1(-kappa * h) / (4.0 * kappa)
     n = len(h)
-    # Z and 2G are drawn a whole block of paths at a time; 2G waits in states
+    # Z (n, _BLOCK) and G (_BLOCK, n) fit no contiguous slice: each is copied; 2G waits in states
     z = np.empty((n, n_paths))
     states = np.empty((n_paths, n + 1, 1))
     states[:, 0, 0] = x0[0]
 
-    def run(blocks: range):
-        """Draw a run of blocks, then step its paths through the times."""
-        for k in blocks:
-            bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
-            rng = np.random.Generator(bits)
-            rows = slice(k * _BLOCK, min(n_paths, (k + 1) * _BLOCK))
-            width = rows.stop - rows.start
-            z[:, rows] = rng.standard_normal((n, _BLOCK))[:, :width]
-            np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:width], 2.0,
-                        out=states[rows, 1:, 0])
-        cols = slice(blocks.start * _BLOCK, min(n_paths, blocks.stop * _BLOCK))
+    def draw(rng, block):
+        zk = z[:, block]
+        zk[...] = rng.standard_normal((n, _BLOCK))[:, :zk.shape[1]]
+        np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:zk.shape[1]], 2.0,
+                    out=states[block, 1:, 0])
+
+    def advance(paths):
         # row j of z, once read, is overwritten by X at times[j + 1]
-        X = states[cols, 0, 0]
+        X = states[paths, 0, 0]
         for j in range(n):
-            row = z[j, cols]
+            row = z[j, paths]
             row += np.sqrt(X * (decay[j] / c[j]))
             np.square(row, out=row)
-            row += states[cols, j + 1, 0]
+            row += states[paths, j + 1, 0]
             row *= c[j]
             X = row
-        states[cols, 1:, 0] = z[:, cols].T
+        states[paths, 1:, 0] = z[:, paths].T
 
-    # one run of blocks per CPU; the draws and the array arithmetic release the GIL
-    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_runs = max(1, min(cpus or 1, n_blocks))
-    runs = [range(w * n_blocks // n_runs, (w + 1) * n_blocks // n_runs) for w in range(n_runs)]
-    with ThreadPoolExecutor(n_runs) as pool:
-        list(pool.map(run, runs))
+    _in_blocks(seed, n_paths, draw, advance)
     return Ensemble(times=times, states=states,
                     alive_until=np.full(n_paths, n + 1, dtype=np.int64), sampler="cir_exact")
 
 
-def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
-           n_paths: int) -> Ensemble:
+def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
+           p: AffineParams) -> Ensemble:
     """Euler-Maruyama on the uniform grid `times` (module docstring)."""
     d, m, k = p.dim, p.space.m, len(p.L)
     n_steps = len(times) - 1
     dt = times[-1] / n_steps
     has_jumps, has_killing = p.has_jumps, p.has_killing
 
-    # fixed per-path draw order: normals, then jump uniforms, then the clock
-    normals = np.empty((n_paths, n_steps, d))
-    if has_jumps:
-        jump_u = np.empty((n_paths, n_steps, 1 + _JUMPS_PER_STEP_CAP))
-    kill_clock = np.empty(n_paths) if has_killing else None
-    for i, rng in enumerate(_path_streams(seed, range(n_paths))):
-        rng.standard_normal(out=normals[i])
-        if has_jumps:
-            rng.random(out=jump_u[i])
-        if has_killing:
-            kill_clock[i] = rng.standard_exponential()
-
     # the coefficient table times dt (module docstring); a single factor's normals become R_r z
     rows = [r for r in range(d + 1) if p.A[r].any()] or [0]
     if len(rows) == 1:
         r, root = rows[0], _psd_sqrt(p.A[rows[0]])
-        if np.array_equal(root, np.diag(np.diagonal(root))):
-            normals *= np.diagonal(root)        # in place: no second array of normals
-        else:
-            normals = np.einsum("jk,pik->pij", root, normals)
-        if r == 0:
-            normals *= math.sqrt(dt)
+        diagonal = np.array_equal(root, np.diag(np.diagonal(root)))
         diffusion = np.eye(d + 1)[:, [r]]
     else:
         diffusion = p.A.reshape(d + 1, d * d)
     table = np.hstack([p.B - (p.W * p.small) @ p.L, p.C[:, None], p.W, diffusion]) * dt
-    base = np.broadcast_to(table[0], (n_paths, table.shape[1]))
     terms = [(i, row) for i, row in enumerate(table[1:]) if row.any()]
 
+    # a block's draws, in order: normals, then jump uniforms, then kill clocks
+    n_pad = -(-n_paths // _BLOCK) * _BLOCK
+    normals = np.empty((n_pad, n_steps, d))
+    jump_u = np.empty((n_pad, n_steps, 1 + _JUMPS_PER_STEP_CAP)) if has_jumps else None
+    kill_clock = np.empty(n_pad) if has_killing else None
     states = np.empty((n_paths, n_steps + 1, d))
-    X = states[:, 0, :] = np.broadcast_to(x0, (n_paths, d))
     alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
-    hazard, alive = np.zeros(n_paths), np.ones(n_paths, dtype=bool)
-    jump_overflows = clamps = 0
 
-    for step in range(n_steps):
-        coef = base
-        for i, row in terms:
-            coef = coef + X[:, i, None] * row
-        if has_killing:
-            hazard += np.maximum(coef[:, d], 0.0)
-            alive = hazard < kill_clock
-            alive_until += alive
-        if len(rows) > 1:
-            A = coef[:, d + 1 + k:].reshape(n_paths, d, d)
-            noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), normals[:, step])
-        elif r:
-            noise = np.sqrt(np.maximum(coef[:, -1:], 0.0)) * normals[:, step]
-        else:
-            noise = normals[:, step]
-        X_new = X + coef[:, :d] + noise
-
+    def draw(rng, block):
+        rng.standard_normal(out=normals[block])
         if has_jumps:
-            w = np.maximum(coef[:, d + 1:d + 1 + k], 0.0)
-            lam = w.sum(axis=1)
-            pk = np.exp(-lam)
-            # the count, atom and cumsum work runs on the paths with N >= 1 only
-            ids = np.flatnonzero(jump_u[:, step, 0] > pk)
-            if len(ids):
-                u, lam, pk = jump_u[ids, step], lam[ids], pk[ids]
-                # Poisson count by inverse CDF from one uniform per (path, step)
-                cdf = pk.copy()
-                counts = np.zeros(len(ids), dtype=np.int64)
-                for j in range(1, _JUMPS_PER_STEP_CAP + 1):
-                    more = u[:, 0] > cdf
-                    if not more.any():
-                        break
-                    counts[more] = j
-                    pk = pk * lam / j
-                    cdf = cdf + pk
-                else:
-                    # the count loop reached the cap: draws above its CDF are cut
-                    jump_overflows += int(np.count_nonzero(alive[ids] & (u[:, 0] > cdf)))
-                atom_cdf = np.cumsum(w[ids], axis=1)
-                for j in range(_JUMPS_PER_STEP_CAP):
-                    hit = counts > j
-                    if not hit.any():
-                        break
-                    v = u[hit, 1 + j] * atom_cdf[hit, -1]
-                    idx = (v[:, None] <= atom_cdf[hit]).argmax(axis=1)
-                    X_new[ids[hit]] += p.L[idx]
+            rng.random(out=jump_u[block])
+        if has_killing:
+            rng.standard_exponential(out=kill_clock[block])
 
-        clamps += int(np.count_nonzero((X_new[:, :m] < 0.0) & alive[:, None]))
-        np.maximum(X_new[:, :m], 0.0, out=X_new[:, :m])
-        X = states[:, step + 1, :] = X_new
+    def advance(paths):
+        n = paths.stop - paths.start
+        z, lived = normals[paths], alive_until[paths]
+        if len(rows) == 1:      # in place, R_r z a block at a time: no second array of normals
+            if diagonal:
+                z *= np.diagonal(root)
+            else:
+                for b in range(0, n, _BLOCK):
+                    z[b:b + _BLOCK] = np.einsum("jk,pik->pij", root, z[b:b + _BLOCK])
+            if r == 0:
+                z *= math.sqrt(dt)
+        base = np.broadcast_to(table[0], (n, table.shape[1]))
+        X = states[paths, 0, :] = np.broadcast_to(x0, (n, d))
+        hazard, alive = np.zeros(n), np.ones(n, dtype=bool)
+        jump_overflows = clamps = 0
 
-    for i in np.flatnonzero(alive_until <= n_steps):   # dead paths kept stepping
-        states[i, alive_until[i]:] = np.nan
+        for step in range(n_steps):
+            coef = base
+            for i, row in terms:
+                coef = coef + X[:, i, None] * row
+            if has_killing:
+                hazard += np.maximum(coef[:, d], 0.0)
+                alive = hazard < kill_clock[paths]
+                lived += alive
+            if len(rows) > 1:
+                A = coef[:, d + 1 + k:].reshape(n, d, d)
+                noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), z[:, step])
+            elif r:
+                noise = np.sqrt(np.maximum(coef[:, -1:], 0.0)) * z[:, step]
+            else:
+                noise = z[:, step]
+            X_new = X + coef[:, :d] + noise
+
+            if has_jumps:
+                w = np.maximum(coef[:, d + 1:d + 1 + k], 0.0)
+                lam = np.add.reduce(w, axis=1)
+                pk = np.exp(-lam)
+                # the count, atom and cumsum work runs on the paths with N >= 1 only
+                ids = (jump_u[paths, step, 0] > pk).nonzero()[0]
+                if len(ids):
+                    u, lam, pk = jump_u[paths.start + ids, step], lam[ids], pk[ids]
+                    # Poisson count by inverse CDF from one uniform per (path, step);
+                    # u > P(N = 0) here, so the count starts at 1 with cdf P(N <= 1)
+                    counts = np.ones(len(ids), dtype=np.int64)
+                    cdf = pk + (pk := pk * lam)
+                    for j in range(2, _JUMPS_PER_STEP_CAP + 1):
+                        more = u[:, 0] > cdf
+                        if not more.any():
+                            break
+                        counts[more] = j
+                        pk = pk * lam / j
+                        cdf = cdf + pk
+                    else:
+                        # the count loop reached the cap: draws above its CDF are cut
+                        jump_overflows += int(np.count_nonzero(alive[ids] & (u[:, 0] > cdf)))
+                    # atom j of each path still jumping, by categorical inverse CDF
+                    atom_cdf = np.cumsum(w[ids], axis=1)
+                    for j in range(_JUMPS_PER_STEP_CAP):
+                        v = u[:, 1 + j] * atom_cdf[:, -1]
+                        X_new[ids] += p.L[(v[:, None] <= atom_cdf).argmax(axis=1)]
+                        hit = counts > j + 1
+                        if not hit.any():
+                            break
+                        ids, u, atom_cdf, counts = ids[hit], u[hit], atom_cdf[hit], counts[hit]
+
+            clamps += int(np.count_nonzero((X_new[:, :m] < 0.0) & alive[:, None]))
+            np.maximum(X_new[:, :m], 0.0, out=X_new[:, :m])
+            X = states[paths, step + 1, :] = X_new
+
+        for i in np.flatnonzero(lived <= n_steps):   # dead paths kept stepping
+            states[paths.start + i, lived[i]:] = np.nan
+        return clamps, jump_overflows
+
+    clamps, jump_overflows = (sum(c) for c in zip(*_in_blocks(seed, n_paths, draw, advance)))
     return Ensemble(times=times, states=states, alive_until=alive_until,
                     jump_overflows=jump_overflows, clamps=clamps)
 
@@ -377,7 +382,8 @@ def _euler(p: AffineParams, x0: np.ndarray, times: np.ndarray, seed: int,
 def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     """Exact sampler for the parabola-supported process: (w, w^2) on the grid.
 
-    No discretization error: Brownian increments are drawn per grid interval
+    No discretization error: the Brownian increments over the grid intervals
+    are a path's row of its block's normals (simulate_ensemble's stream rule),
     and the second coordinate is the exact square of the first.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
@@ -386,15 +392,45 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or (len(times) > 1 and np.any(np.diff(times) <= 0)):
         raise ValueError("times must be an increasing grid starting at 0")
-    incr = np.zeros((n_paths, len(times)))     # column 0 stays 0: w starts at x0
-    for i, rng in enumerate(_path_streams(seed, range(n_paths))):
-        rng.standard_normal(out=incr[i, 1:])
-    incr[:, 1:] *= np.sqrt(np.diff(times))
-    w = x0[0] + np.cumsum(incr, axis=1)
-    states = np.stack([w, w * w], axis=2)
+    scale = np.sqrt(np.diff(times))
+    z = np.empty((-(-n_paths // _BLOCK) * _BLOCK, len(scale)))
+    states = np.empty((n_paths, len(times), 2))
+
+    def draw(rng, block):
+        rng.standard_normal(out=z[block])
+
+    def advance(paths):
+        w, dw = states[paths, :, 0], z[paths]
+        dw *= scale
+        w[:, 0] = x0[0]
+        np.cumsum(dw, axis=1, out=w[:, 1:])
+        w[:, 1:] += x0[0]
+        np.multiply(w, w, out=states[paths, :, 1])
+
+    _in_blocks(seed, n_paths, draw, advance)
     return Ensemble(times=times, states=states,
                     alive_until=np.full(n_paths, len(times), dtype=np.int64),
                     sampler="parabola_exact")
+
+
+def _parabola_preset(p: AffineParams):
+    """() for the parabola preset's tuple, None off the parabola, else SamplerError."""
+    if not isinstance(p.space, Parabola):
+        return None
+    ref = presets.parabola()
+    if not all(np.array_equal(getattr(p, t), getattr(ref, t)) for t in "ABCW"):
+        raise SamplerError("the parabola is a curve and cannot be simulated by Euler; only "
+                           "the parabola preset's tuple, (w, w^2), has an exact sampler")
+    return ()
+
+
+# simulate_ensemble's samplers, in order: (match(p) -> the arguments after
+# (x0, times, seed, n_paths), or None; sampler).  Euler, last, takes every tuple.
+_SAMPLERS = (
+    (_square_root_diffusion, _cir_exact),
+    (_parabola_preset, simulate_parabola_ensemble),
+    (lambda p: (p,), _euler),
+)
 
 
 def _complex_mean_se(vals: np.ndarray) -> McEstimate:
@@ -504,7 +540,7 @@ def characteristics_check(ens: Ensemble, p: AffineParams) -> CharacteristicsRepo
         raise ValueError("characteristics check requires zero killing")
     dts = np.diff(ens.times)
     dX = np.diff(ens.states, axis=1)
-    qv = np.einsum("pti,ptj->pij", dX, dX)
+    qv = dX.transpose(0, 2, 1) @ dX
     # int of the affine map s -> A(X_s) reduces to the time-integral of X
     int_x = np.einsum("pti,t->pi", ens.states[:, :-1, :], dts)
     T = ens.times[-1] - ens.times[0]

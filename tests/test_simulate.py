@@ -57,9 +57,17 @@ def diagonal_plane():
     )
 
 
-def pinned_stream(seed, i):
-    """The documented stream of path i."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
+def pinned_stream(seed, n_paths, *draws):
+    """The documented draws of paths 0..n_paths-1, one array per (method, shape)
+    of draws: block k reads Generator(SFC64(SeedSequence(seed, spawn_key=(k,))))
+    and makes each draw, in order, of shape (_BLOCK, *shape); path i is row
+    i % _BLOCK of block i // _BLOCK's draws."""
+    out = [[] for _ in draws]
+    for k in range((n_paths + _BLOCK - 1) // _BLOCK):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,))))
+        for arrays, (method, shape) in zip(out, draws):
+            arrays.append(getattr(rng, method)((_BLOCK, *shape)))
+    return [np.concatenate(arrays)[:n_paths] for arrays in out]
 
 
 def eigh_root(mats):
@@ -79,8 +87,7 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     r = 0; otherwise it is root(a dt + sum_i x_i (alpha^i dt)) z."""
     d = p.dim
     dt = T / n_steps
-    z = np.stack([pinned_stream(seed, i).standard_normal((n_steps, d))
-                  for i in range(n_paths)])
+    [z] = pinned_stream(seed, n_paths, ("standard_normal", (n_steps, d)))
     orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
                            else int(isinstance(p.space, HalfLine)))
     rows = [r for r, A_r in enumerate([p.a, *p.alpha]) if A_r.any()] or [0]
@@ -115,8 +122,7 @@ def textbook_euler(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     jump- and killing-free tuple, with full truncation."""
     d = p.dim
     dt = T / n_steps
-    normals = np.stack([pinned_stream(seed, i).standard_normal((n_steps, d))
-                        for i in range(n_paths)])
+    [normals] = pinned_stream(seed, n_paths, ("standard_normal", (n_steps, d)))
     orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
                            else int(isinstance(p.space, HalfLine)))
     X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
@@ -145,7 +151,7 @@ class TestEulerScheme:
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_paths_do_not_depend_on_ensemble_size(self):
-        # counter-based substreams: path i is a function of (seed, i) only
+        # block substreams: path i is a function of (seed, i) only
         p = brownian(2)
         small = simulate_ensemble(p, [0.0, 0.0], 1.0, 20, seed=3, n_paths=4)
         large = simulate_ensemble(p, [0.0, 0.0], 1.0, 20, seed=3, n_paths=9)
@@ -345,11 +351,11 @@ class TestKilling:
         seed, n_steps, dt = 7, 200, 1.0 / 200
         ens = simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=seed, n_paths=400)
         assert 0 < np.count_nonzero(ens.alive_until <= n_steps) < ens.n_paths
+        *_, clocks = pinned_stream(seed, ens.n_paths, ("standard_normal", (n_steps, 2)),
+                                   ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)),
+                                   ("standard_exponential", ()))
         for i in range(ens.n_paths):
-            rng = pinned_stream(seed, i)
-            rng.standard_normal((n_steps, 2))
-            rng.random((n_steps, 1 + _JUMPS_PER_STEP_CAP))
-            clock, hazard, want = rng.standard_exponential(), 0.0, n_steps + 1
+            clock, hazard, want = clocks[i], 0.0, n_steps + 1
             for k in range(1, n_steps + 1):
                 hazard += max(svj.c + svj.gamma @ ens.states[i, k - 1], 0.0) * dt
                 if hazard >= clock:
@@ -415,15 +421,15 @@ class TestCharacteristicsCheck:
 
 
 class TestPathStreams:
-    """Path i reads the stream of Generator(Philox(key=seed, counter=[0, 0, i, 0])):
-    its normals, then its jump uniforms, then its kill clock."""
+    """Path i reads its row of block i // _BLOCK's whole-block draws: its
+    normals, then its jump uniforms, then its kill clock (pinned_stream)."""
 
     @pytest.mark.parametrize("make, x0", [(cbi_with_killing, [1.0]),
                                           (levy_jump_diffusion, [0.0]),
                                           (None, [0.04, 0.0])],
                              ids=["cbi_with_killing", "levy_jump_diffusion", "svj"])
     def test_jump_and_kill_paths_do_not_depend_on_ensemble_size(self, make, x0, svj):
-        # 37 steps: a path's draws are not a whole number of 4-word Philox blocks
+        # 3 and 8 paths: both ensembles draw the same whole first block
         p = make() if make else svj
         small = simulate_ensemble(p, x0, 1.0, 37, seed=3, n_paths=3)
         large = simulate_ensemble(p, x0, 1.0, 37, seed=3, n_paths=8)
@@ -446,11 +452,11 @@ class TestPathStreams:
             m_measure=LevyMeasure.from_atoms([(w, [xi]) for w, xi in atoms]))
         ens = simulate_ensemble(p, [0.0], 1.0, n_steps, seed=seed, n_paths=6)
         lam = sum(w for w, _ in atoms) * dt
+        normals, uniforms, clocks = pinned_stream(
+            seed, ens.n_paths, ("standard_normal", (n_steps, 1)),
+            ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)), ("standard_exponential", ()))
         for i in range(ens.n_paths):
-            rng = pinned_stream(seed, i)
-            z = rng.standard_normal(n_steps)
-            u = rng.random((n_steps, 1 + _JUMPS_PER_STEP_CAP))
-            clock = rng.standard_exponential()
+            z, u, clock = normals[i, :, 0], uniforms[i], clocks[i]
             want = np.full(n_steps + 1, np.nan)
             want[0] = x = hazard = 0.0
             alive_until = n_steps + 1
@@ -474,10 +480,10 @@ class TestPathStreams:
             np.testing.assert_array_equal(ens.states[i, :, 0], want)
 
     def test_parabola_path_reads_its_own_counter_block(self):
-        seed, times = 8, np.linspace(0.0, 1.0, 10)   # 9 draws: a part-used block
+        seed, times = 8, np.linspace(0.0, 1.0, 10)
         ens = simulate_parabola_ensemble([0.5, 0.25], times, seed=seed, n_paths=4)
-        for i in range(ens.n_paths):
-            z = pinned_stream(seed, i).standard_normal(len(times) - 1)
+        [normals] = pinned_stream(seed, ens.n_paths, ("standard_normal", (len(times) - 1,)))
+        for i, z in enumerate(normals):
             w = 0.5 + np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(times)) * z)])
             np.testing.assert_array_equal(ens.states[i], np.stack([w, w * w], axis=1))
 
@@ -623,11 +629,10 @@ def recount_jump_overflows(p, ens, seed):
     n_steps = len(ens.times) - 1
     dt = ens.times[1] - ens.times[0]
     mu_mass = np.array([mu.weights.sum() for mu in p.mu_measures])
+    _, uniforms = pinned_stream(seed, ens.n_paths, ("standard_normal", (n_steps, p.dim)),
+                                ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)))
     total = 0
-    for i in range(ens.n_paths):
-        rng = pinned_stream(seed, i)
-        rng.standard_normal((n_steps, p.dim))
-        u = rng.random((n_steps, 1 + _JUMPS_PER_STEP_CAP))[:, 0]
+    for i, u in enumerate(uniforms[:, :, 0]):
         for k in range(min(n_steps, ens.alive_until[i] - 1)):
             lam = (p.m_measure.weights.sum() + ens.states[i, k] @ mu_mass) * dt
             cdf = math.exp(-lam) * sum(lam ** j / math.factorial(j)
@@ -771,7 +776,7 @@ class TestCirExact:
     def test_each_path_reads_its_blocks_counter(self):
         b, kappa, sigma2, seed = 0.5, 1.2, 0.6, 9
         times = np.array([0.0, 0.1, 0.35, 1.0])
-        ens = _cir_exact(np.array([0.4]), times, kappa, sigma2, 4.0 * b / sigma2, seed, 300)
+        ens = _cir_exact(np.array([0.4]), times, seed, 300, kappa, sigma2, 4.0 * b / sigma2)
         ref = block_reference(seed, 0.4, times, b, kappa, sigma2, 300)
         np.testing.assert_array_equal(ens.states[:, :, 0], ref)
 
@@ -790,9 +795,9 @@ class TestCirExact:
 
 
 class TestThreadedBlocks:
-    """_cir_exact draws and steps one run of blocks per CPU in the process's
-    affinity, each on its own thread; the bytes are those of the
-    path-by-path block reference."""
+    """Every sampler draws whole blocks and steps one run of blocks per CPU in
+    the process's affinity, each run on its own thread; the bytes are those of
+    the path-by-path references and do not depend on the number of runs."""
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("n_paths", [1, 255, 257, 2600])
@@ -802,12 +807,44 @@ class TestThreadedBlocks:
                             raising=False)
         b, kappa, sigma2, seed = 0.5, 1.2, 0.6, 4
         times = np.array([0.0, 0.25, 0.5, 1.0])
-        ens = _cir_exact(np.array([0.4]), times, kappa, sigma2, 4.0 * b / sigma2, seed, n_paths)
+        ens = _cir_exact(np.array([0.4]), times, seed, n_paths, kappa, sigma2,
+                         4.0 * b / sigma2)
         ref = block_reference(seed, 0.4, times, b, kappa, sigma2, n_paths)
         assert ens.states[:, :, 0].tobytes() == ref.tobytes()
 
-    def test_no_thread_outlives_the_call(self):
+    @pytest.mark.parametrize("make, x0", [
+        (cir, [0.5]), (parabola, [0.5, 0.25]), ("svj", [0.04, 0.0]),
+        ("single_factor", [0.04, 0.0]), (plane_3d, [0.2, 0.0, 0.0])],
+        ids=["cir", "parabola", "svj", "single_factor", "plane_3d"])
+    def test_every_sampler_gives_equal_bytes_at_1_2_and_3_cpus(self, monkeypatch, make, x0,
+                                                               svj):
+        # svj: jumps, killing and clamps; single_factor: svj's non-diagonal alpha^1
+        # alone, rooted once; plane_3d: a batched eigh root every step.  4 blocks
+        p = svj if make == "svj" else svj_diffusion(svj) if make == "single_factor" else make()
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                                raising=False)
+            ens = simulate_ensemble(p, x0, 1.0, 30, seed=5, n_paths=3 * _BLOCK + 17)
+            runs.append((ens.states.tobytes(), ens.alive_until.tobytes(), ens.clamps,
+                         ens.jump_overflows))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("make, x0", [(parabola, [0.5, 0.25]), ("svj", [0.04, 0.0])],
+                             ids=["parabola", "svj"])
+    def test_paths_are_a_prefix_across_a_block_boundary(self, make, x0, svj):
+        p = svj if make == "svj" else make()
+        small = simulate_ensemble(p, x0, 1.0, 20, seed=2, n_paths=300)
+        large = simulate_ensemble(p, x0, 1.0, 20, seed=2, n_paths=600)
+        assert small.states.tobytes() == large.states[:300].tobytes()
+        assert small.alive_until.tobytes() == large.alive_until[:300].tobytes()
+
+    def test_no_thread_outlives_the_call(self, monkeypatch, svj):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         before = threading.active_count()
-        ens = simulate_ensemble(cir(), [0.5], 1.0, 10, seed=1, n_paths=3 * _BLOCK)
-        assert ens.sampler == "cir_exact"
-        assert threading.active_count() == before
+        for p, x0, sampler in ((cir(), [0.5], "cir_exact"),
+                               (parabola(), [0.5, 0.25], "parabola_exact"),
+                               (svj, [0.04, 0.0], "euler")):
+            ens = simulate_ensemble(p, x0, 1.0, 10, seed=1, n_paths=3 * _BLOCK)
+            assert ens.sampler == sampler
+            assert threading.active_count() == before
