@@ -32,13 +32,11 @@ from .transform import (
     TransformResult,
     boundedness_probe,
     char_fn,
-    closed_form_parabola,
     cp_limit_check,
     evaluate,
     evaluate_batch,
     evaluate_grid,
     fd_regularity,
-    parabola_FR,
     semiflow_residual,
 )
 from . import presets
@@ -68,13 +66,11 @@ __all__ = [
     "TransformResult",
     "boundedness_probe",
     "char_fn",
-    "closed_form_parabola",
     "cp_limit_check",
     "evaluate",
     "evaluate_batch",
     "evaluate_grid",
     "fd_regularity",
-    "parabola_FR",
     "semiflow_residual",
     "presets",
 ]

@@ -49,6 +49,9 @@ counts the coordinates so projected.
 Grid: every sampler returns every time of linspace(0, T, n_steps + 1).
 grid_index is the one rule for whether a time lies on a grid.
 
+The estimators solve no Riccati equation: martingale_L_test takes
+phi(delta, u) and psi(delta, u) from its caller.
+
 Randomness, one rule for every sampler: block k of _BLOCK paths reads
 Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and always draws whole
 blocks, in a fixed order: Euler its normals (_BLOCK, n_steps, d), jump
@@ -74,7 +77,6 @@ import numpy as np
 from . import presets
 from .params import AffineParams
 from .state_space import CanonicalOrthantPlane, Parabola
-from .transform import _require_ok, evaluate
 
 __all__ = [
     "Ensemble",
@@ -455,15 +457,15 @@ def mc_char_fn(ens: Ensemble, t: float, u) -> McEstimate:
     return _complex_mean_se(vals)
 
 
-def martingale_L_test(p: AffineParams, ens: Ensemble, delta: float, n: int, u,
-                      tol: float = 1e-10) -> McEstimate:
+def martingale_L_test(ens: Ensemble, delta: float, n: int, u, phi, psi) -> McEstimate:
     """Sample mean of the exponential compensated functional
 
         L(n) = exp(<u, X_{n delta} - X_0>
                    - sum_{j<=n} (phi(delta,u) + <psi(delta,u) - u, X_{(j-1) delta}>)),
 
-    whose expectation is exactly 1.  phi and psi come from the Riccati
-    integrator at horizon delta, with char_fn's errors.  If the ensemble
+    whose expectation is exactly 1.  The caller supplies phi = phi(delta, u)
+    and psi = psi(delta, u) of the ensemble's tuple, e.g. an ok row of
+    evaluate_batch.  If the ensemble
     carries a stop radius r, each path is capped at its first delta-grid
     index with |X - X0| >= r (discrete optional stopping: the expectation is
     still exactly 1).  The grid must be uniform with delta on it.
@@ -480,8 +482,7 @@ def martingale_L_test(p: AffineParams, ens: Ensemble, delta: float, n: int, u,
     if n * stride > len(ens.times) - 1:
         raise ValueError("n * delta exceeds the simulated horizon")
 
-    r = _require_ok(evaluate(p, delta, u, tol=tol))
-    phi, rho = r.phi, r.rho
+    rho = np.asarray(psi, dtype=complex).reshape(ens.dim) - u
 
     sub = ens.states[:, :: stride, :][:, : n + 1, :]        # (paths, n+1, d)
     alive_sub = (np.arange(n + 1) * stride) < ens.alive_until[:, None]

@@ -84,15 +84,17 @@ class StateSpace:
         return self._check_vector(np.asarray(u, dtype=complex), "u").real
 
     def in_domain(self, u, tol=0.0):
-        """Membership in U per vector of u, treating real parts within tol as zero.
+        """Membership in U per vector of u, one rule for every space:
+        support(u) < inf, or support < inf once real parts within tol are zero.
 
-        tol is a scalar or one value per vector.  With tol=0 this is exactly
+        tol is a scalar or one value per vector; with tol=0 this is exactly
         support(u) < inf.  A positive tol absorbs floating-point drift of
-        trajectories that hug the boundary of U.
+        trajectories that hug the boundary of U, and the first test keeps a
+        point that zeroing moves out of U (parabola: q < 0 with |p| > tol).
         """
         re = self._real(u)
-        re = np.where(np.abs(re) <= np.asarray(tol)[..., None], 0.0, re)
-        return self.support(re) < math.inf
+        near = np.where(np.abs(re) <= np.asarray(tol)[..., None], 0.0, re)
+        return (self.support(re) < math.inf) | (self.support(near) < math.inf)
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,8 @@ class Parabola(StateSpace):
         p, q = re[..., 0], re[..., 1]
         out = np.where((p == 0.0) & (q == 0.0), 0.0, math.inf)
         rest = ~(q >= 0.0)      # q < 0, or NaN
-        out[rest] = -(p[rest] * p[rest]) / (4.0 * q[rest])
+        with np.errstate(over="ignore", invalid="ignore"):  # a sup past the largest float is inf
+            out[rest] = -(p[rest] * p[rest]) / (4.0 * q[rest])
         return _unwrap(out)
 
     def affine_basis(self) -> np.ndarray:
@@ -178,13 +181,6 @@ class Parabola(StateSpace):
         fixed sample of the curve, not exact, since D has no finite generators."""
         y = np.concatenate([[0.0, 1.0, -1.0], np.linspace(-5.0, 5.0, 64, endpoint=False)])
         return np.column_stack([np.ones_like(y), y, y * y])
-
-    def in_domain(self, u, tol=0.0):
-        re = self._real(u)
-        p, q, tol = re[..., 0], re[..., 1], np.asarray(tol)
-        # q < 0 is interior for any p; near the origin corner use the band
-        return _unwrap((q < 0.0) | ((np.abs(q) <= tol) & (np.abs(p) <= tol))
-                       | ((q == 0.0) & (p == 0.0)))
 
 
 def random_u_in_domain(space: StateSpace, rng: np.random.Generator) -> np.ndarray:

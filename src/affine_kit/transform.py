@@ -55,8 +55,6 @@ __all__ = [
     "evaluate_batch",
     "evaluate_grid",
     "char_fn",
-    "closed_form_parabola",
-    "parabola_FR",
     "semiflow_residual",
     "fd_regularity",
     "RegularityProbe",
@@ -420,35 +418,6 @@ def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
     return complex(np.exp(r.phi + x @ r.psi))
 
 
-# -- closed forms for the parabola-supported process -----------------------
-
-
-def closed_form_parabola(t: float, u):
-    """Exact (phi, psi) for the process (w, w^2) driven by a Brownian w.
-
-    phi(t,u) = -log(1 - 2 t u2)/2 + u1^2 t / (2 (1 - 2 t u2)), with the
-    logarithm branch continued from t = 0, and psi(t,u) = u / (1 - 2 t u2).
-    s -> 1 - 2 s u2 is a straight segment from 1, which meets the principal
-    cut (-inf, 0] only if it runs along the real axis through 0; otherwise the
-    continued logarithm is the principal one.  Raises at the pole 1 - 2 t u2 = 0
-    and past it, where 1 - 2 t u2 is real and negative.
-    """
-    u = np.asarray(u, dtype=complex).reshape(2)
-    w = 1.0 - 2.0 * t * u[1]
-    if abs(w) < 1e-14 or (w.imag == 0.0 and w.real < 0.0):
-        raise ValueError("closed form evaluated at or past its pole 1 - 2 t u2 = 0")
-    phi = -0.5 * np.log(w) + u[0] ** 2 * t / (2.0 * w)
-    return complex(phi), u / w
-
-
-def parabola_FR(u):
-    """Time-zero derivatives of the parabola closed form: F and R at u."""
-    u = np.asarray(u, dtype=complex).reshape(2)
-    F = u[1] + 0.5 * u[0] ** 2
-    R = np.array([2.0 * u[0] * u[1], 2.0 * u[1] ** 2], dtype=complex)
-    return complex(F), R
-
-
 # -- analytic verification probes -------------------------------------------
 
 
@@ -547,16 +516,15 @@ class BoundednessTable:
 
     t: np.ndarray
     sup: np.ndarray
-    divergence_suspected: bool
 
 
 def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> BoundednessTable:
     """sup over the u-grid of |phi(t,u)|/t + ||psi(t,u) - u||/t per time.
 
-    The suprema must stay bounded as t decreases (they converge to
-    sup |F| + ||R|| over the grid); a >2x increase across the last three
-    times raises the divergence flag.  One batch runs a lane per (time, u),
-    each a single-stop sweep to its time.
+    The suprema must stay bounded as t decreases: they converge to
+    sup |F| + ||R|| over the grid, and the verify suite bounds the spread of
+    the last three.  One batch runs a lane per (time, u), each a single-stop
+    sweep to its time.
     """
     t_arr = np.asarray(t_list, dtype=float)
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
@@ -571,8 +539,7 @@ def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> Boun
     psi = b.psi[:, 0].reshape(len(t_arr), len(U), p.dim)
     t = t_arr[:, None]
     sups = np.max(np.abs(phi) / t + np.linalg.norm(psi - U, axis=2) / t, axis=1, initial=0.0)
-    diverging = len(sups) >= 3 and sups[-1] > 2.0 * sups[-3]
-    return BoundednessTable(t_arr, sups, bool(diverging))
+    return BoundednessTable(t_arr, sups)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,32 @@ def consistent_with(est, target, n_se: float = 3.0, tol: float = 0.0) -> bool:
     return abs(est.value - target) <= max(n_se * est.std_error, tol)
 
 
+def closed_form_parabola(t: float, u):
+    """Exact (phi, psi) for the process (w, w^2) driven by a Brownian w.
+
+    phi(t,u) = -log(1 - 2 t u2)/2 + u1^2 t / (2 (1 - 2 t u2)), with the
+    logarithm branch continued from t = 0, and psi(t,u) = u / (1 - 2 t u2).
+    s -> 1 - 2 s u2 is a straight segment from 1, which meets the principal
+    cut (-inf, 0] only if it runs along the real axis through 0; otherwise the
+    continued logarithm is the principal one.  Raises at the pole 1 - 2 t u2 = 0
+    and past it, where 1 - 2 t u2 is real and negative.
+    """
+    u = np.asarray(u, dtype=complex).reshape(2)
+    w = 1.0 - 2.0 * t * u[1]
+    if abs(w) < 1e-14 or (w.imag == 0.0 and w.real < 0.0):
+        raise ValueError("closed form evaluated at or past its pole 1 - 2 t u2 = 0")
+    phi = -0.5 * np.log(w) + u[0] ** 2 * t / (2.0 * w)
+    return complex(phi), u / w
+
+
+def parabola_FR(u):
+    """Time-zero derivatives of the parabola closed form: F and R at u."""
+    u = np.asarray(u, dtype=complex).reshape(2)
+    F = u[1] + 0.5 * u[0] ** 2
+    R = np.array([2.0 * u[0] * u[1], 2.0 * u[1] ** 2], dtype=complex)
+    return complex(F), R
+
+
 def invalid_negative_diffusion() -> AffineParams:
     """d=1 full space with A(x) = x: indefinite in the x < 0 direction."""
     return AffineParams.zeros(FullSpace(dim=1)).with_(alpha=np.array([[[1.0]]]))

@@ -35,6 +35,13 @@ def run(tmp_path, task, payload, out="out", extra=()):
     return main([task, "--config", cfg, "--out", str(out_dir), *extra]), out_dir
 
 
+def strict_report(out_dir):
+    """report.json read by a parser that rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}, which is not JSON")
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
+
+
 SMALL_MC = {"paths": 400, "steps": 50, "seed": 3, "T": 0.5}
 
 # the cir preset's tuple, as JSON
@@ -138,14 +145,6 @@ class TestVerifyTask:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["checks"][0]["statistic"] == worst
 
-    def test_seed_override_changes_report_seed(self, tmp_path):
-        payload = {"task": "verify", "preset": "cir", "verify_suite": ["semiflow"],
-                   "tolerances": {"semiflow_triples": 5}}
-        code, out_dir = run(tmp_path, "verify", payload, extra=("--seed", "77"))
-        assert code == EXIT_OK
-        assert json.loads((out_dir / "report.json").read_text())["seed"] == 77
-
-
     def test_monte_carlo_checks_skip_conjugate_u(self, tmp_path):
         # on a real X the check at -i repeats the check at i
         code, out_dir = run(tmp_path, "verify", {
@@ -186,6 +185,49 @@ class TestVerifyTask:
         assert "not applicable" in check["detail"]["skipped"]
         assert "[SKIP] characteristics" in capsys.readouterr().out
 
+    def test_skip_report_is_strict_json(self, tmp_path, capsys):
+        # the SKIP's statistic is not a number: null, not NaN
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", **SVJ, "verify_suite": ["characteristics", "levy_structure"]})
+        assert code == EXIT_OK
+        skip, *_ = strict_report(out_dir)["checks"]
+        assert skip["check"] == "characteristics" and skip["statistic"] is None
+        assert skip["threshold"] == 0.05
+        assert capsys.readouterr().out.startswith("[SKIP] characteristics: statistic=nan ")
+
+    def test_aborted_check_report_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        def aborts(cfg):
+            raise transform.TransformDomainError("transform variable left the domain U")
+        monkeypatch.setitem(cli._SUITES, "semiflow", aborts)
+        code, out_dir = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
+                                                 "verify_suite": ["semiflow"]})
+        assert code == EXIT_CHECK_FAILED
+        [check] = strict_report(out_dir)["checks"]
+        assert check["statistic"] is None and check["threshold"] is None
+        assert check["pass"] is False and "left the domain" in check["detail"]["error"]
+        assert capsys.readouterr().out.startswith("[FAIL] semiflow: statistic=nan threshold=nan")
+
+    def test_martingale_suite_takes_its_references_from_one_batch(self, tmp_path,
+                                                                   monkeypatch):
+        # one evaluate_batch lane per (delta, u); no one-lane evaluate per check
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("affine_kit") and vars(mod).get("evaluate") is transform.evaluate:
+                monkeypatch.setattr(mod, "evaluate", counted("evaluate", transform.evaluate))
+        monkeypatch.setattr(cli, "evaluate_batch", counted("evaluate_batch", evaluate_batch))
+        cfg = cli.load_config(write_config(tmp_path, "cir.json",
+                                           {"task": "verify", "preset": "cir"}))
+        checks = cli._suite_martingale(cfg)
+        assert calls == ["evaluate_batch"]
+        # 2 (delta, n) pairs x 2 modes x the one u of {i, -i} up to conjugates
+        assert len(checks) == 4
+
 
 class TestEveryGridPoint:
     """The suites check every grids.u point, and cp_limit every (x, u) pair."""
@@ -221,10 +263,10 @@ class TestFalseAlarms:
         # all eight suites on the exact sampler's ensemble: 3 SE flags noise, not bias.
         # A seed whose martingale suite fails is a failing seed here, so this also
         # bounds the martingale suite alone
-        path = write_config(tmp_path, "cir.json", {"task": "verify", "preset": "cir"})
         failing = []
         for seed in range(20):
-            cfg = cli.load_config(path, seed_override=seed)
+            cfg = cli.load_config(write_config(tmp_path, "cir.json", {
+                "task": "verify", "preset": "cir", "mc": {"seed": seed}}))
             if not all(c["pass"] for name in cfg.verify_suite for c in cli._SUITES[name](cfg)):
                 failing.append(seed)
         assert len(failing) <= 1, failing
@@ -232,10 +274,10 @@ class TestFalseAlarms:
     def test_svj_martingale_suite_fails_on_at_most_one_of_10_seeds(self, tmp_path):
         # Euler on the shared mc grid takes mc.steps * delta / mc.T steps per delta (80 and
         # 40 here); at one step per delta the suite failed on 9 of these 10 seeds from bias
-        path = write_config(tmp_path, "svj.json", {"task": "verify", **SVJ,
-                                                   "mc": {"paths": 4000}})
         failing = [seed for seed in range(10) if not all(
-            c["pass"] for c in cli._suite_martingale(cli.load_config(path, seed_override=seed)))]
+            c["pass"] for c in cli._suite_martingale(cli.load_config(write_config(
+                tmp_path, "svj.json", {"task": "verify", **SVJ,
+                                       "mc": {"paths": 4000, "seed": seed}}))))]
         assert len(failing) <= 1, failing
 
 
@@ -401,17 +443,30 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
         assert "jump_leaves_state_space" in capsys.readouterr().err
 
+    def test_seed_and_tolerance_are_read_from_the_config_only(self, tmp_path, capsys):
+        # mc.seed and tolerances.ode are the one route to either value; no flag sets them
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "preset": "cir", "verify_suite": ["semiflow"],
+            "mc": {"seed": 77}, "tolerances": {"ode": 1e-8, "semiflow_triples": 5}})
+        report = json.loads((out_dir / "report.json").read_text())
+        assert code == EXIT_OK and (report["seed"], report["ode_tol"]) == (77, 1e-8)
+        for flag in ("--seed=1", "--tol=1e-9"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["verify", "--config", str(tmp_path / "verify.json"),
+                      "--out", str(tmp_path / "o"), flag])
+            assert exit_.value.code == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err.count("unrecognized arguments") == 2
+
     def test_task_mismatch_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", {"task": "simulate", "preset": "cir"})
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION_ERROR
 
     @pytest.mark.parametrize("task", ["simulate", "verify"])
-    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**128)])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**128])
     def test_seed_outside_philox_range_is_validation_error(self, tmp_path, task, seed):
         # such a seed used to end in a numpy traceback and exit 1
-        code, _ = run(tmp_path, task, {"task": task, "preset": "cir"},
-                      extra=("--seed", seed))
+        code, _ = run(tmp_path, task, {"task": task, "preset": "cir", "mc": {"seed": seed}})
         assert code == EXIT_VALIDATION_ERROR
 
     def test_largest_seed_and_integral_floats_run(self, tmp_path):
@@ -499,9 +554,10 @@ class TestErrorStatuses:
 
     @pytest.mark.parametrize("tol", ["0", "nan", "-1e-10", "inf"])
     def test_bad_ode_tolerance_is_validation_error(self, tmp_path, tol):
-        # a NaN tolerance used to hang the integrator, 0 to end in a traceback
-        code, _ = run(tmp_path, "transform", {"task": "transform", "preset": "cir"},
-                      extra=(f"--tol={tol}",))
+        # a NaN tolerance used to hang the integrator, 0 to end in a traceback;
+        # json writes nan and inf as NaN and Infinity, which it reads back
+        code, _ = run(tmp_path, "transform", {"task": "transform", "preset": "cir",
+                                              "tolerances": {"ode": float(tol)}})
         assert code == EXIT_VALIDATION_ERROR
 
     @pytest.mark.parametrize("tolerances", [

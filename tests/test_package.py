@@ -41,3 +41,16 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"affine_kit"}
     assert third_party <= declared, (f"src/ imports {sorted(third_party - declared)}, "
                                      "which pyproject.toml does not declare")
+
+
+def test_simulate_imports_no_name_from_transform():
+    # the Monte Carlo estimators take their Riccati references from the caller
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "affine_kit" / "simulate.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            # a relative import, `from .transform` or `from . import transform`, is the package's
+            base = ".".join(filter(None, ["affine_kit" if node.level else "", node.module]))
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "affine_kit.transform" not in imported, sorted(imported)

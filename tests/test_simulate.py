@@ -22,8 +22,15 @@ from affine_kit.simulate import (
     stopped_ensemble,
 )
 from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
-from affine_kit.transform import TransformDomainError, char_fn
+from affine_kit.transform import TransformDomainError, _require_rows_ok, char_fn, evaluate_batch
 from conftest import consistent_with, invalid_negative_diffusion
+
+
+def L_test(p, ens, delta, n, u):
+    """martingale_L_test on the references the verify suite passes it: phi(delta, u)
+    and psi(delta, u) from an ok row of evaluate_batch, else that row's error."""
+    b = _require_rows_ok(evaluate_batch(p, [[delta]], [u]))
+    return martingale_L_test(ens, delta, n, u, b.phi[0, 0], b.psi[0, 0])
 
 
 def levy_jump_diffusion():
@@ -249,13 +256,13 @@ class TestMartingale:
     def test_zero_steps_trivial(self, parabola):
         times = np.linspace(0.0, 0.5, 6)
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=1, n_paths=100)
-        est = martingale_L_test(parabola, ens, 0.1, 0, [0.0, -1.0])
+        est = L_test(parabola, ens, 0.1, 0, [0.0, -1.0])
         assert est.value == 1.0 and est.std_error == 0.0
 
     def test_zero_params_give_unit_functional(self):
         p = AffineParams.zeros(FullSpace(dim=1))
         ens = simulate_ensemble(p, [2.0], 1.0, 10, seed=1, n_paths=50)
-        est = martingale_L_test(p, ens, 0.2, 5, [1j])
+        est = L_test(p, ens, 0.2, 5, [1j])
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
@@ -263,27 +270,26 @@ class TestMartingale:
     def test_parabola_unit_mean(self, parabola, u):
         times = np.linspace(0.0, 0.5, 6)
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=13, n_paths=50000)
-        est = martingale_L_test(parabola, ens, 0.1, 5, u)
+        est = L_test(parabola, ens, 0.1, 5, u)
         assert consistent_with(est, 1.0), (est.value, est.std_error)
 
     def test_euler_brownian_unit_mean(self):
         p = brownian(1)
         ens = simulate_ensemble(p, [0.0], 0.5, 5, seed=14, n_paths=50000)
-        est = martingale_L_test(p, ens, 0.1, 5, [1j])
+        est = L_test(p, ens, 0.1, 5, [1j])
         assert consistent_with(est, 1.0)
 
     def test_stopped_at_unit_radius(self, parabola):
         times = np.linspace(0.0, 0.5, 6)
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=15, n_paths=50000)
-        est = martingale_L_test(parabola, stopped_ensemble(ens, 1.0), 0.1, 5,
-                                [0.0, -1.0])
+        est = L_test(parabola, stopped_ensemble(ens, 1.0), 0.1, 5, [0.0, -1.0])
         assert consistent_with(est, 1.0), (est.value, est.std_error)
 
     def test_zero_radius_freezes_everything(self, parabola):
         times = np.linspace(0.0, 0.5, 6)
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=16, n_paths=200)
         frozen = stopped_ensemble(ens, 0.0)
-        est = martingale_L_test(parabola, frozen, 0.1, 5, [0.0, -1.0])
+        est = L_test(parabola, frozen, 0.1, 5, [0.0, -1.0])
         assert est.value == pytest.approx(1.0, abs=1e-14)
         assert est.std_error == pytest.approx(0.0, abs=1e-14)
 
@@ -292,8 +298,8 @@ class TestMartingale:
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=17, n_paths=500)
         same = stopped_ensemble(ens, math.inf)
         np.testing.assert_array_equal(same.states, ens.states)
-        a = martingale_L_test(parabola, ens, 0.1, 5, [1j, 0.0])
-        b = martingale_L_test(parabola, same, 0.1, 5, [1j, 0.0])
+        a = L_test(parabola, ens, 0.1, 5, [1j, 0.0])
+        b = L_test(parabola, same, 0.1, 5, [1j, 0.0])
         assert a.value == b.value
 
     def test_domain_exit_is_reported_as_char_fn_reports_it(self, parabola):
@@ -303,13 +309,13 @@ class TestMartingale:
         with pytest.raises(TransformDomainError):
             char_fn(parabola, [0.0, 0.0], 0.2, [0.0, 1.0])
         with pytest.raises(TransformDomainError):
-            martingale_L_test(parabola, ens, 0.2, 2, [0.0, 1.0])
+            L_test(parabola, ens, 0.2, 2, [0.0, 1.0])
 
     def test_misaligned_delta_rejected(self, parabola):
         times = np.linspace(0.0, 0.5, 6)
         ens = simulate_parabola_ensemble([0.0, 0.0], times, seed=1, n_paths=10)
         with pytest.raises(ValueError):
-            martingale_L_test(parabola, ens, 0.15, 2, [1j, 0.0])
+            L_test(parabola, ens, 0.15, 2, [1j, 0.0])
 
 
 class TestKilling:

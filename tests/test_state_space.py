@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,42 @@ class TestSupport:
             if lvl < math.inf:
                 assert space.support(lam * np.asarray(u, dtype=complex)) == pytest.approx(
                     lam * lvl, rel=1e-12, abs=1e-12)
+
+
+class TestParabolaDomain:
+    # signed zeros, subnormals, both sides of the tol bands and plain values
+    GRID = [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, 2e-11, -2e-11, 1.0, -1.0, 1e8, -1e8]
+    TOLS = [0.0, 1e-12, 1e-11, 1e-9]
+
+    @staticmethod
+    def expected(p, q, tol):
+        """q < 0 is inside U for every p whose sup p^2 / 4|q| is a float (past
+        the largest float support is inf, and so outside); within the corner
+        band |p|, |q| <= tol a point is inside; every other point is outside."""
+        with np.errstate(over="ignore"):
+            finite_sup = q < 0.0 and np.float64(p) ** 2 / (-4.0 * q) < math.inf
+        return bool(finite_sup or (abs(p) <= tol and abs(q) <= tol))
+
+    def test_band_on_a_grid(self):
+        space = Parabola()
+        pq = np.array(list(itertools.product(self.GRID, repeat=2)))
+        U = pq + 1j * np.array([0.5, -1.0])
+        for tol in self.TOLS:
+            want = [self.expected(p, q, tol) for p, q in pq.tolist()]
+            assert space.in_domain(U, tol=tol).tolist() == want, tol
+        tols = np.resize(self.TOLS, len(U))     # one tol per row
+        assert space.in_domain(U, tol=tols).tolist() == [
+            self.expected(p, q, tol) for (p, q), tol in zip(pq.tolist(), tols.tolist())]
+
+    def test_zeroing_does_not_drop_a_negative_q(self):
+        space = Parabola()
+        # q < 0 with |p| > tol is inside; 0 < q <= tol with |p| > tol is outside
+        assert space.in_domain([1.0, -1e-12], tol=1e-11)
+        assert space.in_domain([-2e-11, -1e-12], tol=1e-11)
+        assert not space.in_domain([1.0, 1e-12], tol=1e-11)
+        assert not space.in_domain([2e-11, 1e-12], tol=1e-11)
+        # inside the corner band q may be positive
+        assert space.in_domain([1e-12, 1e-12], tol=1e-11)
 
 
 class TestAffineBasis:
