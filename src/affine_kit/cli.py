@@ -83,7 +83,6 @@ from .state_space import (
 )
 from .transform import (
     TransformError,
-    _require_rows_ok,
     boundedness_probe,
     cp_limit_check,
     evaluate_batch,
@@ -338,7 +337,7 @@ def _default_u_grid(d: int) -> list:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    outside = ~(cfg.space.support(np.reshape(cfg.u_grid, (-1, cfg.params.dim))) < math.inf)
+    outside = ~cfg.space.in_domain(np.reshape(cfg.u_grid, (-1, cfg.params.dim)))
     if outside.any():
         raise ConfigValidationError(f"grid point u={cfg.u_grid[outside.argmax()]} lies "
                                     "outside the transform domain: support(u)=inf")
@@ -512,23 +511,23 @@ def _suite_bounded(cfg: RunConfig) -> list:
     rng = np.random.default_rng(cfg.seed + 1)
     z = rng.standard_normal((20, d))
     grid = [1j * row / max(np.linalg.norm(row), 1e-12) for row in z]
-    table = boundedness_probe(cfg.params, grid, _BOUNDED_T, cfg.ode_tol)
-    tail = table.sup[-3:]
+    sups = boundedness_probe(cfg.params, grid, _BOUNDED_T, cfg.ode_tol)
+    tail = sups[-3:]
     variation = float((tail.max() - tail.min()) / max(tail.min(), 1e-300))
     return [_check("bounded", "small-time boundedness of |phi(t,u)|/t + "
                    "|psi(t,u)-u|/t on a compact u-grid",
                    variation, _BOUNDED_VARIATION, variation <= _BOUNDED_VARIATION,
-                   sup_by_t=list(map(float, table.sup)))]
+                   sup_by_t=list(map(float, sups)))]
 
 
 def _suite_cp_limit(cfg: RunConfig) -> list:
-    out = []
+    out, t = [], np.array(_CP_T)
     pairs = [(x, u) for x in cfg.x_grid for u in cfg.u_grid]
     for x, u in pairs:
-        table = cp_limit_check(cfg.params, x, u, _CP_T, cfg.ode_tol)
+        table = cp_limit_check(cfg.params, x, u, t, cfg.ode_tol)
         err = np.maximum(table.errors, 1e-15)
-        corr = float(np.corrcoef(np.log(table.t), np.log(err))[0, 1])
-        slope_c = float(np.max(err / table.t))
+        corr = float(np.corrcoef(np.log(t), np.log(err))[0, 1])
+        slope_c = float(np.max(err / t))
         out.append(_check(
             "cp_limit",
             "small-time limit of the centered transform difference quotient "
@@ -571,16 +570,14 @@ def _up_to_conjugates(us: list) -> list:
 
 
 def _suite_affine_mc(cfg: RunConfig) -> list:
-    x0 = cfg.x_grid[0]
-    ens = cfg.ensemble
+    x0, ens = cfg.x_grid[0], cfg.ensemble
     tu = [(t, u) for t in cfg.t_grid.tolist() if t > 0 for u in _up_to_conjugates(cfg.u_grid)]
     # the references: one single-stop lane per (t, u), each taking the steps it takes alone
-    b = _require_rows_ok(evaluate_batch(cfg.params, [[t] for t, _ in tu], [u for _, u in tu],
-                                        cfg.ode_tol))
+    b = evaluate_batch(cfg.params, [[t] for t, _ in tu], [u for _, u in tu],
+                       cfg.ode_tol).require_ok()
     out = []
-    for (t, u), phi, psi in zip(tu, b.phi[:, 0], b.psi[:, 0]):
+    for (t, u), ref in zip(tu, b.value(x0)[:, 0]):
         est = mc_char_fn(ens, t, u)
-        ref = complex(np.exp(phi + x0 @ psi))     # char_fn's arithmetic
         gap = abs(est.value - ref)
         thr = _MC_SE * est.std_error
         out.append(_check(
@@ -599,8 +596,8 @@ def _suite_martingale(cfg: RunConfig) -> list:
     us = _up_to_conjugates(cfg.u_grid)
     # the references phi(delta, u), psi(delta, u): one single-stop lane per (delta, u)
     lanes = [(delta, u) for delta, _ in _MARTINGALE_PAIRS for u in us]
-    b = _require_rows_ok(evaluate_batch(cfg.params, [[t] for t, _ in lanes],
-                                        [u for _, u in lanes], cfg.ode_tol))
+    b = evaluate_batch(cfg.params, [[t] for t, _ in lanes], [u for _, u in lanes],
+                       cfg.ode_tol).require_ok()
     phi, psi = b.phi.reshape(-1, len(us)), b.psi.reshape(-1, len(us), cfg.params.dim)
     out = []
     for k, (delta, n) in enumerate(_MARTINGALE_PAIRS):

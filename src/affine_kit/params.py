@@ -93,10 +93,6 @@ class LevyMeasure:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.locations.shape[1]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -168,9 +164,6 @@ class AffineParams:
         C = np.empty(d + 1)
         C[0] = float(self.c)
         C[1:] = np.asarray(self.gamma, dtype=float).reshape(d)
-        for name, mat in zip(["a"] + [f"alpha[{i}]" for i in range(d)], A):
-            if not np.allclose(mat, mat.T, atol=1e-12):
-                raise ValueError(f"{name} must be symmetric")
         if np.any(self.m_measure.weights < 0.0):
             raise ValueError("base jump measure m must have nonnegative weights")
         if len(self.mu_measures) != d:
@@ -184,8 +177,13 @@ class AffineParams:
         np.add.at(W, (rows, cols.ravel()), np.concatenate([m.weights for m in measures]))
         small = np.linalg.norm(L, axis=1) <= 1.0
         for name, table in (("A", A), ("B", B), ("C", C), ("L", L), ("W", W), ("small", small)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"every entry of the table {name} must be finite")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+        for name, mat in zip(["a"] + [f"alpha[{i}]" for i in range(d)], A):
+            if not np.allclose(mat, mat.T, atol=1e-12):
+                raise ValueError(f"{name} must be symmetric")
         # complex tables for F and R (all d+1 rows in one pass), None for an
         # all-zero B or C, and the atoms as L.T; Q[r*d + i, j] = A_r[i, j]/2
         # gives every row's (A_r u)/2 as Q @ u

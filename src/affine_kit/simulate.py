@@ -107,7 +107,6 @@ class McEstimate:
 
     value: complex
     std_error: float
-    n_paths: int
 
 
 @dataclass(frozen=True)
@@ -441,7 +440,7 @@ def _complex_mean_se(vals: np.ndarray) -> McEstimate:
         raise ValueError("need at least 2 paths for a standard error")
     mean = vals.mean()
     var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-    return McEstimate(complex(mean), float(np.sqrt(var / n)), n)
+    return McEstimate(complex(mean), float(np.sqrt(var / n)))
 
 
 def mc_char_fn(ens: Ensemble, t: float, u) -> McEstimate:
@@ -474,7 +473,7 @@ def martingale_L_test(ens: Ensemble, delta: float, n: int, u, phi, psi) -> McEst
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return McEstimate(1.0 + 0.0j, 0.0, ens.n_paths)
+        return McEstimate(1.0 + 0.0j, 0.0)
     dts = np.diff(ens.times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("martingale test requires a uniform time grid")

@@ -115,7 +115,7 @@ class CanonicalOrthantPlane(StateSpace):
 
     def contains(self, x):
         x = self._check_vector(x, "x")
-        return _unwrap((x[..., : self.m] >= 0.0).all(axis=-1))
+        return _unwrap((x[..., : self.m] >= 0.0).all(axis=-1) & np.isfinite(x).all(axis=-1))
 
     def support(self, u):
         re = self._real(u)
@@ -160,8 +160,11 @@ class Parabola(StateSpace):
 
     def contains(self, x):
         x = self._check_vector(x, "x")
-        sq = x[..., 0] ** 2
-        return _unwrap(np.abs(x[..., 1] - sq) <= _PARABOLA_RTOL * np.maximum(1.0, sq))
+        # a y^2 past the largest float, inf or NaN is no state, though inf <= the band's inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = x[..., 0] ** 2
+            near = np.abs(x[..., 1] - sq) <= _PARABOLA_RTOL * np.maximum(1.0, sq)
+        return _unwrap(near & np.isfinite(sq))
 
     def support(self, u):
         # sup over y of p*y + q*y^2: 0 at p = q = 0, inf for q > 0 or q = 0 != p
@@ -169,8 +172,9 @@ class Parabola(StateSpace):
         p, q = re[..., 0], re[..., 1]
         out = np.where((p == 0.0) & (q == 0.0), 0.0, math.inf)
         rest = ~(q >= 0.0)      # q < 0, or NaN
-        with np.errstate(over="ignore", invalid="ignore"):  # a sup past the largest float is inf
-            out[rest] = -(p[rest] * p[rest]) / (4.0 * q[rest])
+        with np.errstate(over="ignore", invalid="ignore"):  # finite p: saturate at max float
+            sup = -(p[rest] * p[rest]) / (4.0 * q[rest])
+        out[rest] = np.where(np.isfinite(p[rest]), np.minimum(sup, np.finfo(float).max), sup)
         return _unwrap(out)
 
     def affine_basis(self) -> np.ndarray:

@@ -18,11 +18,11 @@ stage), and its error is Hairer's norm: the 5th-order estimate, corrected by
 the 3rd-order one and scaled by tol*(1 + |y|) per component.
 evaluate_batch sweeps N lanes as one (N, d+1) array, each lane on the shared
 times or on a stop row of its own, and evaluate and evaluate_grid are
-one-lane batches.  fd_regularity, boundedness_probe and cp_limit_check fold
-their independent integrations into one batch.  semiflow_residual runs the
-first legs of all its triples as one batch and each second leg, which starts
-from a first leg's psi, as one evaluate per triple; its errors come back in
-triple order.  Steps land on every requested time, so no value is
+one-lane batches.  A batch is read through require_ok(), which returns it
+or raises the error of its first failing row, lane by lane, and value(x),
+exp(phi + <x, psi>) per row.  char_fn and the probes read their batches so;
+semiflow_residual's second legs, one evaluate per triple, raise by the same
+status rule.  Steps land on every requested time, so no value is
 interpolated, and a proposal within a margin of 1.1 of the next time lands
 on it at once instead of leaving a sliver step; the margin stays below
 1/0.9, so a retry after a rejected step is never stretched back to the step
@@ -59,7 +59,6 @@ __all__ = [
     "fd_regularity",
     "RegularityProbe",
     "boundedness_probe",
-    "BoundednessTable",
     "cp_limit_check",
     "CpLimitTable",
 ]
@@ -181,6 +180,29 @@ class TransformBatch:
                                 bt if st == STATUS_BLOW_UP else None)
                 for t, phi, psi, st in zip(self.t[i].tolist(), self.phi[i].tolist(),
                                            self.psi[i], self.status[i].tolist())]
+
+    def require_ok(self) -> "TransformBatch":
+        """self, or the error (_raise_for) of its first row, lane by lane, that is not ok."""
+        for i, j in zip(*np.nonzero(self.status != STATUS_OK)):
+            _raise_for(self.status[i, j], float(self.blow_up_time[i]))
+        return self
+
+    def value(self, x) -> np.ndarray:
+        """exp(phi + <x, psi>) per row at state x, (N, n_t) complex, as char_fn gives it:
+        in scalar arithmetic row by row (a vectorized exp may round differently)."""
+        x = np.asarray(x, dtype=float).reshape(self.u.shape[-1])
+        out = np.empty(self.phi.shape, dtype=complex)
+        for ij in np.ndindex(out.shape):
+            out[ij] = np.exp(self.phi[ij] + x @ self.psi[ij])
+        return out
+
+
+def _raise_for(status: str, blow_up_time) -> None:
+    """The status rule: BlowUpError at blow_up_time, TransformDomainError, or nothing if ok."""
+    if status == STATUS_BLOW_UP:
+        raise BlowUpError(blow_up_time)
+    if status == STATUS_DOMAIN_EXIT:
+        raise TransformDomainError("transform variable left the domain U")
 
 
 def _rhs(p: AffineParams, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -388,23 +410,6 @@ def evaluate_grid(p: AffineParams, u, t_list, tol: float = 1e-10) -> list:
     return _batch(p, t_list, [u], tol).lane(0)
 
 
-def _require_ok(r: TransformResult) -> TransformResult:
-    if r.status == STATUS_BLOW_UP:
-        raise BlowUpError(r.blow_up_time)
-    if r.status == STATUS_DOMAIN_EXIT:
-        raise TransformDomainError("transform variable left the domain U")
-    return r
-
-
-def _require_rows_ok(b: TransformBatch) -> TransformBatch:
-    """b, or the error _require_ok raises for its first row (lane by lane) that is not ok."""
-    bad = b.status != STATUS_OK
-    if bad.any():
-        i, j = np.unravel_index(bad.argmax(), bad.shape)
-        _require_ok(b.lane(i)[j])
-    return b
-
-
 def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
     """Fourier-Laplace transform value exp(phi(t,u) + <x, psi(t,u)>).
 
@@ -414,8 +419,7 @@ def char_fn(p: AffineParams, x, t: float, u, tol: float = 1e-10) -> complex:
     x = np.asarray(x, dtype=float).reshape(p.dim)
     if not p.space.contains(x):
         raise ValueError(f"initial state {x} is not in the state space")
-    r = _require_ok(evaluate(p, t, u, tol=tol))
-    return complex(np.exp(r.phi + x @ r.psi))
+    return complex(_batch(p, [float(t)], [u], tol).require_ok().value(x)[0, 0])
 
 
 # -- analytic verification probes -------------------------------------------
@@ -433,20 +437,19 @@ def semiflow_residual(p: AffineParams, t, s, u, tol: float = 1e-10):
 
     The first legs of all triples share one batch of 2N single-stop lanes,
     (u_i, t_i + s_i) and (u_i, t_i); each second leg, (psi(t_i, u_i), s_i),
-    is one evaluate() call.  Every lane takes the steps it takes alone.  A
-    failing triple raises the error of the first failing lane in triple
-    order: lane (u_i, t_i + s_i), then (u_i, t_i), then triple i's second leg.
+    is one evaluate() call.  Every lane takes the steps it takes alone.  All
+    first legs are checked, lane by lane ((u_i, t_i + s_i), then (u_i, t_i)),
+    before any second leg runs; then the second legs raise in triple order.
     """
     scalar = np.ndim(t) == 0
     t, s = np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
     U = np.asarray(u, dtype=complex).reshape(len(t), p.dim)
-    b = _batch(p, np.column_stack([t + s, t]).reshape(-1, 1), np.repeat(U, 2, axis=0), tol)
+    b = _batch(p, np.column_stack([t + s, t]).reshape(-1, 1), np.repeat(U, 2, axis=0),
+               tol).require_ok()
     res = np.empty(len(t))
     for i, si in enumerate(s.tolist()):
-        for j in (2 * i, 2 * i + 1):
-            if b.status[j, 0] != STATUS_OK:
-                _require_ok(b.lane(j)[0])
-        r_s = _require_ok(evaluate(p, si, b.psi[2 * i + 1, 0], tol))
+        r_s = evaluate(p, si, b.psi[2 * i + 1, 0], tol)
+        _raise_for(r_s.status, r_s.blow_up_time)
         d_phi = abs(complex(b.phi[2 * i, 0]) - complex(b.phi[2 * i + 1, 0]) - r_s.phi)
         d_psi = float(np.linalg.norm(b.psi[2 * i, 0] - r_s.psi))
         res[i] = max(d_phi, d_psi)
@@ -455,9 +458,8 @@ def semiflow_residual(p: AffineParams, t, s, u, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class RegularityProbe:
-    """Forward-difference recovery of F and R from small-time transforms."""
+    """Forward-difference recovery of F and R from small-time transforms, per step h."""
 
-    h: np.ndarray               # probe step sizes, decreasing
     F_quotients: np.ndarray     # phi(h,u)/h per h
     R_quotients: np.ndarray     # (psi(h,u)-u)/h per h, shape (len(h), d)
     errors: np.ndarray          # |F_quotients - F_ref| + |R_quotients - R_ref| per h
@@ -488,7 +490,7 @@ def fd_regularity(p: AffineParams, u, h_list, tol: float = 1e-10) -> RegularityP
         raise ValueError("h_list must contain >= 3 decreasing positive steps")
     u = np.asarray(u, dtype=complex).reshape(p.dim)
     # one lane per step, each stopping at its h
-    b = _require_rows_ok(_batch(p, h[:, None], [u] * len(h), tol))
+    b = _batch(p, h[:, None], [u] * len(h), tol).require_ok()
     Fq = np.empty(len(h), dtype=complex)
     Rq = np.empty((len(h), p.dim), dtype=complex)
     for i, hi in enumerate(h):      # Python's complex division: numpy's multiplies by 1/h
@@ -507,19 +509,11 @@ def fd_regularity(p: AffineParams, u, h_list, tol: float = 1e-10) -> RegularityP
         order = math.inf
     else:
         order = float(np.polyfit(np.log(h[live]), np.log(err[live]), 1)[0])
-    return RegularityProbe(h, Fq, Rq, err, complex(F_est), R_est, order, complex(F_ref), R_ref)
+    return RegularityProbe(Fq, Rq, err, complex(F_est), R_est, order, complex(F_ref), R_ref)
 
 
-@dataclass(frozen=True)
-class BoundednessTable:
-    """Small-time suprema of |phi|/t + |psi - u|/t over a u-grid."""
-
-    t: np.ndarray
-    sup: np.ndarray
-
-
-def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> BoundednessTable:
-    """sup over the u-grid of |phi(t,u)|/t + ||psi(t,u) - u||/t per time.
+def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> np.ndarray:
+    """sup over the u-grid of |phi(t,u)|/t + ||psi(t,u) - u||/t, one per time of t_list.
 
     The suprema must stay bounded as t decreases: they converge to
     sup |F| + ||R|| over the grid, and the verify suite bounds the spread of
@@ -530,28 +524,26 @@ def boundedness_probe(p: AffineParams, grid, t_list, tol: float = 1e-10) -> Boun
     if np.any(t_arr <= 0) or np.any(np.diff(t_arr) >= 0):
         raise ValueError("t_list must be decreasing and positive")
     U = np.array([np.asarray(u, dtype=complex).reshape(p.dim) for u in grid]).reshape(-1, p.dim)
-    outside = p.space.support(U) == math.inf
+    outside = ~p.space.in_domain(U)
     if outside.any():
         raise ValueError(f"grid point {U[outside.argmax()]} lies outside the transform domain U")
-    b = _require_rows_ok(_batch(p, np.repeat(t_arr, len(U))[:, None], np.tile(U, (len(t_arr), 1)),
-                                tol))
+    b = _batch(p, np.repeat(t_arr, len(U))[:, None], np.tile(U, (len(t_arr), 1)),
+               tol).require_ok()
     phi = b.phi[:, 0].reshape(len(t_arr), len(U))
     psi = b.psi[:, 0].reshape(len(t_arr), len(U), p.dim)
     t = t_arr[:, None]
-    sups = np.max(np.abs(phi) / t + np.linalg.norm(psi - U, axis=2) / t, axis=1, initial=0.0)
-    return BoundednessTable(t_arr, sups)
+    return np.max(np.abs(phi) / t + np.linalg.norm(psi - U, axis=2) / t, axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)
 class CpLimitTable:
-    """Small-time difference quotients of the centered transform.
+    """Small-time difference quotients of the centered transform, one per time.
 
     D(t) = (exp(-<x,u>) * transform(x,t,u) - transform(x,t,0)) / t converges
     to target = (F(u) + c) + <x, R(u) + gamma> as t decreases, with error
     decaying linearly in t.
     """
 
-    t: np.ndarray
     values: np.ndarray          # complex D(t)
     target: complex
     errors: np.ndarray          # |D(t) - target|
@@ -568,11 +560,8 @@ def cp_limit_check(p: AffineParams, x, u, t_list, tol: float = 1e-10) -> CpLimit
     if not p.space.contains(x):
         raise ValueError(f"initial state {x} is not in the state space")
     # lanes u and 0 at each time, one stop each
-    b = _require_rows_ok(_batch(p, np.repeat(t_arr, 2)[:, None],
-                                np.tile([u, np.zeros(p.dim)], (len(t_arr), 1)), tol))
-    vals = np.empty(len(t_arr), dtype=complex)
-    # char_fn's scalar arithmetic, row by row: a vectorized exp may round differently
-    for j, t in enumerate(t_arr):
-        ft_u, ft_0 = (complex(np.exp(b.phi[i, 0] + x @ b.psi[i, 0])) for i in (2 * j, 2 * j + 1))
-        vals[j] = (np.exp(-(x @ u)) * ft_u - ft_0) / t
-    return CpLimitTable(t_arr, vals, complex(target), np.abs(vals - target))
+    b = _batch(p, np.repeat(t_arr, 2)[:, None], np.tile([u, np.zeros(p.dim)], (len(t_arr), 1)),
+               tol).require_ok()
+    vals = np.array([(np.exp(-(x @ u)) * ft_u - ft_0) / t
+                     for (ft_u, ft_0), t in zip(b.value(x).reshape(-1, 2), t_arr)], dtype=complex)
+    return CpLimitTable(vals, complex(target), np.abs(vals - target))

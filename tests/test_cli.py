@@ -420,6 +420,23 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
         assert "diffusion_not_psd: along r = [1.]" in capsys.readouterr().err
 
+    def test_non_finite_parameter_is_parse_error(self, tmp_path, capsys):
+        # b = NaN used to run verify to exit 1, its levy_structure check a PASS
+        code, out_dir = run(tmp_path, "verify", {
+            **CIR, "task": "verify", "params": {**CIR["params"], "b": [math.nan]}})
+        assert code == EXIT_PARSE_ERROR
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
+    def test_non_finite_state_is_validation_error(self, tmp_path, capsys):
+        # this used to print three cp_limit FAILs and exit 1
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "preset": "brownian", "verify_suite": ["cp_limit"],
+            "grids": {"x": [[math.nan, 0.0]]}})
+        assert code == EXIT_VALIDATION_ERROR
+        assert "is not in the state space" in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
     def test_inadmissible_params_is_validation_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", {
             "task": "verify",

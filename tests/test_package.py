@@ -54,3 +54,15 @@ def test_simulate_imports_no_name_from_transform():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
     assert "affine_kit.transform" not in imported, sorted(imported)
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a module reads another through its public names, a TransformBatch by require_ok and value
+    private = []
+    for path in sorted((ROOT / "src" / "affine_kit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "affine_kit"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, private

@@ -116,6 +116,25 @@ class TestCharacteristics:
             np.testing.assert_allclose(cz, lam * cx + (1 - lam) * cy, atol=1e-12)
 
 
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", ["a", "alpha", "b", "beta", "c", "gamma",
+                                       "atom weight", "atom location"])
+    def test_is_rejected(self, entry, value):
+        # each used to build a tuple (a NaN a as "not symmetric"), and a NaN b
+        # or beta passed validate()
+        kw = {"a": {"a": np.array([[value]])},
+              "alpha": {"alpha": np.array([[[value]]])},
+              "b": {"b": np.array([value])},
+              "beta": {"beta": np.array([[value]])},
+              "c": {"c": value},
+              "gamma": {"gamma": np.array([value])},
+              "atom weight": {"mu_measures": (LevyMeasure.from_atoms([(value, 1.0)]),)},
+              "atom location": {"m_measure": LevyMeasure.from_atoms([(1.0, value)])}}[entry]
+        with pytest.raises(ValueError, match="must be finite"):
+            AffineParams.zeros(HalfLine()).with_(**kw)
+
+
 class TestExponents:
     def test_zero_params_vanish(self):
         p = AffineParams.zeros(FullSpace(dim=2))

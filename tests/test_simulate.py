@@ -22,14 +22,14 @@ from affine_kit.simulate import (
     stopped_ensemble,
 )
 from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
-from affine_kit.transform import TransformDomainError, _require_rows_ok, char_fn, evaluate_batch
+from affine_kit.transform import TransformDomainError, char_fn, evaluate_batch
 from conftest import consistent_with, invalid_negative_diffusion
 
 
 def L_test(p, ens, delta, n, u):
     """martingale_L_test on the references the verify suite passes it: phi(delta, u)
     and psi(delta, u) from an ok row of evaluate_batch, else that row's error."""
-    b = _require_rows_ok(evaluate_batch(p, [[delta]], [u]))
+    b = evaluate_batch(p, [[delta]], [u]).require_ok()
     return martingale_L_test(ens, delta, n, u, b.phi[0, 0], b.psi[0, 0])
 
 

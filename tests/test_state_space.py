@@ -58,6 +58,22 @@ class TestContains:
         with pytest.raises(ValueError):
             FullSpace(dim=2).contains([1.0])
 
+    @pytest.mark.parametrize("space", [FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 1),
+                                       Parabola()], ids=repr)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coordinate_is_not_a_state(self, space, bad):
+        # FullSpace held every such point, the half-line inf and the parabola (inf, 0)
+        for k in range(space.dim):
+            x = space.affine_basis()[-1].copy()
+            x[k] = bad
+            assert not space.contains(x)
+            assert not space.contains(x[None]).any()
+
+    def test_parabola_rejects_a_y_squared_past_the_largest_float(self):
+        # y^2 overflowed to inf, and so did the band around it: (1e200, 0) was a state
+        assert not Parabola().contains([1e200, 0.0])
+        assert Parabola().contains([1e150, 1e300])
+
 
 class TestSupport:
     def test_orthant_mixed(self):
@@ -115,12 +131,10 @@ class TestParabolaDomain:
 
     @staticmethod
     def expected(p, q, tol):
-        """q < 0 is inside U for every p whose sup p^2 / 4|q| is a float (past
-        the largest float support is inf, and so outside); within the corner
-        band |p|, |q| <= tol a point is inside; every other point is outside."""
-        with np.errstate(over="ignore"):
-            finite_sup = q < 0.0 and np.float64(p) ** 2 / (-4.0 * q) < math.inf
-        return bool(finite_sup or (abs(p) <= tol and abs(q) <= tol))
+        """q < 0 with finite p is inside U, also where p^2 / 4|q| is past the
+        largest float; within the corner band |p|, |q| <= tol a point is
+        inside; every other point is outside."""
+        return bool((q < 0.0 and math.isfinite(p)) or (abs(p) <= tol and abs(q) <= tol))
 
     def test_band_on_a_grid(self):
         space = Parabola()

@@ -567,6 +567,40 @@ class TestCharFn:
             char_fn(parabola, [1.0, 2.0], 0.1, [1j, 0.0])
 
 
+class TestReadRoute:
+    """require_ok() and value(x), the two ways a TransformBatch is read."""
+
+    def test_require_ok_raises_the_first_failing_row_lane_by_lane(self, parabola):
+        # lane 0 blows up at t = 1/2, lane 1 at t = 1/4 and lane 2 starts outside
+        # U: the first failing row in time order is lane 2's, but lane 0 raises
+        U = [[0.0, 1.0], [0.0, 2.0], [0.5, 0.2]]
+        b = evaluate_batch(parabola, [[0.6], [0.3], [0.0]], U)
+        assert b.status[:, 0].tolist() == ["blow_up", "blow_up", "domain_exit"]
+        with pytest.raises(BlowUpError, match="near t = 0.5") as err:
+            b.require_ok()
+        assert type(err.value.t_estimate) is float
+        # within a lane the earlier row raises: lane 0 exits U before it blows up
+        b = evaluate_batch(parabola, [[0.1, 0.6], [0.3, 0.3]], U[:2])
+        assert b.status.tolist() == [["domain_exit", "blow_up"], ["blow_up", "blow_up"]]
+        with pytest.raises(TransformDomainError):
+            b.require_ok()
+        ok = evaluate_batch(parabola, [0.1, 0.2], [[0.3j, -0.5 + 0.2j]])
+        assert ok.require_ok() is ok
+
+    @pytest.mark.parametrize("name, x", [("parabola", [1.0, 1.0]), ("cir", [0.7]),
+                                         ("brownian", [0.2, -0.1]), ("svj", [0.04, 0.0])])
+    def test_value_is_char_fn_bit_for_bit(self, name, x, request):
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(8)
+        tu = [(t, random_u_in_domain(p.space, rng)) for t in (0.0, 0.05, 0.3, 1.0)
+              for _ in range(3)]
+        # one single-stop lane per (t, u), as char_fn integrates it
+        values = evaluate_batch(p, [[t] for t, _ in tu], [u for _, u in tu]).value(x)
+        assert values.shape == (len(tu), 1)
+        for (t, u), v in zip(tu, values[:, 0]):
+            assert np.array(v).tobytes() == np.array(char_fn(p, x, t, u)).tobytes()
+
+
 class TestParabolaClosedForm:
     def test_time_zero(self):
         phi, psi = closed_form_parabola(0.0, [0.7 + 0.1j, -0.3])
@@ -725,22 +759,21 @@ class TestBoundedness:
 
     def test_zero_process_has_zero_suprema(self):
         p = AffineParams.zeros(FullSpace(dim=2))
-        table = boundedness_probe(p, self._imag_grid(2), [1e-1, 1e-2, 1e-3])
-        np.testing.assert_allclose(table.sup, 0.0, atol=1e-12)
-        assert table.sup[-3:].max() <= 1.1 * table.sup[-3:].min()
+        sups = boundedness_probe(p, self._imag_grid(2), [1e-1, 1e-2, 1e-3])
+        np.testing.assert_allclose(sups, 0.0, atol=1e-12)
+        assert sups[-3:].max() <= 1.1 * sups[-3:].min()
 
     def test_brownian_supremum_is_constant(self, brownian):
         grid = self._imag_grid(2)
-        table = boundedness_probe(brownian, grid, [1e-1, 1e-2, 1e-3, 1e-4])
+        sups = boundedness_probe(brownian, grid, [1e-1, 1e-2, 1e-3, 1e-4])
         expected = max(abs(brownian.F_eval(u)) for u in grid)
-        np.testing.assert_allclose(table.sup, expected, rtol=1e-6)
+        np.testing.assert_allclose(sups, expected, rtol=1e-6)
 
     def test_parabola_stays_bounded(self, parabola):
-        table = boundedness_probe(parabola, self._imag_grid(2),
-                                  [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
-        assert table.sup[-3:].max() <= 1.1 * table.sup[-3:].min()
-        spread = table.sup[-3:].max() - table.sup[-3:].min()
-        assert spread / table.sup[-1] < 0.01
+        sups = boundedness_probe(parabola, self._imag_grid(2), [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+        assert sups[-3:].max() <= 1.1 * sups[-3:].min()
+        spread = sups[-3:].max() - sups[-3:].min()
+        assert spread / sups[-1] < 0.01
 
     def test_rejects_grid_point_outside_domain(self, parabola):
         with pytest.raises(ValueError):
@@ -759,14 +792,15 @@ class TestCpLimit:
         # D(t) = (e^{-t/2} - 1)/t -> -1/2 at u = (i, 0), x = 0
         table = cp_limit_check(brownian, [0.0, 0.0], [1j, 0.0], self.T_LIST)
         assert table.target == pytest.approx(-0.5)
-        expected = (np.exp(-table.t / 2) - 1.0) / table.t
+        t = np.array(self.T_LIST)
+        expected = (np.exp(-t / 2) - 1.0) / t
         np.testing.assert_allclose(table.values, expected, atol=1e-9)
 
     def test_parabola_limit_and_linear_decay(self, parabola):
         table = cp_limit_check(parabola, [1.0, 1.0], [0.0, -1.0], self.T_LIST)
         assert table.target == pytest.approx(1.0)
         # error shrinks linearly: log-log correlation ~ 1
-        corr = np.corrcoef(np.log(table.t), np.log(table.errors))[0, 1]
+        corr = np.corrcoef(np.log(self.T_LIST), np.log(table.errors))[0, 1]
         assert corr > 0.99
         assert table.errors[-1] < 0.05 * table.errors[0]
 
@@ -824,8 +858,8 @@ class TestProbeBatches:
         rng = np.random.default_rng(6)
         grid = [random_u_in_domain(p.space, rng) for _ in range(7)]
         ts = [1e-1, 1e-2, 1e-3]
-        table = boundedness_probe(p, grid, ts)
-        for t, sup in zip(ts, table.sup):
+        sups = boundedness_probe(p, grid, ts)
+        for t, sup in zip(ts, sups):
             b = evaluate_batch(p, [t], grid)
             assert sup == np.max(np.abs(b.phi[:, 0]) / t
                                  + np.linalg.norm(b.psi[:, 0] - b.u, axis=1) / t)
