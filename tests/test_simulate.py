@@ -10,6 +10,7 @@ from affine_kit import simulate
 from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
+    Ensemble,
     _BLOCK,
     _JUMPS_PER_STEP_CAP,
     _cir_exact,
@@ -85,16 +86,30 @@ def eigh_root(mats):
 
 
 def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
-    """Step-by-step Euler paths of a jump- and killing-free tuple, in the
-    sampler's documented order, from p.a, p.alpha, p.b and p.beta.
+    """Step-by-step Euler ensemble in the sampler's documented order, every
+    path stepped on every step, from the tables of p times dt.
 
-    With the tables times dt, the drift is b dt + sum_i x_i (beta^i dt).  If
+    Draws: a path's normals, then its jump uniforms if p has atoms, then its
+    kill clock if p kills (pinned_stream).  The drift is the net drift
+    B - int h dnu, (b - (W * small) @ L) dt + sum_i x_i (row 1+i of it).  If
     at most one of the rows a, alpha^1..alpha^d is nonzero, A_r, the noise is
-    sqrt(max(x_r dt, 0)) (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z) for
-    r = 0; otherwise it is root(a dt + sum_i x_i (alpha^i dt)) z."""
-    d = p.dim
+    sqrt(max(x_r dt, 0)) (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z)
+    for r = 0; otherwise it is root(a dt + sum_i x_i (alpha^i dt)) z.  With
+    w = max(W(X) dt, 0) and lam = sum w, the count is the least N with the
+    path's first uniform <= P(N) of Poisson(lam), cut at _JUMPS_PER_STEP_CAP
+    (a live cut step is an overflow), and jump j lands on the first atom
+    whose cumulative weight is >= uniform 1 + j times the total.  A path is
+    alive after a step while sum max(C(X) dt, 0) < its clock; alive_until
+    counts 1 plus its live steps, and its cells from there on are nan.
+    Clamps count the live cells of the orthant coordinates moved up to 0."""
+    d, cap = p.dim, _JUMPS_PER_STEP_CAP
     dt = T / n_steps
-    [z] = pinned_stream(seed, n_paths, ("standard_normal", (n_steps, d)))
+    draws = [("standard_normal", (n_steps, d))]
+    draws += [("random", (n_steps, 1 + cap))] * p.has_jumps
+    draws += [("standard_exponential", ())] * p.has_killing
+    z, *rest = pinned_stream(seed, n_paths, *draws)
+    uniforms = rest.pop(0) if p.has_jumps else None
+    clocks = rest.pop(0) if p.has_killing else np.full(n_paths, np.inf)
     orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
                            else int(isinstance(p.space, HalfLine)))
     rows = [r for r, A_r in enumerate([p.a, *p.alpha]) if A_r.any()] or [0]
@@ -103,12 +118,20 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
         z = np.einsum("jk,pik->pij", root(p.a if r == 0 else p.alpha[r - 1]), z)
         if r == 0:
             z *= math.sqrt(dt)
+    net_drift = (p.B - (p.W * p.small) @ p.L) * dt
     X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     out = [X]
+    hazard, lived = np.zeros(n_paths), np.ones(n_paths, dtype=np.int64)
+    clamps = jump_overflows = 0
     for k in range(n_steps):
-        drift = p.b * dt
+        drift, rate, weights = net_drift[0], p.c * dt, p.W[0] * dt
         for i in range(d):
-            drift = drift + X[:, i, None] * (p.beta[i] * dt)
+            drift = drift + X[:, i, None] * net_drift[1 + i]
+            rate = rate + X[:, i] * (p.gamma[i] * dt)
+            weights = weights + X[:, i, None] * (p.W[1 + i] * dt)
+        hazard += np.maximum(rate, 0.0)
+        alive = hazard < clocks
+        lived += alive
         if len(rows) > 1:
             A = p.a * dt
             for i in range(d):
@@ -119,9 +142,38 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
         else:
             noise = z[:, k]
         X = X + drift + noise
+        if p.has_jumps:
+            u = uniforms[:, k]
+            w = np.maximum(weights, 0.0)
+            lam = w.sum(axis=1)
+            pk = np.exp(-lam)
+            counts = (u[:, 0] > pk).astype(np.int64)
+            cdf = pk + (pk := pk * lam)
+            for j in range(2, cap + 1):
+                counts[u[:, 0] > cdf] = j
+                pk = pk * lam / j
+                cdf = cdf + pk
+            jump_overflows += int(np.count_nonzero(alive & (u[:, 0] > cdf)))
+            atom_cdf = np.cumsum(w, axis=1)
+            for j in range(cap):
+                atom = (u[:, 1 + j, None] * atom_cdf[:, -1:] <= atom_cdf).argmax(axis=1)
+                X[counts > j] += p.L[atom[counts > j]]
+        clamps += int(np.count_nonzero((X[:, orth] < 0.0) & alive[:, None]))
         X[:, orth] = np.maximum(X[:, orth], 0.0)
         out.append(X)
-    return np.stack(out, axis=1)
+    states = np.stack(out, axis=1)
+    for i in np.flatnonzero(lived <= n_steps):
+        states[i, lived[i]:] = np.nan
+    return Ensemble(times=np.linspace(0.0, T, n_steps + 1), states=states,
+                    alive_until=lived if p.has_killing else np.full(n_paths, n_steps + 1),
+                    jump_overflows=jump_overflows, clamps=clamps)
+
+
+def high_rate_jumps():
+    """d=1 tuple with one atom of rate 40: at dt = 0.1 its Poisson count often
+    reaches _JUMPS_PER_STEP_CAP."""
+    return AffineParams.zeros(FullSpace(dim=1)).with_(
+        m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
 
 
 def textbook_euler(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
@@ -536,20 +588,20 @@ class TestDiffusionRoot:
     def test_diagonal_tuples_match_the_eigh_reference(self, make, x0):
         p = make()
         ens = simulate_ensemble(p, x0, 1.0, 60, seed=5, n_paths=300)
-        np.testing.assert_array_equal(ens.states, euler_reference(p, x0, 1.0, 60, 5, 300))
+        np.testing.assert_array_equal(ens.states, euler_reference(p, x0, 1.0, 60, 5, 300).states)
 
     def test_off_diagonal_tuple_matches_the_eigh_reference(self, svj):
         p = svj_diffusion(svj)
         ens = simulate_ensemble(p, [0.04, 0.0], 1.0, 60, seed=5, n_paths=300)
         np.testing.assert_array_equal(ens.states,
-                                      euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300))
+                                      euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300).states)
 
     def test_tiny_negative_diagonal_clamps_to_zero(self):
         # A(0) = -1e-12 passes validation; its root is 0, as a clamped eigh gives
         p = tiny_negative_diagonal()
         ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=1, n_paths=20)
         np.testing.assert_array_equal(ens.states[:, 1, 0], 0.3 * 0.1)
-        np.testing.assert_array_equal(ens.states, euler_reference(p, [0.0], 1.0, 10, 1, 20))
+        np.testing.assert_array_equal(ens.states, euler_reference(p, [0.0], 1.0, 10, 1, 20).states)
 
     def test_spd_2x2_roots_match_eigh_across_scales(self):
         rng = np.random.default_rng(11)
@@ -586,7 +638,7 @@ class TestDiffusionRoot:
     def test_svj_diffusion_matches_an_eigh_rooted_reference(self, svj):
         p = svj_diffusion(svj)
         ens = simulate_ensemble(p, [0.04, 0.0], 1.0, 60, seed=5, n_paths=300)
-        ref = euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300, root=eigh_root)
+        ref = euler_reference(p, [0.04, 0.0], 1.0, 60, 5, 300, root=eigh_root).states
         assert np.all(np.abs(ens.states - ref) <= 1e-13 * (1.0 + np.abs(ref)))
 
     def test_2d_step_makes_no_lapack_call(self, svj, monkeypatch):
@@ -601,10 +653,10 @@ class TestDiffusionRoot:
         p = plane_3d()
         assert p.validate().valid
         ens = simulate_ensemble(p, [0.2, 0.0, 0.0], 1.0, 40, seed=4, n_paths=100)
-        ref = euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100)
+        ref = euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100).states
         np.testing.assert_array_equal(ens.states, ref)
         np.testing.assert_array_equal(
-            ref, euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100, root=eigh_root))
+            ref, euler_reference(p, [0.2, 0.0, 0.0], 1.0, 40, 4, 100, root=eigh_root).states)
 
     @pytest.mark.parametrize("root", [_psd_sqrt, eigh_root], ids=["psd_sqrt", "eigh_root"])
     @pytest.mark.parametrize("make, x0", [
@@ -629,6 +681,43 @@ class TestDiffusionRoot:
         assert calls == want
 
 
+class TestEulerMatchesTheReference:
+    """Every bit of an Euler ensemble, jumps, killing and clamps included, is
+    that of euler_reference's path-major step, whatever the sampler's layout."""
+
+    @staticmethod
+    def assert_byte_equal(p, x0, n_steps, seed, n_paths):
+        ens = simulate_ensemble(p, x0, 1.0, n_steps, seed=seed, n_paths=n_paths)
+        ref = euler_reference(p, x0, 1.0, n_steps, seed, n_paths)
+        assert ens.states.tobytes() == ref.states.tobytes()
+        assert ens.alive_until.tobytes() == ref.alive_until.tobytes()
+        assert (ens.clamps, ens.jump_overflows) == (ref.clamps, ref.jump_overflows)
+        return ref
+
+    @pytest.mark.parametrize("n_paths", [1, 255, 257])
+    def test_svj(self, svj, n_paths):
+        ref = self.assert_byte_equal(svj, [0.04, 0.0], 200, 3, n_paths)
+        if n_paths > 1:     # the oracle covers every branch: jumps, deaths and clamps
+            assert np.count_nonzero(ref.alive_until <= 200) > 0
+            assert ref.clamps > 0
+            assert np.isnan(ref.states).any()
+
+    @pytest.mark.parametrize("n_paths", [1, 255, 257])
+    def test_high_rate_tuple(self, n_paths):
+        ref = self.assert_byte_equal(high_rate_jumps(), [0.0], 10, 4, n_paths)
+        assert ref.jump_overflows > 0 or n_paths == 1
+
+    @pytest.mark.parametrize("make, x0", [
+        ("single_factor", [0.04, 0.0]), (plane_3d, [0.2, 0.0, 0.0]),
+        (lambda: brownian(2), [0.0, 0.0]), (cbi_with_killing, [1.0]),
+        (levy_jump_diffusion, [0.0]), (lambda: square_root(1.0, 1.0, 9.0).with_(c=1.0), [0.04])],
+        ids=["single_factor", "plane_3d", "brownian2", "cbi_with_killing", "levy",
+             "clamped_square_root"])
+    def test_other_euler_tuples(self, make, x0, svj):
+        p = svj_diffusion(svj) if make == "single_factor" else make()
+        self.assert_byte_equal(p, x0, 40, 6, 257)
+
+
 def recount_jump_overflows(p, ens, seed):
     """Live path-steps whose Poisson uniform lies above P(N <= cap), with the
     per-step rate summed from the measures at the step's start state."""
@@ -649,8 +738,7 @@ def recount_jump_overflows(p, ens, seed):
 
 class TestJumpOverflows:
     def test_high_rate_tuple_overflows(self):
-        p = AffineParams.zeros(FullSpace(dim=1)).with_(
-            m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
+        p = high_rate_jumps()
         ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=200)
         assert ens.jump_overflows > 0
         assert ens.jump_overflows == recount_jump_overflows(p, ens, 4)
@@ -665,8 +753,7 @@ class TestJumpOverflows:
 
     @pytest.mark.parametrize("radius", [0.5, math.inf])
     def test_stopped_ensemble_carries_the_count(self, radius):
-        p = AffineParams.zeros(FullSpace(dim=1)).with_(
-            m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
+        p = high_rate_jumps()
         ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=50)
         assert stopped_ensemble(ens, radius).jump_overflows == ens.jump_overflows > 0
 
