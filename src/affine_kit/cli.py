@@ -339,8 +339,9 @@ def _default_u_grid(d: int) -> list:
 def _validate_config(cfg: RunConfig) -> None:
     outside = ~cfg.space.in_domain(np.reshape(cfg.u_grid, (-1, cfg.params.dim)))
     if outside.any():
-        raise ConfigValidationError(f"grid point u={cfg.u_grid[outside.argmax()]} lies "
-                                    "outside the transform domain: support(u)=inf")
+        u = cfg.u_grid[outside.argmax()]
+        why = "support(u)=inf" if np.isfinite(u).all() else "a part is not finite"
+        raise ConfigValidationError(f"grid point u={u} lies outside the transform domain: {why}")
     if not cfg.u_grid:
         raise ConfigValidationError("grids.u must hold at least one point")
     if not cfg.x_grid:

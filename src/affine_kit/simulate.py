@@ -20,10 +20,11 @@ names it.  In order:
 
 The Euler scheme reads one coefficient table, built once per call: rows
 (1, x_1..x_d) and columns, all times dt, for the net drift B - int h dnu,
-the killing rate C, the jump weights W and the diffusion.  A step computes
-coef = T_0 + sum_i x_i T_i by elementwise products over the nonzero rows;
-no BLAS call runs across paths, so a path's bits depend neither on n_paths
-nor on the runs (below) that step it.
+the killing rate C, the jump weights W and the diffusion.  The step state
+X and the normals are coordinate-major, (d, n) and (n_steps, d, n): a step
+computes coef = T_0 + sum_i x_i T_i, (ncol, n), by elementwise products along
+the paths over the nonzero rows; no BLAS call runs across paths, so a path's
+bits depend neither on n_paths nor on the runs (below) that step it.
 
   * drift coef_B: uncompensated jumps combined with it reproduce the
     exponents' truncation convention;
@@ -94,6 +95,7 @@ __all__ = [
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
+_CHUNK = 8               # paths per Euler normals call: the block's stream, small temporaries
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 
 
@@ -285,18 +287,19 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
     else:
         diffusion = p.A.reshape(d + 1, d * d)
     table = np.hstack([p.B - (p.W * p.small) @ p.L, p.C[:, None], p.W, diffusion]) * dt
-    terms = [(i, row) for i, row in enumerate(table[1:]) if row.any()]
+    terms = [(i, row[:, None]) for i, row in enumerate(table[1:]) if row.any()]
 
-    # a block's draws, in order: normals, then jump uniforms, then kill clocks
+    # a block's draws, in the documented order and shapes; the normals stored coordinate-major
     n_pad = -(-n_paths // _BLOCK) * _BLOCK
-    normals = np.empty((n_pad, n_steps, d))
+    normals = np.empty((n_steps, d, n_pad))
     jump_u = np.empty((n_pad, n_steps, 1 + _JUMPS_PER_STEP_CAP)) if has_jumps else None
     kill_clock = np.empty(n_pad) if has_killing else None
     states = np.empty((n_paths, n_steps + 1, d))
     alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
 
     def draw(rng, block):
-        rng.standard_normal(out=normals[block])
+        for c in range(block.start, block.stop, _CHUNK):    # one stream, _CHUNK paths a call
+            normals.T[c:c + _CHUNK] = rng.standard_normal((_CHUNK, n_steps, d)).swapaxes(1, 2)
         if has_jumps:
             rng.random(out=jump_u[block])
         if has_killing:
@@ -304,40 +307,41 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
 
     def advance(paths):
         n = paths.stop - paths.start
-        z, lived = normals[paths], alive_until[paths]
+        z, lived = normals[..., paths], alive_until[paths]
         if len(rows) == 1:      # in place, R_r z a block at a time: no second array of normals
             if diagonal:
-                z *= np.diagonal(root)
+                z *= np.diagonal(root)[:, None]
             else:
                 for b in range(0, n, _BLOCK):
-                    z[b:b + _BLOCK] = np.einsum("jk,pik->pij", root, z[b:b + _BLOCK])
+                    z[..., b:b + _BLOCK] = np.einsum("jk,ikp->ijp", root, z[..., b:b + _BLOCK])
             if r == 0:
                 z *= math.sqrt(dt)
-        base = np.broadcast_to(table[0], (n, table.shape[1]))
-        X = states[paths, 0, :] = np.broadcast_to(x0, (n, d))
+        base = np.broadcast_to(table[0][:, None], (table.shape[1], n))
+        X = np.repeat(x0[:, None], n, axis=1)     # the step state, coordinate-major (d, n)
+        states[paths, 0, :] = x0
         hazard, alive = np.zeros(n), np.ones(n, dtype=bool)
         jump_overflows = clamps = 0
 
         for step in range(n_steps):
             coef = base
             for i, row in terms:
-                coef = coef + X[:, i, None] * row
+                coef = coef + X[i] * row
             if has_killing:
-                hazard += np.maximum(coef[:, d], 0.0)
+                hazard += np.maximum(coef[d], 0.0)
                 alive = hazard < kill_clock[paths]
                 lived += alive
-            if len(rows) > 1:
-                A = coef[:, d + 1 + k:].reshape(n, d, d)
-                noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), z[:, step])
+            if len(rows) > 1:   # einsum's bits depend on strides: a C-contiguous (n, d) z
+                A = coef[d + 1 + k:].T.reshape(n, d, d)
+                noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), np.ascontiguousarray(z[step].T)).T
             elif r:
-                noise = np.sqrt(np.maximum(coef[:, -1:], 0.0)) * z[:, step]
+                noise = np.sqrt(np.maximum(coef[-1], 0.0)) * z[step]
             else:
-                noise = z[:, step]
-            X_new = X + coef[:, :d] + noise
+                noise = z[step]
+            X = X + coef[:d] + noise
 
             if has_jumps:
-                w = np.maximum(coef[:, d + 1:d + 1 + k], 0.0)
-                lam = np.add.reduce(w, axis=1)
+                w = np.maximum(coef[d + 1:d + 1 + k], 0.0)
+                lam = np.add.reduce(w, axis=0)     # w_1 + w_2 + ..., in atom order
                 pk = np.exp(-lam)
                 # the count, atom and cumsum work runs on the paths with N >= 1 only
                 ids = (jump_u[paths, step, 0] > pk).nonzero()[0]
@@ -358,18 +362,18 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
                         # the count loop reached the cap: draws above its CDF are cut
                         jump_overflows += int(np.count_nonzero(alive[ids] & (u[:, 0] > cdf)))
                     # atom j of each path still jumping, by categorical inverse CDF
-                    atom_cdf = np.cumsum(w[ids], axis=1)
+                    atom_cdf = np.cumsum(w[:, ids].T, axis=1)
                     for j in range(_JUMPS_PER_STEP_CAP):
                         v = u[:, 1 + j] * atom_cdf[:, -1]
-                        X_new[ids] += p.L[(v[:, None] <= atom_cdf).argmax(axis=1)]
+                        X[:, ids] += p.L[(v[:, None] <= atom_cdf).argmax(axis=1)].T
                         hit = counts > j + 1
                         if not hit.any():
                             break
                         ids, u, atom_cdf, counts = ids[hit], u[hit], atom_cdf[hit], counts[hit]
 
-            clamps += int(np.count_nonzero((X_new[:, :m] < 0.0) & alive[:, None]))
-            np.maximum(X_new[:, :m], 0.0, out=X_new[:, :m])
-            X = states[paths, step + 1, :] = X_new
+            clamps += int(np.count_nonzero((X[:m] < 0.0) & alive))
+            np.maximum(X[:m], 0.0, out=X[:m])
+            states[paths, step + 1, :] = X.T
 
         for i in np.flatnonzero(lived <= n_steps):   # dead paths kept stepping
             states[paths.start + i, lived[i]:] = np.nan

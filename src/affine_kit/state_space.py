@@ -84,17 +84,18 @@ class StateSpace:
         return self._check_vector(np.asarray(u, dtype=complex), "u").real
 
     def in_domain(self, u, tol=0.0):
-        """Membership in U per vector of u, one rule for every space:
-        support(u) < inf, or support < inf once real parts within tol are zero.
+        """Membership in U per vector of u, one rule for every space: finite parts,
+        and support(u) < inf or support < inf once real parts within tol are zero.
 
-        tol is a scalar or one value per vector; with tol=0 this is exactly
-        support(u) < inf.  A positive tol absorbs floating-point drift of
-        trajectories that hug the boundary of U, and the first test keeps a
-        point that zeroing moves out of U (parabola: q < 0 with |p| > tol).
+        A part that is not finite is outside U, as for contains.  tol is a scalar
+        or one value per vector; it absorbs floating-point drift of trajectories
+        that hug the boundary of U, and the first support test keeps a point
+        that zeroing moves out of U (parabola: q < 0 with |p| > tol).
         """
-        re = self._real(u)
-        near = np.where(np.abs(re) <= np.asarray(tol)[..., None], 0.0, re)
-        return (self.support(re) < math.inf) | (self.support(near) < math.inf)
+        u = self._check_vector(np.asarray(u, dtype=complex), "u")
+        near = np.where(np.abs(u.real) <= np.asarray(tol)[..., None], 0.0, u.real)
+        return _unwrap(np.isfinite(u).all(axis=-1)) & (
+            (self.support(u.real) < math.inf) | (self.support(near) < math.inf))
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,20 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
         assert "support(u)=inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, u, suite", [
+        ("transform", [[0.0, math.inf], [0.0, 1.0]], {}),
+        ("verify", [[0.0, math.nan], [0.0, 1.0]], {"verify_suite": ["regularity", "cp_limit"]})],
+        ids=["transform-inf-imaginary", "verify-nan-imaginary"])
+    def test_u_with_a_non_finite_imaginary_part_is_validation_error(self, tmp_path, capsys,
+                                                                     task, u, suite):
+        # the transform used to write a blow_up row at t = 0 and exit 0, the verify
+        # to print two FAILs with statistic=nan and exit 1
+        code, out_dir = run(tmp_path, task, {"task": task, "preset": "brownian",
+                                             "grids": {"u": [u]}, **suite})
+        assert code == EXIT_VALIDATION_ERROR
+        assert "a part is not finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_x_grid_without_a_state_is_validation_error(self, tmp_path, capsys):
         # this used to end in an IndexError traceback and exit 1
         code, _ = run(tmp_path, "simulate", {"task": "simulate", "preset": "cir",

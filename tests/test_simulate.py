@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,13 +96,14 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     at most one of the rows a, alpha^1..alpha^d is nonzero, A_r, the noise is
     sqrt(max(x_r dt, 0)) (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z)
     for r = 0; otherwise it is root(a dt + sum_i x_i (alpha^i dt)) z.  With
-    w = max(W(X) dt, 0) and lam = sum w, the count is the least N with the
-    path's first uniform <= P(N) of Poisson(lam), cut at _JUMPS_PER_STEP_CAP
-    (a live cut step is an overflow), and jump j lands on the first atom
-    whose cumulative weight is >= uniform 1 + j times the total.  A path is
-    alive after a step while sum max(C(X) dt, 0) < its clock; alive_until
-    counts 1 plus its live steps, and its cells from there on are nan.
-    Clamps count the live cells of the orthant coordinates moved up to 0."""
+    w = max(W(X) dt, 0) and lam = w_1 + w_2 + ... in atom order, the count
+    is the least N with the path's first uniform <= P(N) of Poisson(lam),
+    cut at _JUMPS_PER_STEP_CAP (a live cut step is an overflow), and jump j
+    lands on the first atom whose cumulative weight is >= uniform 1 + j
+    times the total.  A path is alive after a step while sum max(C(X) dt, 0)
+    < its clock; alive_until counts 1 plus its live steps, and its cells
+    from there on are nan.  Clamps count the live cells of the orthant
+    coordinates moved up to 0."""
     d, cap = p.dim, _JUMPS_PER_STEP_CAP
     dt = T / n_steps
     draws = [("standard_normal", (n_steps, d))]
@@ -145,7 +147,9 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
         if p.has_jumps:
             u = uniforms[:, k]
             w = np.maximum(weights, 0.0)
-            lam = w.sum(axis=1)
+            lam = w[:, 0]
+            for j in range(1, len(p.L)):
+                lam = lam + w[:, j]
             pk = np.exp(-lam)
             counts = (u[:, 0] > pk).astype(np.int64)
             cdf = pk + (pk := pk * lam)
@@ -164,8 +168,7 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     states = np.stack(out, axis=1)
     for i in np.flatnonzero(lived <= n_steps):
         states[i, lived[i]:] = np.nan
-    return Ensemble(times=np.linspace(0.0, T, n_steps + 1), states=states,
-                    alive_until=lived if p.has_killing else np.full(n_paths, n_steps + 1),
+    return Ensemble(times=np.linspace(0.0, T, n_steps + 1), states=states, alive_until=lived,
                     jump_overflows=jump_overflows, clamps=clamps)
 
 
@@ -710,9 +713,10 @@ class TestEulerMatchesTheReference:
     @pytest.mark.parametrize("make, x0", [
         ("single_factor", [0.04, 0.0]), (plane_3d, [0.2, 0.0, 0.0]),
         (lambda: brownian(2), [0.0, 0.0]), (cbi_with_killing, [1.0]),
-        (levy_jump_diffusion, [0.0]), (lambda: square_root(1.0, 1.0, 9.0).with_(c=1.0), [0.04])],
+        (levy_jump_diffusion, [0.0]), (lambda: square_root(1.0, 1.0, 9.0).with_(c=1.0), [0.04]),
+        (lambda: high_rate_jumps().with_(c=2.0), [0.0])],
         ids=["single_factor", "plane_3d", "brownian2", "cbi_with_killing", "levy",
-             "clamped_square_root"])
+             "clamped_square_root", "high_rate_killed"])
     def test_other_euler_tuples(self, make, x0, svj):
         p = svj_diffusion(svj) if make == "single_factor" else make()
         self.assert_byte_equal(p, x0, 40, 6, 257)
@@ -931,6 +935,25 @@ class TestThreadedBlocks:
         large = simulate_ensemble(p, x0, 1.0, 20, seed=2, n_paths=600)
         assert small.states.tobytes() == large.states[:300].tobytes()
         assert small.alive_until.tobytes() == large.alive_until[:300].tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_euler_holds_little_beyond_its_documented_arrays(self, monkeypatch, cpus, svj):
+        # each run may hold at most 2 MB besides the normals, jump uniforms, kill clocks,
+        # states and alive_until: R_r z over a whole run's normals at once would not fit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        n_paths, n_steps = 2600, 200
+        n_pad = -(-n_paths // _BLOCK) * _BLOCK
+        documented = 8 * (n_pad * n_steps * (2 + 1 + _JUMPS_PER_STEP_CAP) + n_pad
+                          + n_paths * (n_steps + 1) * 2 + n_paths)
+        simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=1, n_paths=n_paths)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=1, n_paths=n_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - documented <= cpus * 2 * 2**20, (peak - documented) / 2**20
 
     def test_no_thread_outlives_the_call(self, monkeypatch, svj):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

@@ -69,6 +69,20 @@ class TestContains:
             assert not space.contains(x)
             assert not space.contains(x[None]).any()
 
+    @pytest.mark.parametrize("space", [FullSpace(2), HalfLine(), CanonicalOrthantPlane(1, 1),
+                                       Parabola()], ids=repr)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                     complex(0.0, math.inf), complex(0.0, -math.inf)])
+    def test_a_non_finite_part_is_not_in_u(self, space, bad):
+        # the imaginary parts were never read, and the half-line held u = -inf
+        u = np.zeros(space.dim, dtype=complex)
+        assert space.in_domain(u) is True
+        for k in range(space.dim):
+            v = u.copy()
+            v[k] = bad
+            assert space.in_domain(v, tol=1e-11) is False
+            assert not space.in_domain(v[None]).any()
+
     def test_parabola_rejects_a_y_squared_past_the_largest_float(self):
         # y^2 overflowed to inf, and so did the band around it: (1e200, 0) was a state
         assert not Parabola().contains([1e200, 0.0])
