@@ -95,7 +95,7 @@ __all__ = [
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
-_CHUNK = 8               # paths per Euler normals call: the block's stream, small temporaries
+_CHUNK = 8               # paths per Euler normals call: a block's stream in small pieces
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 
 

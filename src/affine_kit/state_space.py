@@ -84,13 +84,13 @@ class StateSpace:
         return self._check_vector(np.asarray(u, dtype=complex), "u").real
 
     def in_domain(self, u, tol=0.0):
-        """Membership in U per vector of u, one rule for every space: finite parts,
+        """Membership in U per vector of u, one rule for every space: all parts finite,
         and support(u) < inf or support < inf once real parts within tol are zero.
 
-        A part that is not finite is outside U, as for contains.  tol is a scalar
-        or one value per vector; it absorbs floating-point drift of trajectories
-        that hug the boundary of U, and the first support test keeps a point
-        that zeroing moves out of U (parabola: q < 0 with |p| > tol).
+        Finiteness is the rule contains applies to x.  tol is a scalar or one
+        value per vector; it absorbs floating-point drift of trajectories that
+        hug the boundary of U, and the first support test keeps a point that
+        zeroing moves out of U (parabola: q < 0 with |p| > tol).
         """
         u = self._check_vector(np.asarray(u, dtype=complex), "u")
         near = np.where(np.abs(u.real) <= np.asarray(tol)[..., None], 0.0, u.real)
