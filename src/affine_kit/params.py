@@ -105,10 +105,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
     violations: list
     checked_points: int
     notes: tuple
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def __str__(self) -> str:
         head = "valid" if self.valid else f"INVALID ({len(self.violations)} violations)"
@@ -326,9 +329,4 @@ class AffineParams:
             "nonnegative on D (equivalently F(0) = -c, R(0) = -gamma); the "
             "opposite sign for C(x) is rejected by this check",
         )
-        return ValidationReport(
-            valid=not violations,
-            violations=violations,
-            checked_points=len(rows),
-            notes=notes,
-        )
+        return ValidationReport(violations, len(rows), notes)

@@ -15,8 +15,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-PRESET_NAMES = ("brownian", "cir", "parabola")
-
 
 def brownian(dim: int = 2) -> AffineParams:
     """Standard Brownian motion on R^d: a = I, everything else zero.
@@ -62,9 +60,13 @@ def parabola() -> AffineParams:
     )
 
 
+_PRESETS = {"brownian": brownian, "cir": cir, "parabola": parabola}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def get(name: str) -> AffineParams:
     try:
-        return {"brownian": brownian, "cir": cir, "parabola": parabola}[name]()
+        return _PRESETS[name]()
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
 

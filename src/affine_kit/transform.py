@@ -188,13 +188,10 @@ class TransformBatch:
         return self
 
     def value(self, x) -> np.ndarray:
-        """exp(phi + <x, psi>) per row at state x, (N, n_t) complex, as char_fn gives it:
-        in scalar arithmetic row by row (a vectorized exp may round differently)."""
+        """exp(phi + <x, psi>) per row at state x, (N, n_t) complex, as char_fn gives it.
+        <x, psi> is x @ psi[i, j] for every row at once: psi @ x rounds differently."""
         x = np.asarray(x, dtype=float).reshape(self.u.shape[-1])
-        out = np.empty(self.phi.shape, dtype=complex)
-        for ij in np.ndindex(out.shape):
-            out[ij] = np.exp(self.phi[ij] + x @ self.psi[ij])
-        return out
+        return np.exp(self.phi + (x @ self.psi[..., None])[..., 0])
 
 
 def _raise_for(status: str, blow_up_time) -> None:

@@ -281,6 +281,39 @@ class TestFalseAlarms:
         assert len(failing) <= 1, failing
 
 
+class TestDeterministicTuples:
+    """A tuple whose paths all coincide: its standard errors are about 0, so each
+    Monte Carlo bound rests on the rounding floor, not on 3 SE."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("params, skipped", [
+        ({}, "no diffusion"),                   # X = x
+        ({"b": [0.5]}, "no diffusion"),         # pure drift
+        ({"c": 0.3}, "jumps or killing"),       # killing only
+    ], ids=["still", "drift", "killing"])
+    def test_all_eight_suites_pass(self, tmp_path, capsys, params, skipped, seed):
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "space": {"kind": "full", "d": 1}, "params": params,
+            "mc": {"paths": 2000, "steps": 40, "seed": seed}})
+        report = strict_report(out_dir)
+        assert code == EXIT_OK, capsys.readouterr().out
+        assert set(report["suites"]) == set(cli.ALL_SUITES)
+        (chars,) = [c for c in report["checks"] if c["check"] == "characteristics"]
+        assert chars["detail"]["skipped"].startswith(f"process has {skipped};")
+        for c in report["checks"]:
+            if c["check"] in ("affine_mc", "martingale"):
+                assert c["threshold"] >= 1e-12
+
+    def test_cp_limit_at_its_limit_passes_with_a_null_statistic(self, tmp_path):
+        # killing alone: D(t) equals its limit c up to rounding, so no error decays
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "space": {"kind": "full", "d": 1}, "params": {"c": 0.3},
+            "verify_suite": ["cp_limit"]})
+        checks = strict_report(out_dir)["checks"]
+        assert code == EXIT_OK
+        assert checks and all(c["statistic"] is None and c["pass"] for c in checks)
+
+
 class TestOneEnsemble:
     """The Monte Carlo suites of a verify run read one ensemble on the mc grid."""
 
@@ -364,6 +397,14 @@ class TestErrorStatuses:
         code, _ = run(tmp_path, "verify", {"task": "verify", "preset": "cir",
                                            "verify_suite": ["everything"]})
         assert code == EXIT_PARSE_ERROR
+
+    def test_a_suite_named_twice_is_parse_error(self, tmp_path, capsys):
+        code, out_dir = run(tmp_path, "verify", {
+            "task": "verify", "preset": "cir",
+            "verify_suite": ["levy_structure", "levy_structure"]})
+        assert code == EXIT_PARSE_ERROR
+        assert "distinct" in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
 
     def test_u_outside_domain_is_validation_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify", {

@@ -66,3 +66,18 @@ def test_no_module_imports_a_private_name_from_another():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, private
+
+
+PACKAGE_MODULES = ("params", "simulate", "state_space", "transform")
+
+
+def test_the_package_exports_its_modules_public_names_and_presets():
+    names = [n for m in PACKAGE_MODULES
+             for n in importlib.import_module(f"affine_kit.{m}").__all__]
+    assert sorted(affine_kit.__all__) == sorted([*names, "presets"])
+    assert len(set(names)) == len(names), "a name is public in two modules"
+
+
+def test_the_suite_names_come_from_the_suite_table():
+    from affine_kit import cli
+    assert cli.ALL_SUITES == tuple(cli._SUITES)

@@ -600,6 +600,18 @@ class TestReadRoute:
         for (t, u), v in zip(tu, values[:, 0]):
             assert np.array(v).tobytes() == np.array(char_fn(p, x, t, u)).tobytes()
 
+    @pytest.mark.parametrize("name, x", [("brownian", [0.3, -0.7]), ("svj", [0.04, 0.3])])
+    def test_value_rounds_as_the_row_by_row_exponent(self, name, x, request):
+        # <x, psi> as x @ psi[i, j] row by row; in d = 2 the stacked psi @ x differs in
+        # the last bit on some rows, which would move every report that reads value(x)
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(3)
+        b = evaluate_batch(p, [0.05, 0.3, 1.0], [random_u_in_domain(p.space, rng)
+                                                 for _ in range(20)])
+        xs = np.asarray(x, dtype=float)
+        rows = [[np.exp(b.phi[i, j] + xs @ b.psi[i, j]) for j in range(3)] for i in range(20)]
+        assert b.value(x).tobytes() == np.array(rows).tobytes()
+
 
 class TestParabolaClosedForm:
     def test_time_zero(self):
