@@ -47,7 +47,9 @@ shortest round-trip form, so float(cell) gives back the exact float64 that
 was computed.  The digits come from orjson's Ryu formatter, which writes
 repr's bytes for +-0 and for 1e-4 <= |x| < 1e16, and from repr itself for
 a row that holds any other value (_csv_rows).  In paths.csv "nan" marks a
-killed (cemetery) row and "inf"/"-inf" a value that overflowed.
+killed (cemetery) row and "inf"/"-inf" a value that overflowed.  The range
+test runs once over the whole ensemble; then each path costs one formatter
+call (one orjson.dumps and one split), one join and one write.
 There are no environment knobs.
 """
 
@@ -386,25 +388,30 @@ def _validate_config(cfg: RunConfig) -> None:
 # CSV float cells
 
 
-def _csv_rows(num: np.ndarray) -> list:
+def _csv_rows(num: np.ndarray):
     """Row j of the float64 matrix num as b"c0,c1,...", every cell
-    repr(float(cell)) byte for byte.
+    repr(float(cell)) byte for byte; for a stack of matrices (k, n, m), an
+    iterator over the k lists of rows.
 
     orjson's Ryu digits equal repr's for +-0 and for 1e-4 <= |x| < 1e16.
     Outside that range the notation differs (nan and inf become null, tiny
     values are written positionally), so a row holding such a cell is
-    formatted with repr instead.
+    formatted with repr instead.  The range test runs once over the whole
+    stack; each matrix then costs one orjson.dumps and one split.
     """
     import orjson   # only the CSV writers need it; verify never loads it
-    if not len(num):
-        return []
     num = np.ascontiguousarray(num)     # orjson serializes only C-contiguous arrays
-    rows = orjson.dumps(num, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    mag = np.abs(num)
-    ryu = ((mag >= 1e-4) & (mag < 1e16)) | (num == 0.0)
-    for j in np.flatnonzero(~ryu.all(axis=1)).tolist():
-        rows[j] = ",".join(map(repr, num[j].tolist())).encode()
-    return rows
+    # 1e-4 <= |x| < 1e16 or x == 0, tested by sign: no float copy |num| of an ensemble
+    ryu = ((num >= 1e-4) & (num < 1e16)) | ((num <= -1e-4) & (num > -1e16))
+    ryu = (ryu | (num == 0.0)).all(axis=-1)
+
+    def rows(mat, ok):  # [:len(mat)]: no row b"" for an empty matrix
+        out = orjson.dumps(mat, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")[:len(mat)]
+        for j in np.flatnonzero(~ok).tolist():
+            out[j] = ",".join(map(repr, mat[j].tolist())).encode()
+        return out
+
+    return rows(num, ryu) if num.ndim == 2 else map(rows, num, ryu)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +448,18 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     ens = cfg.ensemble
     path = os.path.join(out_dir, "paths.csv")
     d, n_t = ens.dim, len(ens.times)
-    t_cells = [c + b"," for c in _csv_rows(ens.times[:, None])]    # formatted once
+    # the parts "i," "t," "x_1,...,x_d" ",alive\r\n" of each line; t is the same on every path
+    parts = [b""] * (4 * n_t)
+    parts[1::4] = [c + b"," for c in _csv_rows(ens.times[:, None])]
+    alive = [b",1\r\n"] * n_t + [b",0\r\n"] * n_t    # from n_t - au on: au ones, then 0s
     with open(path, "wb") as fh:
         fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]).encode()
                  + b"\r\n")
-        for i in range(ens.n_paths):    # one write per path; each line starts with its id
-            x_rows = _csv_rows(ens.states[i])
-            au = int(ens.alive_until[i])
-            alive = [b",1\r\n"] * au + [b",0\r\n"] * (n_t - au)
-            head = b"%d," % i
-            fh.write(head + head.join(map(b"".join, zip(t_cells, x_rows, alive))))
+        for i, (x_rows, au) in enumerate(zip(_csv_rows(ens.states), ens.alive_until.tolist())):
+            parts[::4] = [b"%d," % i] * n_t
+            parts[2::4] = x_rows
+            parts[3::4] = alive[n_t - au:2 * n_t - au]
+            fh.write(b"".join(parts))
     print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; {_ensemble_summary(ens)})")
     return EXIT_OK
 

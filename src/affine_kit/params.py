@@ -194,6 +194,7 @@ class AffineParams:
             (0.5 * A).reshape(-1, d).astype(complex),
             *(t.astype(complex) if t.any() else None for t in (B, C)),
             W.astype(complex), W != 0.0))
+        object.__setattr__(self, "_n_small", int(small.sum()))
         object.__setattr__(self, "_atoms", L.T.astype(complex))
         object.__setattr__(self, "a", A[0])
         object.__setattr__(self, "alpha", A[1:])
@@ -254,7 +255,12 @@ class AffineParams:
             z = u[..., 0, None] * self._atoms[0]
             for i in range(1, self.dim):
                 z += u[..., i, None] * self._atoms[i]
-            terms = np.exp(z) - 1.0 - np.where(self.small, z, 0.0)
+            # exp(z) - 1 - <h(L_j), u>: h(L_j) = L_j in the unit ball, 0 outside it
+            terms = np.exp(z) - 1.0
+            if self._n_small == len(self.L):
+                terms -= z
+            elif self._n_small:
+                terms -= np.where(self.small, z, 0.0)
             if np.isfinite(terms).all():  # a product per lane: no lane's bits depend on the batch
                 out += (W @ terms[..., None])[..., 0]
             else:  # lanes where exp overflows: a zero weight adds exactly 0, no 0 * inf

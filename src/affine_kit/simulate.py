@@ -468,10 +468,10 @@ def martingale_L_test(ens: Ensemble, delta: float, n: int, u, phi, psi) -> McEst
 
     whose expectation is exactly 1.  The caller supplies phi = phi(delta, u)
     and psi = psi(delta, u) of the ensemble's tuple, e.g. an ok row of
-    evaluate_batch.  If the ensemble
-    carries a stop radius r, each path is capped at its first delta-grid
-    index with |X - X0| >= r (discrete optional stopping: the expectation is
-    still exactly 1).  The grid must be uniform with delta on it.
+    evaluate_batch.  If the ensemble carries a stop radius r, each path is
+    capped at its first delta-grid index with |X - X0| >= r (discrete
+    optional stopping: the expectation is still exactly 1).  The grid must be
+    uniform with delta on it.
     """
     u = np.asarray(u, dtype=complex).reshape(ens.dim)
     if n < 0:

@@ -831,23 +831,37 @@ class TestSimulateTask:
             ("1.0", "1"), ("inf", "1"), ("nan", "0"),
             ("1.0", "1"), ("0.25", "1"), ("-inf", "1")]
 
-    @pytest.mark.parametrize("preset,d", [("cir", 1), ("brownian", 2)])
-    def test_paths_csv_bytes_match_a_csv_writer(self, tmp_path, monkeypatch, preset, d):
+    # x_1 of each path on the times (0, 0.1, 1/3, 1e16), and its alive_until
+    CSV_PATHS = {
         # path 0 is killed at step 1, path 1 never dies, path 2 dies at the last step
-        nan, inf = np.nan, np.inf
-        x_1 = np.array([[1.0, nan, nan, nan], [inf, -inf, -0.0, 5e-324],
-                        [1e300, 1e16, -2.5e-7, nan]])
+        "three": ([[1.0, np.nan, np.nan, np.nan], [np.inf, -np.inf, -0.0, 5e-324],
+                   [1e300, 1e16, -2.5e-7, np.nan]], [1, 4, 3]),
+        # alive_until alternates between n_t and less, and only paths 1, 2, 3 and 5
+        # hold repr cells (tiny, inf, nan): a parts list reused from path to path
+        # must carry no suffix or row into the next path
+        "seven": ([[0.5, 1.25, -2.0, 3.0], [1e-5, 0.75, np.nan, np.nan],
+                   [0.1, 0.2, np.inf, 0.4], [7.0, np.nan, np.nan, np.nan],
+                   [-0.0, 1e15, 1 / 3, 2.0], [5e-324, -np.inf, 0.3, np.nan],
+                   [4.0, 5.0, 6.0, 7.0]], [4, 2, 4, 1, 4, 3, 4]),
+    }
+
+    @pytest.mark.parametrize("preset,d,case", [
+        ("cir", 1, "three"), ("brownian", 2, "three"), ("brownian", 2, "seven")],
+        ids=["cir-1", "brownian-2", "brownian-2-seven"])
+    def test_paths_csv_bytes_match_a_csv_writer(self, tmp_path, monkeypatch, preset, d, case):
+        x_1, alive_until = (np.array(v) for v in self.CSV_PATHS[case])
+        n = len(x_1)
         states = np.stack([x_1, -x_1], axis=-1)[..., :d]
         times = np.array([0.0, 0.1, 1 / 3, 1e16])
-        ens = Ensemble(times=times, states=states, alive_until=np.array([1, 4, 3]))
+        ens = Ensemble(times=times, states=states, alive_until=alive_until)
         monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: ens)
         code, out_dir = run(tmp_path, "simulate", {
-            "task": "simulate", "preset": preset, "mc": {"paths": 3, "steps": 3}})
+            "task": "simulate", "preset": preset, "mc": {"paths": n, "steps": 3}})
         assert code == EXIT_OK
         want = io.StringIO(newline="")
         w = csv.writer(want)
         w.writerow(["path_id", "t"] + [f"x_{k+1}" for k in range(d)] + ["alive"])
-        for i in range(3):
+        for i in range(n):
             for j, t in enumerate(times.tolist()):
                 w.writerow([i, t, *states[i, j].tolist(), int(j < ens.alive_until[i])])
         assert (out_dir / "paths.csv").read_bytes() == want.getvalue().encode()

@@ -297,6 +297,41 @@ class TestExponents:
             assert p.F_eval(U[i]) == F[i]
             np.testing.assert_allclose(np.append(F_fused[i], R[i]), ref[i], rtol=1e-14)
 
+    @pytest.mark.parametrize("atoms", [
+        [[0.0, 0.1], [0.05, 0.0], [-0.2, 0.3]],     # all in the unit ball
+        [[0.0, 0.1], [1.5, 0.0], [-0.2, 0.3]],      # some in it
+        [[0.0, 1.1], [1.5, 0.0], [-2.0, 0.3]],      # none in it
+    ], ids=["all-small", "mixed", "none-small"])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_jump_terms_equal_the_truncated_formula_bit_for_bit(self, atoms, overflow):
+        # every lane of F and R equals the jump-free exponent plus the weights
+        # times exp(z) - 1 - z on the atoms of the unit ball, computed out of place
+        jump_free = AffineParams.zeros(FullSpace(dim=2)).with_(
+            a=np.diag([0.3, 0.2]), b=np.array([0.1, -0.2]), c=0.05,
+            alpha=np.array([[[0.5, 0.0], [0.0, 0.1]], np.zeros((2, 2))]),
+            beta=np.array([[-1.0, 0.3], [0.0, 0.0]]), gamma=np.array([0.1, 0.0]))
+        p = jump_free.with_(
+            m_measure=LevyMeasure.from_atoms([(0.5, atoms[0]), (0.3, atoms[1])]),
+            mu_measures=(LevyMeasure.from_atoms([(2.0, atoms[2]), (0.4, atoms[0])]),
+                         LevyMeasure.empty(2)))
+        rng = np.random.default_rng(7)
+        U = rng.standard_normal((9, 2)) * 2.0 + 3j * rng.standard_normal((9, 2))
+        if overflow:
+            U[4] = [9000.0, 9000.0]     # exp(z) overflows at each atom with L_1 + L_2 >= 0.1
+        R, R_free = np.empty_like(U), np.empty_like(U)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.column_stack([p.F_eval(U, R_out=R), R])
+            want = np.column_stack([jump_free.F_eval(U, R_out=R_free), R_free])
+            z = U[:, 0, None] * p.L[:, 0] + U[:, 1, None] * p.L[:, 1]
+            terms = np.exp(z) - 1.0 - np.where(p.small, z, 0.0)
+            fin = np.isfinite(terms).all(axis=-1)
+            want[fin] += (p.W.astype(complex) @ terms[fin, :, None])[..., 0]
+            for part in ("real", "imag"):   # an overflowing lane sums its nonzero weights only
+                masked = np.where(p.W != 0.0, getattr(terms[~fin], part)[:, None, :], 0.0)
+                getattr(want, part)[~fin] += (p.W * masked).sum(axis=-1)
+        assert fin.all() != overflow
+        np.testing.assert_array_equal(got, want, strict=True)
+
     def test_single_point_keeps_return_types(self, svj):
         F, R = svj.F_eval([-0.3 + 1j, 0.5j]), svj.R_eval([-0.3 + 1j, 0.5j])
         assert type(F) is complex
