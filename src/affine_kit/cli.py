@@ -47,9 +47,9 @@ shortest round-trip form, so float(cell) gives back the exact float64 that
 was computed.  The digits come from orjson's Ryu formatter, which writes
 repr's bytes for +-0 and for 1e-4 <= |x| < 1e16, and from repr itself for
 a row that holds any other value (_csv_rows).  In paths.csv "nan" marks a
-killed (cemetery) row and "inf"/"-inf" a value that overflowed.  The range
-test runs once over the whole ensemble; then each path costs one formatter
-call (one orjson.dumps and one split), one join and one write.
+killed (cemetery) row and "inf"/"-inf" a value that overflowed.  Each path
+of paths.csv costs one _csv_rows call (one orjson.dumps, one split and one
+range test), one join and one write.
 There are no environment knobs.
 """
 
@@ -388,30 +388,26 @@ def _validate_config(cfg: RunConfig) -> None:
 # CSV float cells
 
 
-def _csv_rows(num: np.ndarray):
+def _csv_rows(num: np.ndarray) -> list:
     """Row j of the float64 matrix num as b"c0,c1,...", every cell
-    repr(float(cell)) byte for byte; for a stack of matrices (k, n, m), an
-    iterator over the k lists of rows.
+    repr(float(cell)) byte for byte.
 
     orjson's Ryu digits equal repr's for +-0 and for 1e-4 <= |x| < 1e16.
     Outside that range the notation differs (nan and inf become null, tiny
     values are written positionally), so a row holding such a cell is
-    formatted with repr instead.  The range test runs once over the whole
-    stack; each matrix then costs one orjson.dumps and one split.
+    formatted with repr instead.  run_simulate calls it once per path, on
+    that path's (n_t, d) states.
     """
     import orjson   # only the CSV writers need it; verify never loads it
+    if not len(num):
+        return []
     num = np.ascontiguousarray(num)     # orjson serializes only C-contiguous arrays
-    # 1e-4 <= |x| < 1e16 or x == 0, tested by sign: no float copy |num| of an ensemble
-    ryu = ((num >= 1e-4) & (num < 1e16)) | ((num <= -1e-4) & (num > -1e16))
-    ryu = (ryu | (num == 0.0)).all(axis=-1)
-
-    def rows(mat, ok):  # [:len(mat)]: no row b"" for an empty matrix
-        out = orjson.dumps(mat, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")[:len(mat)]
-        for j in np.flatnonzero(~ok).tolist():
-            out[j] = ",".join(map(repr, mat[j].tolist())).encode()
-        return out
-
-    return rows(num, ryu) if num.ndim == 2 else map(rows, num, ryu)
+    rows = orjson.dumps(num, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    mag = np.abs(num)
+    ryu = ((mag >= 1e-4) & (mag < 1e16)) | (num == 0.0)
+    for j in np.flatnonzero(~ryu.all(axis=1)).tolist():
+        rows[j] = ",".join(map(repr, num[j].tolist())).encode()
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +451,9 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     with open(path, "wb") as fh:
         fh.write(",".join(["path_id", "t", *(f"x_{i+1}" for i in range(d)), "alive"]).encode()
                  + b"\r\n")
-        for i, (x_rows, au) in enumerate(zip(_csv_rows(ens.states), ens.alive_until.tolist())):
+        for i, au in enumerate(ens.alive_until.tolist()):
             parts[::4] = [b"%d," % i] * n_t
-            parts[2::4] = x_rows
+            parts[2::4] = _csv_rows(ens.states[i])
             parts[3::4] = alive[n_t - au:2 * n_t - au]
             fh.write(b"".join(parts))
     print(f"wrote {path} ({ens.n_paths} paths x {n_t} times; {_ensemble_summary(ens)})")

@@ -194,7 +194,7 @@ class AffineParams:
             (0.5 * A).reshape(-1, d).astype(complex),
             *(t.astype(complex) if t.any() else None for t in (B, C)),
             W.astype(complex), W != 0.0))
-        object.__setattr__(self, "_n_small", int(small.sum()))
+        object.__setattr__(self, "_all_small", bool(small.all()))
         object.__setattr__(self, "_atoms", L.T.astype(complex))
         object.__setattr__(self, "a", A[0])
         object.__setattr__(self, "alpha", A[1:])
@@ -257,9 +257,9 @@ class AffineParams:
                 z += u[..., i, None] * self._atoms[i]
             # exp(z) - 1 - <h(L_j), u>: h(L_j) = L_j in the unit ball, 0 outside it
             terms = np.exp(z) - 1.0
-            if self._n_small == len(self.L):
+            if self._all_small:
                 terms -= z
-            elif self._n_small:
+            else:
                 terms -= np.where(self.small, z, 0.0)
             if np.isfinite(terms).all():  # a product per lane: no lane's bits depend on the batch
                 out += (W @ terms[..., None])[..., 0]

@@ -54,6 +54,32 @@ def field_characteristics(p: AffineParams, x):
             p.c + x @ p.gamma, nu)
 
 
+def jump_free_2d() -> AffineParams:
+    """A 2-d tuple with diffusion, drift and killing but no jumps."""
+    return AffineParams.zeros(FullSpace(dim=2)).with_(
+        a=np.diag([0.3, 0.2]), b=np.array([0.1, -0.2]), c=0.05,
+        alpha=np.array([[[0.5, 0.0], [0.0, 0.1]], np.zeros((2, 2))]),
+        beta=np.array([[-1.0, 0.3], [0.0, 0.0]]), gamma=np.array([0.1, 0.0]))
+
+
+def jump_reference(p: AffineParams, jump_free: AffineParams, U):
+    """(F, R_1, R_2) of p at the rows of U, as jump_free's plus the weights times
+    exp(z) - 1 - where(small, z, 0), z = <U, L_j>, computed out of place: W @ terms
+    on a finite lane, the nonzero weights alone on a lane where exp overflows.
+    Also returns the mask of the finite lanes."""
+    R_free = np.empty_like(U)
+    want = np.column_stack([jump_free.F_eval(U, R_out=R_free), R_free])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = U[:, 0, None] * p.L[:, 0] + U[:, 1, None] * p.L[:, 1]
+        terms = np.exp(z) - 1.0 - np.where(p.small, z, 0.0)
+        fin = np.isfinite(terms).all(axis=-1)
+        want[fin] += (p.W.astype(complex) @ terms[fin, :, None])[..., 0]
+        for part in ("real", "imag"):   # no 0 * inf: a zero weight adds nothing
+            masked = np.where(p.W != 0.0, getattr(terms[~fin], part)[:, None, :], 0.0)
+            getattr(want, part)[~fin] += (p.W * masked).sum(axis=-1)
+    return want, fin
+
+
 class TestLevyMeasure:
     def test_rejects_zero_location(self):
         with pytest.raises(ValueError):
@@ -266,10 +292,7 @@ class TestExponents:
     def test_overflow_masks_zero_weights_lane_by_lane(self):
         # lane 1 overflows exp at the mu^1 atom (0, -1), whose weight is 0 in the
         # F and R_2 rows; only over= is ignored, so a 0 * inf would raise here
-        jump_free = AffineParams.zeros(FullSpace(dim=2)).with_(
-            a=np.diag([0.3, 0.2]), b=np.array([0.1, -0.2]), c=0.05,
-            alpha=np.array([[[0.5, 0.0], [0.0, 0.1]], np.zeros((2, 2))]),
-            beta=np.array([[-1.0, 0.3], [0.0, 0.0]]), gamma=np.array([0.1, 0.0]))
+        jump_free = jump_free_2d()
         p = jump_free.with_(
             m_measure=LevyMeasure.from_atoms(
                 [(0.5, [0.0, 0.1]), (0.3, [0.05, 0.0]), (0.7, [-0.2, 0.3]), (0.2, [0.4, -0.1])]),
@@ -281,15 +304,9 @@ class TestExponents:
         R = np.empty_like(U)
         with np.errstate(over="ignore"):
             F_fused, F = p.F_eval(U, R_out=R), p.F_eval(U)
-        # the masked reference: the jump-free rows plus the broadcast jump sum
-        z = U[:, 0, None] * p.L[:, 0] + U[:, 1, None] * p.L[:, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(z) - 1.0 - np.where(p.small, z, 0.0)
-            masked = (p.W * np.where(p.W != 0.0, terms[:, None, :], 0.0)).sum(axis=-1)
-        R_free = np.empty_like(U)
-        ref = np.column_stack([jump_free.F_eval(U, R_out=R_free), R_free]) + masked
-        assert F_fused[1] == ref[1, 0] and R[1, 1] == ref[1, 2]
-        assert F[1] == jump_free.F_eval(U)[1] + masked[1, 0]    # row 0 alone
+        ref, fin = jump_reference(p, jump_free, U)
+        assert fin.tolist() == [i != 1 for i in range(len(U))]
+        assert F_fused[1] == F[1] == ref[1, 0] and R[1, 1] == ref[1, 2]
         assert R[1, 0].real == np.inf
         for i in np.delete(np.arange(len(U)), 1):    # the other lanes keep their own bits
             r = np.empty(2, dtype=complex)
@@ -304,12 +321,9 @@ class TestExponents:
     ], ids=["all-small", "mixed", "none-small"])
     @pytest.mark.parametrize("overflow", [False, True])
     def test_jump_terms_equal_the_truncated_formula_bit_for_bit(self, atoms, overflow):
-        # every lane of F and R equals the jump-free exponent plus the weights
-        # times exp(z) - 1 - z on the atoms of the unit ball, computed out of place
-        jump_free = AffineParams.zeros(FullSpace(dim=2)).with_(
-            a=np.diag([0.3, 0.2]), b=np.array([0.1, -0.2]), c=0.05,
-            alpha=np.array([[[0.5, 0.0], [0.0, 0.1]], np.zeros((2, 2))]),
-            beta=np.array([[-1.0, 0.3], [0.0, 0.0]]), gamma=np.array([0.1, 0.0]))
+        # every lane of F and R, with the atom set all in, partly in and all
+        # outside the unit ball, equals the out-of-place reference bit for bit
+        jump_free = jump_free_2d()
         p = jump_free.with_(
             m_measure=LevyMeasure.from_atoms([(0.5, atoms[0]), (0.3, atoms[1])]),
             mu_measures=(LevyMeasure.from_atoms([(2.0, atoms[2]), (0.4, atoms[0])]),
@@ -318,17 +332,10 @@ class TestExponents:
         U = rng.standard_normal((9, 2)) * 2.0 + 3j * rng.standard_normal((9, 2))
         if overflow:
             U[4] = [9000.0, 9000.0]     # exp(z) overflows at each atom with L_1 + L_2 >= 0.1
-        R, R_free = np.empty_like(U), np.empty_like(U)
+        R = np.empty_like(U)
         with np.errstate(over="ignore", invalid="ignore"):
             got = np.column_stack([p.F_eval(U, R_out=R), R])
-            want = np.column_stack([jump_free.F_eval(U, R_out=R_free), R_free])
-            z = U[:, 0, None] * p.L[:, 0] + U[:, 1, None] * p.L[:, 1]
-            terms = np.exp(z) - 1.0 - np.where(p.small, z, 0.0)
-            fin = np.isfinite(terms).all(axis=-1)
-            want[fin] += (p.W.astype(complex) @ terms[fin, :, None])[..., 0]
-            for part in ("real", "imag"):   # an overflowing lane sums its nonzero weights only
-                masked = np.where(p.W != 0.0, getattr(terms[~fin], part)[:, None, :], 0.0)
-                getattr(want, part)[~fin] += (p.W * masked).sum(axis=-1)
+        want, fin = jump_reference(p, jump_free, U)
         assert fin.all() != overflow
         np.testing.assert_array_equal(got, want, strict=True)
 
