@@ -613,8 +613,7 @@ def _suite_martingale(cfg: RunConfig) -> list:
     out = []
     for k, (delta, n) in enumerate(_MARTINGALE_PAIRS):
         for label, e in (("unstopped", ens), ("stopped", stopped)):
-            for j, u in enumerate(us):
-                est = martingale_L_test(e, delta, n, u, phi[k, j], psi[k, j])
+            for u, est in zip(us, martingale_L_test(e, delta, n, us, phi[k], psi[k])):
                 gap, thr = abs(est.value - 1.0), _mc_threshold(est, 1.0)
                 out.append(_check(
                     "martingale",

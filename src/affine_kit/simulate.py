@@ -18,10 +18,17 @@ names it.  In order:
     it, so any other parabola tuple raises SamplerError;
   * "euler": Euler-Maruyama for every other tuple on the orthant plane.
 
+Layout: every sampler writes one C-contiguous time-major buffer
+(n_times, d, n_paths), and Ensemble.states is its transpose(2, 0, 1) view,
+(n_paths, n_times, d), so time k of every path is one contiguous row.
+characteristics_check reads that buffer a chunk of time steps at a time;
+the other readers index states.
+
 The Euler scheme reads one coefficient table, built once per call: rows
 (1, x_1..x_d) and columns, all times dt, for the net drift B - int h dnu,
 the killing rate C, the jump weights W and the diffusion.  The step state
-X and the normals are coordinate-major, (d, n) and (n_steps, d, n): a step
+X and the normals are coordinate-major, (d, n) and (n_steps, d, n); step k
+writes X into row k + 1 of the buffer and steps on from there.  A step
 computes coef = T_0 + sum_i x_i T_i, (ncol, n), by elementwise products along
 the paths over the nonzero rows; no BLAS call runs across paths, so a path's
 bits depend neither on n_paths nor on the runs (below) that step it.
@@ -50,8 +57,8 @@ counts the coordinates so projected.
 Grid: every sampler returns every time of linspace(0, T, n_steps + 1).
 grid_index is the one rule for whether a time lies on a grid.
 
-The estimators solve no Riccati equation: martingale_L_test takes
-phi(delta, u) and psi(delta, u) from its caller.
+The estimators solve no Riccati equation: martingale_L_test takes, for
+every u of a call, phi(delta, u) and psi(delta, u) from its caller.
 
 Randomness, one rule for every sampler: block k of _BLOCK paths reads
 Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and always draws whole
@@ -97,6 +104,7 @@ _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
 _CHUNK = 8               # paths per Euler normals call: a block's stream in small pieces
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
+_QV_CELLS = 1 << 16      # cells of dX per characteristics_check chunk: 512 KB, not all of dX
 
 
 class SamplerError(ValueError):
@@ -113,8 +121,9 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A set of paths on a common grid, stored as (n_paths, n_times, d); path i
-    starts at states[i, 0].
+    """A set of paths on a common grid.  states is (n_paths, n_times, d), and
+    path i starts at states[i, 0]; the samplers return it as the
+    transpose(2, 0, 1) view of a C-contiguous (n_times, d, n_paths) buffer.
 
     alive_until is per path 1 plus the number of steps it lived (n_times if
     never killed); its cells from alive_until on are nan.  stop_radius is
@@ -242,31 +251,27 @@ def _cir_exact(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int, kappa
     decay = np.exp(-kappa * h)
     c = sigma2 * h / 4.0 if kappa == 0.0 else -sigma2 * np.expm1(-kappa * h) / (4.0 * kappa)
     n = len(h)
-    # Z (n, _BLOCK) and G (_BLOCK, n) fit no contiguous slice: each is copied; 2G waits in states
-    z = np.empty((n, n_paths))
-    states = np.empty((n_paths, n + 1, 1))
-    states[:, 0, 0] = x0[0]
+    # time-major: row j + 1 of x holds Z of step j until X at times[j + 1] overwrites it
+    # in place; g holds 2G, transposed to (n, paths) once, when it is drawn
+    x, g = np.empty((n + 1, n_paths)), np.empty((n, n_paths))
+    x[0] = x0[0]
 
     def draw(rng, block):
-        zk = z[:, block]
+        zk = x[1:, block]
         zk[...] = rng.standard_normal((n, _BLOCK))[:, :zk.shape[1]]
-        np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:zk.shape[1]], 2.0,
-                    out=states[block, 1:, 0])
+        np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:zk.shape[1]].T, 2.0,
+                    out=g[:, block])
 
     def advance(paths):
-        # row j of z, once read, is overwritten by X at times[j + 1]
-        X = states[paths, 0, 0]
         for j in range(n):
-            row = z[j, paths]
-            row += np.sqrt(X * (decay[j] / c[j]))
+            row = x[j + 1, paths]
+            row += np.sqrt(x[j, paths] * (decay[j] / c[j]))
             np.square(row, out=row)
-            row += states[paths, j + 1, 0]
+            row += g[j, paths]
             row *= c[j]
-            X = row
-        states[paths, 1:, 0] = z[:, paths].T
 
     _in_blocks(seed, n_paths, draw, advance)
-    return Ensemble(times=times, states=states,
+    return Ensemble(times=times, states=x[:, None, :].transpose(2, 0, 1),
                     alive_until=np.full(n_paths, n + 1, dtype=np.int64), sampler="cir_exact")
 
 
@@ -294,7 +299,7 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
     normals = np.empty((n_steps, d, n_pad))
     jump_u = np.empty((n_pad, n_steps, 1 + _JUMPS_PER_STEP_CAP)) if has_jumps else None
     kill_clock = np.empty(n_pad) if has_killing else None
-    states = np.empty((n_paths, n_steps + 1, d))
+    states = np.empty((n_steps + 1, d, n_paths))     # time-major; step k + 1 writes row k + 1
     alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
 
     def draw(rng, block):
@@ -317,8 +322,8 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
             if r == 0:
                 z *= math.sqrt(dt)
         base = np.broadcast_to(table[0][:, None], (table.shape[1], n))
-        X = np.repeat(x0[:, None], n, axis=1)     # the step state, coordinate-major (d, n)
-        states[paths, 0, :] = x0
+        X = states[0, :, paths]     # the step state, coordinate-major (d, n): a row of states
+        X[...] = x0[:, None]
         hazard, alive = np.zeros(n), np.ones(n, dtype=bool)
         jump_overflows = clamps = 0
 
@@ -337,7 +342,8 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
                 noise = np.sqrt(np.maximum(coef[-1], 0.0)) * z[step]
             else:
                 noise = z[step]
-            X = X + coef[:d] + noise
+            X = np.add(X, coef[:d], out=states[step + 1, :, paths])
+            X += noise
 
             if has_jumps:
                 w = np.maximum(coef[d + 1:d + 1 + k], 0.0)
@@ -373,14 +379,13 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
 
             clamps += int(np.count_nonzero((X[:m] < 0.0) & alive))
             np.maximum(X[:m], 0.0, out=X[:m])
-            states[paths, step + 1, :] = X.T
 
         for i in np.flatnonzero(lived <= n_steps):   # dead paths kept stepping
-            states[paths.start + i, lived[i]:] = np.nan
+            states[lived[i]:, :, paths.start + i] = np.nan
         return clamps, jump_overflows
 
     clamps, jump_overflows = (sum(c) for c in zip(*_in_blocks(seed, n_paths, draw, advance)))
-    return Ensemble(times=times, states=states, alive_until=alive_until,
+    return Ensemble(times=times, states=states.transpose(2, 0, 1), alive_until=alive_until,
                     jump_overflows=jump_overflows, clamps=clamps)
 
 
@@ -397,23 +402,23 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or (len(times) > 1 and np.any(np.diff(times) <= 0)):
         raise ValueError("times must be an increasing grid starting at 0")
-    scale = np.sqrt(np.diff(times))
-    z = np.empty((-(-n_paths // _BLOCK) * _BLOCK, len(scale)))
-    states = np.empty((n_paths, len(times), 2))
+    scale = np.sqrt(np.diff(times))[:, None]
+    states = np.empty((len(times), 2, n_paths))      # time-major; w's increments wait in w
 
     def draw(rng, block):
-        rng.standard_normal(out=z[block])
+        dw = states[1:, 0, block]
+        dw[...] = rng.standard_normal((_BLOCK, len(scale)))[:dw.shape[1]].T
 
     def advance(paths):
-        w, dw = states[paths, :, 0], z[paths]
-        dw *= scale
-        w[:, 0] = x0[0]
-        np.cumsum(dw, axis=1, out=w[:, 1:])
-        w[:, 1:] += x0[0]
-        np.multiply(w, w, out=states[paths, :, 1])
+        w = states[:, 0, paths]
+        w[1:] *= scale
+        w[0] = x0[0]
+        np.cumsum(w[1:], axis=0, out=w[1:])
+        w[1:] += x0[0]
+        np.multiply(w, w, out=states[:, 1, paths])
 
     _in_blocks(seed, n_paths, draw, advance)
-    return Ensemble(times=times, states=states,
+    return Ensemble(times=times, states=states.transpose(2, 0, 1),
                     alive_until=np.full(n_paths, len(times), dtype=np.int64),
                     sampler="parabola_exact")
 
@@ -460,24 +465,27 @@ def mc_char_fn(ens: Ensemble, t: float, u) -> McEstimate:
     return _complex_mean_se(vals)
 
 
-def martingale_L_test(ens: Ensemble, delta: float, n: int, u, phi, psi) -> McEstimate:
-    """Sample mean of the exponential compensated functional
+def martingale_L_test(ens: Ensemble, delta: float, n: int, U, phi, psi) -> list:
+    """Sample means of the exponential compensated functional, one McEstimate
+    per row u of U (k, d):
 
         L(n) = exp(<u, X_{n delta} - X_0>
                    - sum_{j<=n} (phi(delta,u) + <psi(delta,u) - u, X_{(j-1) delta}>)),
 
-    whose expectation is exactly 1.  The caller supplies phi = phi(delta, u)
-    and psi = psi(delta, u) of the ensemble's tuple, e.g. an ok row of
-    evaluate_batch.  If the ensemble carries a stop radius r, each path is
-    capped at its first delta-grid index with |X - X0| >= r (discrete
-    optional stopping: the expectation is still exactly 1).  The grid must be
-    uniform with delta on it.
+    whose expectation is exactly 1.  The caller supplies, for the ensemble's
+    tuple, phi (k,) and psi (k, d) whose row j is phi(delta, u) and
+    psi(delta, u) at u = U[j], e.g. the ok rows of evaluate_batch.  If the
+    ensemble carries a stop radius r, each path is capped at its first
+    delta-grid index with |X - X0| >= r (discrete optional stopping: the
+    expectation is still exactly 1).  The grid must be uniform with delta on
+    it.  The delta-grid, alive mask and stop index are formed once per call;
+    each u has its own products.
     """
-    u = np.asarray(u, dtype=complex).reshape(ens.dim)
+    U = np.asarray(U, dtype=complex).reshape(-1, ens.dim)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return McEstimate(1.0 + 0.0j, 0.0)
+        return [McEstimate(1.0 + 0.0j, 0.0)] * len(U)
     dts = np.diff(ens.times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise ValueError("martingale test requires a uniform time grid")
@@ -485,7 +493,7 @@ def martingale_L_test(ens: Ensemble, delta: float, n: int, u, phi, psi) -> McEst
     if n * stride > len(ens.times) - 1:
         raise ValueError("n * delta exceeds the simulated horizon")
 
-    rho = np.asarray(psi, dtype=complex).reshape(ens.dim) - u
+    rhos = np.asarray(psi, dtype=complex).reshape(U.shape) - U
 
     sub = ens.states[:, :: stride, :][:, : n + 1, :]        # (paths, n+1, d)
     alive_sub = (np.arange(n + 1) * stride) < ens.alive_until[:, None]
@@ -501,17 +509,20 @@ def martingale_L_test(ens: Ensemble, delta: float, n: int, u, phi, psi) -> McEst
     else:
         n_eff = np.full(ens.n_paths, n, dtype=np.int64)
 
-    # compensator partial sums S_k = sum_{j<=k} (phi + <rho, X_{(j-1)delta}>)
-    incr = phi + (sub[:, :-1, :] @ rho)                     # (paths, n)
-    S = np.concatenate([np.zeros((ens.n_paths, 1), dtype=complex),
-                        np.nancumsum(incr, axis=1)], axis=1)
     rows = np.arange(ens.n_paths)
-    x_end = sub[rows, n_eff, :]
     ok_alive = alive_sub[rows, n_eff]
-    vals = np.zeros(ens.n_paths, dtype=complex)
-    vals[ok_alive] = np.exp((x_end[ok_alive] - x0[ok_alive]) @ u
-                            - S[rows[ok_alive], n_eff[ok_alive]])
-    return _complex_mean_se(vals)
+    ok_rows, ok_n = rows[ok_alive], n_eff[ok_alive]
+    dx = sub[ok_rows, ok_n, :] - x0[ok_alive]
+    out = []
+    for u, rho, ph in zip(U, rhos, np.ravel(phi)):
+        # compensator partial sums S_k = sum_{j<=k} (phi + <rho, X_{(j-1)delta}>)
+        incr = ph + (sub[:, :-1, :] @ rho)                  # (paths, n)
+        S = np.concatenate([np.zeros((ens.n_paths, 1), dtype=complex),
+                            np.nancumsum(incr, axis=1)], axis=1)
+        vals = np.zeros(ens.n_paths, dtype=complex)
+        vals[ok_alive] = np.exp(dx @ u - S[ok_rows, ok_n])
+        out.append(_complex_mean_se(vals))
+    return out
 
 
 def stopped_ensemble(ens: Ensemble, r: float) -> Ensemble:
@@ -542,20 +553,24 @@ def characteristics_check(ens: Ensemble, p: AffineParams) -> CharacteristicsRepo
         raise ValueError("characteristics check requires a jump-free process")
     if p.has_killing:
         raise ValueError("characteristics check requires zero killing")
+    # the samplers' time-major buffer (n_times, d, paths), read _QV_CELLS cells of dX at a time
+    S = ens.states.transpose(1, 2, 0)
     dts = np.diff(ens.times)
-    dX = np.diff(ens.states, axis=1)
-    qv = dX.transpose(0, 2, 1) @ dX
+    qv_sum = np.zeros((ens.dim, ens.dim))
+    step = max(1, _QV_CELLS // S[0].size)
+    for a in range(0, len(dts), step):
+        dX = np.diff(S[a:a + step + 1], axis=0)
+        qv_sum += np.einsum("tjp,tkp->jk", dX, dX)
     # int of the affine map s -> A(X_s) reduces to the time-integral of X
-    int_x = np.einsum("pti,t->pi", ens.states[:, :-1, :], dts)
+    int_x = np.einsum("t,tip->ip", dts, S[:-1])             # (d, paths)
     T = ens.times[-1] - ens.times[0]
-    a_int = T * p.a + np.einsum("pi,ijk->pjk", int_x, p.alpha)
-    qv_mean, ai_mean = qv.mean(axis=0), a_int.mean(axis=0)
+    qv_mean = qv_sum / ens.n_paths
+    ai_mean = T * p.a + np.einsum("i,ijk->jk", int_x.mean(axis=1), p.alpha)
     ens_err = float(np.linalg.norm(qv_mean - ai_mean)
                     / max(np.linalg.norm(ai_mean), 1e-300))
 
-    b_int = T * p.b + int_x @ p.beta
-    resid = ens.states[:, -1, :] - ens.states[:, 0, :] - b_int
-    mean = resid.mean(axis=0)
-    se = resid.std(axis=0, ddof=1) / math.sqrt(ens.n_paths)
+    resid = S[-1] - S[0] - (T * p.b[:, None] + p.beta.T @ int_x)
+    mean = resid.mean(axis=1)
+    se = resid.std(axis=1, ddof=1) / math.sqrt(ens.n_paths)
     z = np.abs(mean) / np.maximum(se, 1e-300)
     return CharacteristicsReport(ensemble_rel_error=ens_err, max_drift_z=float(z.max()))

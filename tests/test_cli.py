@@ -271,6 +271,19 @@ class TestFalseAlarms:
                 failing.append(seed)
         assert len(failing) <= 1, failing
 
+    @pytest.mark.parametrize("preset", ["brownian", "parabola"])
+    def test_mc_suites_fail_on_at_most_one_of_20_seeds(self, tmp_path, preset):
+        # the three suites that read the ensemble: Euler's on brownian, the exact
+        # sampler's on the parabola, both at the preset's default mc config
+        failing = []
+        for seed in range(20):
+            cfg = cli.load_config(write_config(tmp_path, f"{preset}.json", {
+                "task": "verify", "preset": preset, "mc": {"seed": seed},
+                "verify_suite": ["affine_mc", "martingale", "characteristics"]}))
+            if not all(c["pass"] for name in cfg.verify_suite for c in cli._SUITES[name](cfg)):
+                failing.append(seed)
+        assert len(failing) <= 1, failing
+
     def test_svj_martingale_suite_fails_on_at_most_one_of_10_seeds(self, tmp_path):
         # Euler on the shared mc grid takes mc.steps * delta / mc.T steps per delta (80 and
         # 40 here); at one step per delta the suite failed on 9 of these 10 seeds from bias

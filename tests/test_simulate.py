@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
     Ensemble,
+    McEstimate,
     _BLOCK,
     _JUMPS_PER_STEP_CAP,
     _cir_exact,
@@ -29,10 +31,12 @@ from conftest import consistent_with, invalid_negative_diffusion
 
 
 def L_test(p, ens, delta, n, u):
-    """martingale_L_test on the references the verify suite passes it: phi(delta, u)
-    and psi(delta, u) from an ok row of evaluate_batch, else that row's error."""
+    """martingale_L_test at one u on the references the verify suite passes it:
+    phi(delta, u) and psi(delta, u) from an ok row of evaluate_batch, else that
+    row's error."""
     b = evaluate_batch(p, [[delta]], [u]).require_ok()
-    return martingale_L_test(ens, delta, n, u, b.phi[0, 0], b.psi[0, 0])
+    (est,) = martingale_L_test(ens, delta, n, [u], b.phi[0], b.psi[0])
+    return est
 
 
 def levy_jump_diffusion():
@@ -314,6 +318,18 @@ class TestMartingale:
         est = L_test(parabola, ens, 0.1, 0, [0.0, -1.0])
         assert est.value == 1.0 and est.std_error == 0.0
 
+    def test_every_u_in_one_call_equals_one_call_per_u(self, parabola):
+        times = np.linspace(0.0, 0.5, 11)
+        ens = stopped_ensemble(
+            simulate_parabola_ensemble([0.5, 0.25], times, seed=18, n_paths=3000), 1.0)
+        us = [[0.0, -1.0], [1j, 0.0], [0.5j, -0.5]]
+        b = evaluate_batch(parabola, [[0.1]] * 3, us).require_ok()
+        phi, psi = b.phi[:, 0], b.psi[:, 0]
+        one_by_one = [martingale_L_test(ens, 0.1, 5, [u], phi[j:j + 1], psi[j:j + 1])[0]
+                      for j, u in enumerate(us)]
+        assert martingale_L_test(ens, 0.1, 5, us, phi, psi) == one_by_one
+        assert martingale_L_test(ens, 0.1, 0, us, phi, psi) == [McEstimate(1.0, 0.0)] * 3
+
     def test_zero_params_give_unit_functional(self):
         p = AffineParams.zeros(FullSpace(dim=1))
         ens = simulate_ensemble(p, [2.0], 1.0, 10, seed=1, n_paths=50)
@@ -470,6 +486,19 @@ class TestCharacteristicsCheck:
         assert rep.ensemble_rel_error < 0.02
         assert rep.max_drift_z <= 3.0
 
+    def test_reads_the_ensemble_in_chunks(self):
+        # a whole np.diff of the states would be as large as the states
+        p = cir()
+        ens = simulate_ensemble(p, [1.0], 1.0, 400, seed=3, n_paths=2000)
+        characteristics_check(ens, p)
+        tracemalloc.start()
+        try:
+            characteristics_check(ens, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.states.nbytes / 4, peak / ens.states.nbytes
+
     def test_rejects_jumps_and_killing(self):
         p = levy_jump_diffusion()
         ens = simulate_ensemble(p, [0.0], 0.5, 10, seed=1, n_paths=50)
@@ -547,6 +576,38 @@ class TestPathStreams:
         for i, z in enumerate(normals):
             w = 0.5 + np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(times)) * z)])
             np.testing.assert_array_equal(ens.states[i], np.stack([w, w * w], axis=1))
+
+
+class TestTimeMajorLayout:
+    """Every sampler writes one C-contiguous (n_times, d, n_paths) buffer, and
+    Ensemble.states is its (n_paths, n_times, d) view; the readers give the
+    same numbers on a path-major copy of the states."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("make, x0", [
+        (cir, [0.5]), (parabola, [0.5, 0.25]), ("svj", [0.04, 0.0]),
+        ("single_factor", [0.04, 0.0])], ids=["cir", "parabola", "svj", "single_factor"])
+    def test_readers_agree_on_a_path_major_copy(self, monkeypatch, cpus, make, x0, svj):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        p = svj if make == "svj" else svj_diffusion(svj) if make == "single_factor" else make()
+        ens = simulate_ensemble(p, x0, 1.0, 40, seed=6, n_paths=2 * _BLOCK + 9)
+        assert ens.states.transpose(1, 2, 0).flags.c_contiguous
+        flat = replace(ens, states=np.ascontiguousarray(ens.states))
+        assert not ens.states.flags.c_contiguous
+        U = np.array([[0.7j] * p.dim, [-0.3 + 0.2j] + [0.4j] * (p.dim - 1)])
+        for t in (0.5, 1.0):
+            for u in U:
+                assert mc_char_fn(flat, t, u) == mc_char_fn(ens, t, u)
+        phi, psi = np.array([-0.01 + 0.02j, 0.03j]), 0.9 * U
+        for r in (None, 0.3):
+            a, b = (e if r is None else stopped_ensemble(e, r) for e in (ens, flat))
+            assert martingale_L_test(b, 0.25, 4, U, phi, psi) == \
+                martingale_L_test(a, 0.25, 4, U, phi, psi)
+        if not (p.has_jumps or p.has_killing):
+            want, got = characteristics_check(flat, p), characteristics_check(ens, p)
+            assert got.ensemble_rel_error == pytest.approx(want.ensemble_rel_error, rel=1e-12)
+            assert got.max_drift_z == pytest.approx(want.max_drift_z, rel=1e-12)
 
 
 def svj_diffusion(svj):
