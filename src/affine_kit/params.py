@@ -25,9 +25,10 @@ validation report always records this convention.
 
 validate checks these conditions at the rows of D's generators(): each
 affine characteristic's value at states of D and its slope along the
-directions in which D is unbounded, which is exact on the orthant plane.  It
-also checks that nu(x, .) charges only jumps that land in D: an atom xi that
-leaves D from some state has weight <= 0 there ("jump_leaves_state_space").
+directions in which D is unbounded, which is exact on the orthant plane.
+Its three sign conditions are the rows of one table, and it also checks
+that nu(x, .) charges only jumps that land in D: an atom xi that leaves D
+from some state has weight <= 0 there ("jump_leaves_state_space").
 """
 
 from __future__ import annotations
@@ -293,36 +294,31 @@ class AffineParams:
         """Admissibility at the rows of space.generators(), exact on the orthant plane.
 
         Report entries, never exceptions: at each state (1, x), and by slope
-        along each direction (0, r), A is PSD (min eigenvalue >= -1e-10) and
-        C and every weight are >= -1e-12.  An atom that lands outside D from
-        some state is a violation at every row where its weight exceeds 1e-12.
+        along each direction (0, r), each row of one sign table holds, in its
+        order: A is PSD (min eigenvalue >= -1e-10), C and every weight are
+        >= -1e-12.  Then an atom that lands outside D from some state is a
+        violation at every row where its weight exceeds 1e-12.
         """
         rows = self.space.generators()
         states, pts = rows[:, 0] != 0.0, rows[:, 1:]
-        lam_min = np.linalg.eigvalsh(np.tensordot(rows, self.A, axes=1))[:, 0]
-        rates = rows @ self.C
         w = rows @ self.W                                   # (rows, atoms)
+        # the sign table: (kind, label, table symbol, value at each row, tolerance);
         # initial=0: only a negative weight can be a violation, and k may be 0
-        w_min = w.min(axis=1, initial=0.0)
+        signs = (("diffusion_not_psd", "min eigenvalue of", "A",
+                  np.linalg.eigvalsh(np.tensordot(rows, self.A, axes=1))[:, 0], _PSD_TOL),
+                 ("negative_killing_rate", "killing rate", "C", rows @ self.C, _KILL_TOL),
+                 ("negative_jump_weight", "merged jump weight", "w",
+                  w.min(axis=1, initial=0.0), _WEIGHT_TOL))
+        flagged = [(kind, label, sym, v, v < -tol) for kind, label, sym, v, tol in signs]
         outside = states[:, None] & ~self.space.contains(pts[:, None, :] + self.L)
         leaves = (w > _WEIGHT_TOL) & outside.any(axis=0)
         violations = []
-        for i in np.flatnonzero((lam_min < -_PSD_TOL) | (rates < -_KILL_TOL)
-                                | (w_min < -_WEIGHT_TOL) | leaves.any(axis=1)):
-            x, lam, rate, w_lo = pts[i], lam_min[i], rates[i], w_min[i]
+        for i in np.flatnonzero(np.any([bad for *_, bad in flagged], axis=0) | leaves.any(axis=1)):
+            x = pts[i]
             at, of = (f"at x = {x}", "{}(x)") if states[i] else (f"along r = {x}", "d{}/dr")
-            if lam < -_PSD_TOL:
-                violations.append(Violation(
-                    "diffusion_not_psd", x, float(lam),
-                    f"{at}: min eigenvalue of {of.format('A')} is {lam:.3e}"))
-            if rate < -_KILL_TOL:
-                violations.append(Violation(
-                    "negative_killing_rate", x, float(rate),
-                    f"{at}: killing rate {of.format('C')} is {rate:.3e}"))
-            if w_lo < -_WEIGHT_TOL:
-                violations.append(Violation(
-                    "negative_jump_weight", x, float(w_lo),
-                    f"{at}: merged jump weight {of.format('w')} is {w_lo:.3e}"))
+            violations += [Violation(kind, x, float(v[i]),
+                                     f"{at}: {label} {of.format(sym)} is {v[i]:.3e}")
+                           for kind, label, sym, v, bad in flagged if bad[i]]
             if leaves[i].any():
                 j = leaves[i].argmax()
                 src = x if outside[i, j] else pts[outside[:, j].argmax()]

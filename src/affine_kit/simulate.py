@@ -102,7 +102,6 @@ __all__ = [
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
-_CHUNK = 8               # paths per Euler normals call: a block's stream in small pieces
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 _QV_CELLS = 1 << 16      # cells of dX per characteristics_check chunk: 512 KB, not all of dX
 
@@ -303,8 +302,7 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
     alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
 
     def draw(rng, block):
-        for c in range(block.start, block.stop, _CHUNK):    # one stream, _CHUNK paths a call
-            normals.T[c:c + _CHUNK] = rng.standard_normal((_CHUNK, n_steps, d)).swapaxes(1, 2)
+        normals.T[block] = rng.standard_normal((_BLOCK, n_steps, d)).swapaxes(1, 2)
         if has_jumps:
             rng.random(out=jump_u[block])
         if has_killing:

@@ -101,6 +101,17 @@ class TestVerifyTask:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["preset"] is None
 
+    @pytest.mark.parametrize("name", ["cir", "brownian", "parabola", "svj"])
+    def test_levy_structure_reports_only_the_verdict_of_validate(self, tmp_path, name):
+        # Re(F(iy) + <x, R(iy)>) <= its value at y = 0 follows from this verdict: one entry
+        payload = {"task": "verify", **(SVJ if name == "svj" else {"preset": name})}
+        code, out_dir = run(tmp_path, "verify", payload)
+        assert code == EXIT_OK
+        report = cli.load_config(str(tmp_path / "verify.json")).params.validate()
+        [entry] = [c for c in strict_report(out_dir)["checks"] if c["check"] == "levy_structure"]
+        assert entry["pass"] is report.valid
+        assert entry["statistic"] == len(report.violations)
+
     def test_failing_check_returns_status_one(self, tmp_path, monkeypatch):
         # an impossible variation threshold forces a legitimate check failure
         monkeypatch.setattr(cli, "_BOUNDED_VARIATION", 0.0)
@@ -504,6 +515,17 @@ class TestErrorStatuses:
         assert code == EXIT_VALIDATION_ERROR
         assert "is not in the state space" in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("mu, message", [
+        ([[], []], "per-coordinate jump measures"), (3, "bad space/params spec")],
+        ids=["d+1 measures", "not a list"])
+    def test_a_mu_that_is_not_d_measures_is_parse_error(self, tmp_path, capsys, mu, message):
+        # AffineParams' own length rule is the only one
+        code, out_dir = run(tmp_path, "verify", {
+            **CIR, "task": "verify", "params": {**CIR["params"], "mu": mu}})
+        assert code == EXIT_PARSE_ERROR
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_inadmissible_params_is_validation_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", {

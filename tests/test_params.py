@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from affine_kit.params import AffineParams, LevyMeasure
 from affine_kit.presets import brownian, cir, parabola
-from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine
+from affine_kit.state_space import CanonicalOrthantPlane, FullSpace, HalfLine, Parabola
 from conftest import invalid_negative_diffusion, invalid_negative_jump_weight, jump_integral
 
 
@@ -60,6 +60,13 @@ def jump_free_2d() -> AffineParams:
         a=np.diag([0.3, 0.2]), b=np.array([0.1, -0.2]), c=0.05,
         alpha=np.array([[[0.5, 0.0], [0.0, 0.1]], np.zeros((2, 2))]),
         beta=np.array([[-1.0, 0.3], [0.0, 0.0]]), gamma=np.array([0.1, 0.0]))
+
+
+def parabola_weight_tuple() -> AffineParams:
+    """A parabola tuple whose merged weight at the atom (1, 0) is 1 - 2y at (y, y^2)."""
+    return AffineParams.zeros(Parabola()).with_(
+        m_measure=LevyMeasure.from_atoms([(1.0, [1.0, 0.0])]),
+        mu_measures=(LevyMeasure.from_atoms([(-2.0, [1.0, 0.0])]), LevyMeasure.empty(2)))
 
 
 def jump_reference(p: AffineParams, jump_free: AffineParams, U):
@@ -488,6 +495,43 @@ class TestValidate:
         assert [(v.kind, v.x.tolist()) for v in report.violations] == [(kind, r)]
         assert report.violations[0].detail.startswith(f"along r = {np.array(r)}")
         assert f"{kind}: along r" in str(report)
+
+    @pytest.mark.parametrize("case", [
+        "A at x", "A along r", "C at x", "C along r", "w at x", "w along r"])
+    def test_each_sign_violation_is_pinned(self, case):
+        # the first violation of each kind: witness, value and detail text, at a state
+        # (the parabola's (1, 1) for w, since m >= 0 at the origin) and along a ray
+        half = AffineParams.zeros(HalfLine())
+        p, kind, x, value, detail = {
+            "A at x": (half.with_(a=-np.eye(1)), "diffusion_not_psd", [0.0], -1.0,
+                       "at x = [0.]: min eigenvalue of A(x) is -1.000e+00"),
+            "A along r": (half.with_(a=np.eye(1), alpha=np.array([[[-0.1]]])),
+                          "diffusion_not_psd", [1.0], -0.1,
+                          "along r = [1.]: min eigenvalue of dA/dr is -1.000e-01"),
+            "C at x": (half.with_(c=-0.5), "negative_killing_rate", [0.0], -0.5,
+                       "at x = [0.]: killing rate C(x) is -5.000e-01"),
+            "C along r": (half.with_(c=1.0, gamma=np.array([-0.1])), "negative_killing_rate",
+                          [1.0], -0.1, "along r = [1.]: killing rate dC/dr is -1.000e-01"),
+            "w at x": (parabola_weight_tuple(), "negative_jump_weight", [1.0, 1.0], -1.0,
+                       "at x = [1. 1.]: merged jump weight w(x) is -1.000e+00"),
+            "w along r": (half.with_(m_measure=LevyMeasure.from_atoms([(1.0, 1.0)]),
+                                     mu_measures=(LevyMeasure.from_atoms([(-0.1, 1.0)]),)),
+                          "negative_jump_weight", [1.0], -0.1,
+                          "along r = [1.]: merged jump weight dw/dr is -1.000e-01"),
+        }[case]
+        report = p.validate()
+        v = next(v for v in report.violations if v.kind == kind)
+        assert (v.x.tolist(), v.value, v.detail) == (x, value, detail)
+        assert type(v.value) is float
+        assert f"  - {kind}: {detail}" in str(report)
+
+    def test_a_rows_violations_follow_the_sign_table_then_landing(self):
+        # A = -I and C = -0.5 at every state; w = 1 - 2y, whose atom leaves D from (0, 0)
+        p = parabola_weight_tuple().with_(a=-np.eye(2), c=-0.5)
+        assert [(v.kind, v.x.tolist()) for v in p.validate().violations[:6]] == [
+            ("diffusion_not_psd", [0.0, 0.0]), ("negative_killing_rate", [0.0, 0.0]),
+            ("jump_leaves_state_space", [0.0, 0.0]), ("diffusion_not_psd", [1.0, 1.0]),
+            ("negative_killing_rate", [1.0, 1.0]), ("negative_jump_weight", [1.0, 1.0])]
 
     @given(p=orthant_tuples())
     @settings(deadline=None, max_examples=150, derandomize=True)
