@@ -237,6 +237,11 @@ class RunConfig:
         return self.params.space
 
     @functools.cached_property
+    def admissibility(self):
+        """The run's one validate report, read by load_config and levy_structure."""
+        return self.params.validate()
+
+    @functools.cached_property
     def ensemble(self):
         """The run's one ensemble on the mc grid (module docstring); every
         Monte Carlo suite reads its arrays, and none may write them."""
@@ -351,7 +356,7 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigValidationError(f"grid point x={x} is not in the state space")
     if not (math.isfinite(cfg.ode_tol) and cfg.ode_tol > 0):
         raise ConfigValidationError(f"the ODE tolerance must be finite and > 0, got {cfg.ode_tol}")
-    report = cfg.params.validate()
+    report = cfg.admissibility
     if not report.valid:
         raise ConfigValidationError(f"parameters are not admissible:\n{report}")
     if cfg.n_paths < 2 or cfg.n_steps < 1 or not 0 < cfg.horizon < math.inf:
@@ -545,7 +550,7 @@ def _suite_cp_limit(cfg: RunConfig) -> list:
 
 
 def _suite_levy_structure(cfg: RunConfig) -> list:
-    report = cfg.params.validate()
+    report = cfg.admissibility
     return [_check("levy_structure", "admissibility of the state-affine "
                    "characteristics (PSD diffusion, nonnegative jump weights, "
                    "nonnegative killing rate, jumps that land in D)",

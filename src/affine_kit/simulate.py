@@ -65,12 +65,16 @@ Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and always draws whole
 blocks, in a fixed order: Euler its normals (_BLOCK, n_steps, d), jump
 uniforms (_BLOCK, n_steps, 1 + _JUMPS_PER_STEP_CAP) and kill clocks
 (_BLOCK,); the parabola sampler its normals (_BLOCK, n_steps); the exact CIR
-sampler Z (n_steps, _BLOCK), then G (_BLOCK, n_steps).  Path i reads entry
-i % _BLOCK of block i // _BLOCK's draws along the path axis, so it depends
-only on (seed, i, grid).  The engine, _in_blocks, splits the blocks into one
-run per CPU in the process's affinity; a run draws its blocks, then steps
-its own paths and returns its own counts, so the bytes do not depend on the
-number of runs.  Two or more runs go on threads that end before it returns.
+sampler Z (n_steps, _BLOCK), and G (n_steps, _BLOCK) from spawn_key=(k, 1).
+Path i reads entry i % _BLOCK of block i // _BLOCK's draws along the path
+axis, so it depends only on (seed, i, grid).  The engine, _in_blocks, splits
+the blocks into one run per CPU in the process's affinity; a run makes its
+generators once, then per chunk of steps draws its blocks and steps its own
+paths: Euler and the parabola sampler in one chunk, exact CIR _STEPS steps
+at a time, so G is held for one chunk only.  Row chunks of a generator's
+draws are the bytes of its whole draw and a run returns its own counts, so
+the bytes depend neither on the chunk length nor on the number of runs.  Two
+or more runs go on threads that end before it returns.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ __all__ = [
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
+_STEPS = 32              # steps per chunk of the exact CIR sampler's draws
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 _QV_CELLS = 1 << 16      # cells of dX per characteristics_check chunk: 512 KB, not all of dX
 
@@ -186,12 +191,9 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
     """Ensemble of n_paths trajectories on the grid linspace(0, T, n_steps + 1),
     drawn by the first sampler of _SAMPLERS that takes the tuple.
 
-    One stream rule (module docstring): block k of _BLOCK paths reads
-    Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and draws whole
-    blocks, and path i is its row of block i // _BLOCK's draws.  So the
-    ensemble is deterministic in (params, x0, T, n_steps, seed), path i
-    depends only on (seed, i) and the grid, and the bytes depend neither on
-    n_paths nor on the number of CPUs.
+    By the one stream rule (module docstring) the ensemble is deterministic
+    in (params, x0, T, n_steps, seed), path i depends only on (seed, i) and
+    the grid, and the bytes depend neither on n_paths nor on the CPU count.
     """
     if T <= 0 or n_steps < 1:
         raise ValueError("need T > 0 and n_steps >= 1")
@@ -208,21 +210,27 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
             return sample(x0, times, seed, n_paths, *args)
 
 
-def _in_blocks(seed: int, n_paths: int, draw, advance) -> list:
-    """The samplers' engine (module docstring): draw(rng, block) fills the
-    _BLOCK rows `block` of arrays padded to whole blocks from the block's
-    generator; then advance(paths) steps a run's slice of paths.  Returns
-    each run's advance result."""
+def _in_blocks(seed: int, n_paths: int, draw, advance, chunks=(None,), keys=((),)) -> list:
+    """The samplers' engine (module docstring).  A run makes block k's
+    generators, of spawn_key (k, *key) for key in keys, once; then for each
+    chunk `steps` of chunks (by default one), draw(block, steps, *generators)
+    fills the _BLOCK rows `block` of arrays padded to whole blocks, for each
+    of its blocks, and advance(paths, steps) steps its slice of paths over
+    them.  Returns each run's last advance result."""
     n_blocks = -(-n_paths // _BLOCK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_runs = max(1, min(cpus or 1, n_blocks))
 
     def run(w: int):
         blocks = range(w * n_blocks // n_runs, (w + 1) * n_blocks // n_runs)
-        for k in blocks:
-            bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
-            draw(np.random.Generator(bits), slice(k * _BLOCK, (k + 1) * _BLOCK))
-        return advance(slice(blocks.start * _BLOCK, min(n_paths, blocks.stop * _BLOCK)))
+        paths = slice(blocks.start * _BLOCK, min(n_paths, blocks.stop * _BLOCK))
+        gens = [[np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            seed, spawn_key=(k, *key)))) for key in keys] for k in blocks]
+        for steps in chunks:
+            for k, rngs in zip(blocks, gens):
+                draw(slice(k * _BLOCK, (k + 1) * _BLOCK), steps, *rngs)
+            result = advance(paths, steps)
+        return result
 
     if n_runs == 1:
         return [run(0)]
@@ -245,31 +253,32 @@ def _square_root_diffusion(p: AffineParams):
 
 def _cir_exact(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int, kappa: float,
                sigma2: float, df: float) -> Ensemble:
-    """Exact square-root transitions between consecutive times (module docstring)."""
+    """Exact square-root transitions between consecutive times, drawn _STEPS
+    rows of Z and of G at a time (module docstring)."""
     h = np.diff(times)
     decay = np.exp(-kappa * h)
     c = sigma2 * h / 4.0 if kappa == 0.0 else -sigma2 * np.expm1(-kappa * h) / (4.0 * kappa)
     n = len(h)
     # time-major: row j + 1 of x holds Z of step j until X at times[j + 1] overwrites it
-    # in place; g holds 2G, transposed to (n, paths) once, when it is drawn
-    x, g = np.empty((n + 1, n_paths)), np.empty((n, n_paths))
+    # in place; row j - steps.start of g holds 2G of step j, a run's columns for its chunk
+    x, g = np.empty((n + 1, n_paths)), np.empty((min(_STEPS, n), n_paths))
     x[0] = x0[0]
 
-    def draw(rng, block):
-        zk = x[1:, block]
-        zk[...] = rng.standard_normal((n, _BLOCK))[:, :zk.shape[1]]
-        np.multiply(rng.standard_gamma(0.5 * (df - 1.0), (_BLOCK, n))[:zk.shape[1]].T, 2.0,
-                    out=g[:, block])
+    def draw(block, steps, rng, rng_g):
+        width, shape = x[0, block].size, (len(steps), _BLOCK)
+        x[1 + steps.start:1 + steps.stop, block] = rng.standard_normal(shape)[:, :width]
+        g[:len(steps), block] = 2.0 * rng_g.standard_gamma(0.5 * (df - 1.0), shape)[:, :width]
 
-    def advance(paths):
-        for j in range(n):
+    def advance(paths, steps):
+        for j in steps:
             row = x[j + 1, paths]
             row += np.sqrt(x[j, paths] * (decay[j] / c[j]))
             np.square(row, out=row)
-            row += g[j, paths]
+            row += g[j - steps.start, paths]
             row *= c[j]
 
-    _in_blocks(seed, n_paths, draw, advance)
+    _in_blocks(seed, n_paths, draw, advance,
+               [range(t, min(t + _STEPS, n)) for t in range(0, n, _STEPS)], ((), (1,)))
     return Ensemble(times=times, states=x[:, None, :].transpose(2, 0, 1),
                     alive_until=np.full(n_paths, n + 1, dtype=np.int64), sampler="cir_exact")
 
@@ -301,14 +310,14 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
     states = np.empty((n_steps + 1, d, n_paths))     # time-major; step k + 1 writes row k + 1
     alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
 
-    def draw(rng, block):
+    def draw(block, steps, rng):
         normals.T[block] = rng.standard_normal((_BLOCK, n_steps, d)).swapaxes(1, 2)
         if has_jumps:
             rng.random(out=jump_u[block])
         if has_killing:
             rng.standard_exponential(out=kill_clock[block])
 
-    def advance(paths):
+    def advance(paths, steps):
         n = paths.stop - paths.start
         z, lived = normals[..., paths], alive_until[paths]
         if len(rows) == 1:      # in place, R_r z a block at a time: no second array of normals
@@ -403,11 +412,11 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     scale = np.sqrt(np.diff(times))[:, None]
     states = np.empty((len(times), 2, n_paths))      # time-major; w's increments wait in w
 
-    def draw(rng, block):
+    def draw(block, steps, rng):
         dw = states[1:, 0, block]
         dw[...] = rng.standard_normal((_BLOCK, len(scale)))[:dw.shape[1]].T
 
-    def advance(paths):
+    def advance(paths, steps):
         w = states[:, 0, paths]
         w[1:] *= scale
         w[0] = x0[0]

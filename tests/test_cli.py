@@ -19,6 +19,7 @@ from affine_kit.cli import (
     EXIT_VALIDATION_ERROR,
     main,
 )
+from affine_kit.params import AffineParams
 from affine_kit.simulate import Ensemble, simulate_ensemble
 from affine_kit.transform import evaluate_batch, evaluate_grid
 
@@ -111,6 +112,19 @@ class TestVerifyTask:
         [entry] = [c for c in strict_report(out_dir)["checks"] if c["check"] == "levy_structure"]
         assert entry["pass"] is report.valid
         assert entry["statistic"] == len(report.violations)
+
+    def test_levy_structure_reports_the_validation_load_config_made(self, tmp_path, monkeypatch):
+        # one validate call per run; a fresh report per reader writes the same bytes
+        calls, validate = [], AffineParams.validate
+        monkeypatch.setattr(AffineParams, "validate", lambda p: calls.append(p) or validate(p))
+        payload = {"task": "verify", "preset": "cir", "verify_suite": ["levy_structure"]}
+        assert run(tmp_path, "verify", payload, out="once")[0] == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.setattr(cli.RunConfig, "admissibility", property(lambda c: validate(c.params)))
+        assert run(tmp_path, "verify", payload, out="fresh")[0] == EXIT_OK
+        once, fresh = (re.sub(r'"generated_at": "[^"]*"', "", (tmp_path / d / "report.json")
+                              .read_text()) for d in ("once", "fresh"))
+        assert once == fresh
 
     def test_failing_check_returns_status_one(self, tmp_path, monkeypatch):
         # an impossible variation threshold forces a legitimate check failure

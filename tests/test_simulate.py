@@ -837,9 +837,10 @@ def square_root_moments(x0, t, b, kappa, sigma2):
 
 
 def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
-    """Path by path: path i reads block i // _BLOCK's stream, that of
-    Generator(SFC64(SeedSequence(seed, spawn_key=(i // _BLOCK,)))), as Z of
-    shape (n, _BLOCK) then G of shape (_BLOCK, n), and steps
+    """Path by path: path i = k _BLOCK + col reads column col of block k's
+    whole draws, Z of shape (n, _BLOCK) from
+    Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and G of shape
+    (n, _BLOCK) from the generator of spawn_key=(k, 1), and steps
     X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G]."""
     h = np.diff(times)
     n = len(h)
@@ -848,9 +849,10 @@ def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
     out = np.empty((n_paths, n + 1))
     for i in range(n_paths):
         k, col = divmod(i, _BLOCK)
-        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,))))
-        z = rng.standard_normal((n, _BLOCK))[:, col]
-        g = rng.standard_gamma(0.5 * (4.0 * b / sigma2 - 1.0), (_BLOCK, n))[col]
+        rng_z, rng_g = (np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            seed, spawn_key=key))) for key in ((k,), (k, 1)))
+        z = rng_z.standard_normal((n, _BLOCK))[:, col]
+        g = rng_g.standard_gamma(0.5 * (4.0 * b / sigma2 - 1.0), (n, _BLOCK))[:, col]
         out[i, 0] = x = x0
         for j in range(n):
             w = z[j] + math.sqrt(x * (decay[j] / c[j]))
@@ -937,6 +939,38 @@ class TestCirExact:
         ens = _cir_exact(np.array([0.4]), times, seed, 300, kappa, sigma2, 4.0 * b / sigma2)
         ref = block_reference(seed, 0.4, times, b, kappa, sigma2, 300)
         np.testing.assert_array_equal(ens.states[:, :, 0], ref)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_bytes_do_not_depend_on_the_chunk_length(self, monkeypatch, cpus):
+        # consecutive row chunks of a generator's normals and gammas are its whole draws
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        b, kappa, sigma2, seed, n_steps = 0.5, 1.2, 0.6, 8, 23
+        times = np.linspace(0.0, 1.0, n_steps + 1)
+        runs = set()
+        for steps in (1, 7, n_steps, n_steps + 5):
+            monkeypatch.setattr(simulate, "_STEPS", steps)
+            ens = _cir_exact(np.array([0.4]), times, seed, 2 * _BLOCK + 9, kappa, sigma2,
+                             4.0 * b / sigma2)
+            runs.add(ens.states.tobytes())
+        ref = block_reference(seed, 0.4, times, b, kappa, sigma2, 2 * _BLOCK + 9)
+        assert runs == {ref.tobytes()}
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_holds_little_beyond_its_states(self, monkeypatch, cpus):
+        # G of one _STEPS chunk and one chunk's draws per run, not a second states-sized array
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        n_paths, n_steps = 2600, 200
+        states = 8 * n_paths * (n_steps + 1)
+        simulate_ensemble(cir(), [0.5], 1.0, n_steps, seed=1, n_paths=n_paths)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(cir(), [0.5], 1.0, n_steps, seed=1, n_paths=n_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - states <= cpus * 2 * 2**20, (peak - states) / 2**20
 
     def test_exact_sampling_covers_df_at_least_one(self):
         # df = 4, 1 (exactly) and 24
