@@ -535,15 +535,13 @@ def _suite_cp_limit(cfg: RunConfig) -> list:
     for x, u in pairs:
         table = cp_limit_check(cfg.params, x, u, t, cfg.ode_tol)
         err = np.maximum(table.errors, 1e-15)
-        # below two errors over fd_regularity's floor, the quotient is at its limit
-        at_limit = np.sum(table.errors > 1e3 * cfg.ode_tol * (1 + abs(table.target))) < 2
-        corr = math.nan if at_limit else float(np.corrcoef(np.log(t), np.log(err))[0, 1])
+        corr = math.nan if table.at_limit else float(np.corrcoef(np.log(t), np.log(err))[0, 1])
         slope_c = float(np.max(err / t))
         out.append(_check(
             "cp_limit",
             "small-time limit of the centered transform difference quotient "
             "towards (F(u)+c) + <x, R(u)+gamma>, with linear error decay",
-            corr, _CP_CORR, at_limit or corr >= _CP_CORR,
+            corr, _CP_CORR, table.at_limit or corr >= _CP_CORR,
             fitted_linear_constant=slope_c,
             x=list(map(float, x)), u=[[c.real, c.imag] for c in u]))
     return out

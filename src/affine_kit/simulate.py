@@ -27,8 +27,8 @@ the other readers index states.
 The Euler scheme reads one coefficient table, built once per call: rows
 (1, x_1..x_d) and columns, all times dt, for the net drift B - int h dnu,
 the killing rate C, the jump weights W and the diffusion.  The step state
-X and the normals are coordinate-major, (d, n) and (n_steps, d, n); step k
-writes X into row k + 1 of the buffer and steps on from there.  A step
+X and a chunk's normals are coordinate-major, (d, n) and (steps, d, n); step
+k writes X into row k + 1 of the buffer and steps on from there.  A step
 computes coef = T_0 + sum_i x_i T_i, (ncol, n), by elementwise products along
 the paths over the nonzero rows; no BLAS call runs across paths, so a path's
 bits depend neither on n_paths nor on the runs (below) that step it.
@@ -47,7 +47,7 @@ bits depend neither on n_paths nor on the runs (below) that step it.
   * killing by one Exp(1) clock per path against the running hazard
     sum max(coef_C, 0) (inverse CDF, exact given the path): a path is alive
     while hazard < clock.  Dead paths step on unfrozen; their cells from
-    alive_until on are set to nan in one pass after the loop.
+    alive_until on are set to nan in one pass after the engine returns.
 
 Orthant-constrained coordinates use full truncation: coefficients are
 evaluated at the clamped state and the stored state is projected back onto
@@ -61,20 +61,23 @@ The estimators solve no Riccati equation: martingale_L_test takes, for
 every u of a call, phi(delta, u) and psi(delta, u) from its caller.
 
 Randomness, one rule for every sampler: block k of _BLOCK paths reads
-Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and always draws whole
-blocks, in a fixed order: Euler its normals (_BLOCK, n_steps, d), jump
-uniforms (_BLOCK, n_steps, 1 + _JUMPS_PER_STEP_CAP) and kill clocks
-(_BLOCK,); the parabola sampler its normals (_BLOCK, n_steps); the exact CIR
-sampler Z (n_steps, _BLOCK), and G (n_steps, _BLOCK) from spawn_key=(k, 1).
-Path i reads entry i % _BLOCK of block i // _BLOCK's draws along the path
-axis, so it depends only on (seed, i, grid).  The engine, _in_blocks, splits
-the blocks into one run per CPU in the process's affinity; a run makes its
-generators once, then per chunk of steps draws its blocks and steps its own
-paths: Euler and the parabola sampler in one chunk, exact CIR _STEPS steps
-at a time, so G is held for one chunk only.  Row chunks of a generator's
-draws are the bytes of its whole draw and a run returns its own counts, so
-the bytes depend neither on the chunk length nor on the number of runs.  Two
-or more runs go on threads that end before it returns.
+Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and the generator of
+spawn_key=(k, 1), and always draws whole blocks, time-major with the path axis
+last.  From (k,), in order: Euler's kill clocks (_BLOCK,), in the first chunk
+only; then, chunk by chunk, the normals: Euler's (steps, d, _BLOCK), the
+parabola sampler's (steps, _BLOCK) and the exact CIR sampler's Z
+(steps, _BLOCK).  From (k, 1), chunk by chunk: Euler's jump uniforms
+(steps, 1 + _JUMPS_PER_STEP_CAP, _BLOCK) and the exact CIR sampler's G
+(steps, _BLOCK).  Path i reads column i % _BLOCK of block i // _BLOCK's draws,
+so it depends only on (seed, i, grid).  The engine, _in_blocks, splits the
+blocks into one run per CPU in the process's affinity; a run makes its
+generators once, then per chunk of _STEPS steps draws its blocks and steps its
+own paths, so a sampler holds one chunk's draws only.  Row chunks of a
+generator's draws are the bytes of its whole draw, every running state (X,
+Euler's hazard, the parabola's w) steps on from the last row of the chunk
+before, and a run returns its own counts, so the bytes depend neither on the
+chunk length nor on the number of runs.  Two or more runs go on threads that
+end before it returns.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ __all__ = [
 
 _JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
-_STEPS = 32              # steps per chunk of the exact CIR sampler's draws
+_STEPS = 32              # steps per chunk of every sampler's draws
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
 _QV_CELLS = 1 << 16      # cells of dX per characteristics_check chunk: 512 KB, not all of dX
 
@@ -210,33 +213,35 @@ def simulate_ensemble(p: AffineParams, x0, T: float, n_steps: int, seed: int,
             return sample(x0, times, seed, n_paths, *args)
 
 
-def _in_blocks(seed: int, n_paths: int, draw, advance, chunks=(None,), keys=((),)) -> list:
+def _in_blocks(seed: int, n_paths: int, n_steps: int, draw, advance, keys=((),)) -> list:
     """The samplers' engine (module docstring).  A run makes block k's
     generators, of spawn_key (k, *key) for key in keys, once; then for each
-    chunk `steps` of chunks (by default one), draw(block, steps, *generators)
-    fills the _BLOCK rows `block` of arrays padded to whole blocks, for each
+    chunk `steps` of _STEPS of the n_steps steps, draw(block, steps,
+    *generators) fills the chunk's columns `block` (cut at n_paths) for each
     of its blocks, and advance(paths, steps) steps its slice of paths over
-    them.  Returns each run's last advance result."""
+    them.  Returns every chunk's advance result, run by run."""
     n_blocks = -(-n_paths // _BLOCK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_runs = max(1, min(cpus or 1, n_blocks))
+    chunks = [range(t, min(t + _STEPS, n_steps)) for t in range(0, n_steps, _STEPS)]
 
-    def run(w: int):
+    def run(w: int) -> list:
         blocks = range(w * n_blocks // n_runs, (w + 1) * n_blocks // n_runs)
         paths = slice(blocks.start * _BLOCK, min(n_paths, blocks.stop * _BLOCK))
         gens = [[np.random.Generator(np.random.SFC64(np.random.SeedSequence(
             seed, spawn_key=(k, *key)))) for key in keys] for k in blocks]
+        results = []
         for steps in chunks:
             for k, rngs in zip(blocks, gens):
                 draw(slice(k * _BLOCK, (k + 1) * _BLOCK), steps, *rngs)
-            result = advance(paths, steps)
-        return result
+            results.append(advance(paths, steps))
+        return results
 
     if n_runs == 1:
-        return [run(0)]
+        return run(0)
     # a run writes only its own paths; the draws and the array arithmetic release the GIL
     with ThreadPoolExecutor(n_runs) as pool:
-        return list(pool.map(run, range(n_runs)))
+        return [result for results in pool.map(run, range(n_runs)) for result in results]
 
 
 def _square_root_diffusion(p: AffineParams):
@@ -277,8 +282,7 @@ def _cir_exact(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int, kappa
             row += g[j - steps.start, paths]
             row *= c[j]
 
-    _in_blocks(seed, n_paths, draw, advance,
-               [range(t, min(t + _STEPS, n)) for t in range(0, n, _STEPS)], ((), (1,)))
+    _in_blocks(seed, n_paths, n, draw, advance, ((), (1,)))
     return Ensemble(times=times, states=x[:, None, :].transpose(2, 0, 1),
                     alive_until=np.full(n_paths, n + 1, dtype=np.int64), sampler="cir_exact")
 
@@ -302,53 +306,54 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
     table = np.hstack([p.B - (p.W * p.small) @ p.L, p.C[:, None], p.W, diffusion]) * dt
     terms = [(i, row[:, None]) for i, row in enumerate(table[1:]) if row.any()]
 
-    # a block's draws, in the documented order and shapes; the normals stored coordinate-major
-    n_pad = -(-n_paths // _BLOCK) * _BLOCK
-    normals = np.empty((n_steps, d, n_pad))
-    jump_u = np.empty((n_pad, n_steps, 1 + _JUMPS_PER_STEP_CAP)) if has_jumps else None
-    kill_clock = np.empty(n_pad) if has_killing else None
+    # one chunk's draws in the documented order, each run its own columns; per-path clocks
+    normals = np.empty((min(_STEPS, n_steps), d, n_paths))
+    jump_u = np.empty((len(normals), 1 + _JUMPS_PER_STEP_CAP, n_paths)) if has_jumps else None
+    kill_clock, hazard = np.empty(n_paths), np.zeros(n_paths)
     states = np.empty((n_steps + 1, d, n_paths))     # time-major; step k + 1 writes row k + 1
+    states[0] = x0[:, None]
     alive_until = np.full(n_paths, 1 if has_killing else n_steps + 1, dtype=np.int64)
 
-    def draw(block, steps, rng):
-        normals.T[block] = rng.standard_normal((_BLOCK, n_steps, d)).swapaxes(1, 2)
+    def draw(block, steps, rng, rng_u):
+        z = normals[:len(steps), :, block]
+        if has_killing and steps.start == 0:
+            kill_clock[block] = rng.standard_exponential(_BLOCK)[:z.shape[-1]]
+        z[...] = rng.standard_normal((len(steps), d, _BLOCK))[..., :z.shape[-1]]
         if has_jumps:
-            rng.random(out=jump_u[block])
-        if has_killing:
-            rng.standard_exponential(out=kill_clock[block])
+            jump_u[:len(steps), :, block] = rng_u.random(
+                (len(steps), 1 + _JUMPS_PER_STEP_CAP, _BLOCK))[..., :z.shape[-1]]
 
     def advance(paths, steps):
         n = paths.stop - paths.start
-        z, lived = normals[..., paths], alive_until[paths]
-        if len(rows) == 1:      # in place, R_r z a block at a time: no second array of normals
+        z, lived, hz = normals[:len(steps), :, paths], alive_until[paths], hazard[paths]
+        if len(rows) == 1:      # R_r z in place over the chunk's normals
             if diagonal:
                 z *= np.diagonal(root)[:, None]
             else:
-                for b in range(0, n, _BLOCK):
-                    z[..., b:b + _BLOCK] = np.einsum("jk,ikp->ijp", root, z[..., b:b + _BLOCK])
+                z[...] = np.einsum("jk,ikp->ijp", root, z)
             if r == 0:
                 z *= math.sqrt(dt)
         base = np.broadcast_to(table[0][:, None], (table.shape[1], n))
-        X = states[0, :, paths]     # the step state, coordinate-major (d, n): a row of states
-        X[...] = x0[:, None]
-        hazard, alive = np.zeros(n), np.ones(n, dtype=bool)
+        X = states[steps.start, :, paths]   # the step state, coordinate-major (d, n)
+        alive = np.ones(n, dtype=bool)
         jump_overflows = clamps = 0
 
-        for step in range(n_steps):
+        for step in steps:
             coef = base
             for i, row in terms:
                 coef = coef + X[i] * row
             if has_killing:
-                hazard += np.maximum(coef[d], 0.0)
-                alive = hazard < kill_clock[paths]
+                hz += np.maximum(coef[d], 0.0)
+                alive = hz < kill_clock[paths]
                 lived += alive
+            zs = z[step - steps.start]
             if len(rows) > 1:   # einsum's bits depend on strides: a C-contiguous (n, d) z
                 A = coef[d + 1 + k:].T.reshape(n, d, d)
-                noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), np.ascontiguousarray(z[step].T)).T
+                noise = np.einsum("pjk,pk->pj", _psd_sqrt(A), np.ascontiguousarray(zs.T)).T
             elif r:
-                noise = np.sqrt(np.maximum(coef[-1], 0.0)) * z[step]
+                noise = np.sqrt(np.maximum(coef[-1], 0.0)) * zs
             else:
-                noise = z[step]
+                noise = zs
             X = np.add(X, coef[:d], out=states[step + 1, :, paths])
             X += noise
 
@@ -356,42 +361,38 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
                 w = np.maximum(coef[d + 1:d + 1 + k], 0.0)
                 lam = np.add.reduce(w, axis=0)     # w_1 + w_2 + ..., in atom order
                 pk = np.exp(-lam)
+                u = jump_u[step - steps.start, :, paths]
                 # the count, atom and cumsum work runs on the paths with N >= 1 only
-                ids = (jump_u[paths, step, 0] > pk).nonzero()[0]
+                ids = (u[0] > pk).nonzero()[0]
                 if len(ids):
-                    u, lam, pk = jump_u[paths.start + ids, step], lam[ids], pk[ids]
-                    # Poisson count by inverse CDF from one uniform per (path, step);
-                    # u > P(N = 0) here, so the count starts at 1 with cdf P(N <= 1)
-                    counts = np.ones(len(ids), dtype=np.int64)
-                    cdf = pk + (pk := pk * lam)
-                    for j in range(2, _JUMPS_PER_STEP_CAP + 1):
-                        more = u[:, 0] > cdf
-                        if not more.any():
-                            break
-                        counts[more] = j
-                        pk = pk * lam / j
-                        cdf = cdf + pk
-                    else:
-                        # the count loop reached the cap: draws above its CDF are cut
-                        jump_overflows += int(np.count_nonzero(alive[ids] & (u[:, 0] > cdf)))
+                    u, lam, probs = u[:, ids], lam[ids], [pk[ids]]
+                    # Poisson count by inverse CDF from one uniform per (path, step): the
+                    # levels P(N <= j), j <= cap, never decrease, so the count is how many
+                    # the uniform exceeds; cap + 1 is an overflow, and the atom loop cuts
+                    # it to cap jumps
+                    for j in range(1, _JUMPS_PER_STEP_CAP + 1):
+                        probs.append(probs[-1] * lam / j)
+                    counts = np.count_nonzero(u[0] > np.cumsum(probs, axis=0), axis=0)
+                    jump_overflows += int(np.count_nonzero(
+                        alive[ids] & (counts > _JUMPS_PER_STEP_CAP)))
                     # atom j of each path still jumping, by categorical inverse CDF
                     atom_cdf = np.cumsum(w[:, ids].T, axis=1)
                     for j in range(_JUMPS_PER_STEP_CAP):
-                        v = u[:, 1 + j] * atom_cdf[:, -1]
+                        v = u[1 + j] * atom_cdf[:, -1]
                         X[:, ids] += p.L[(v[:, None] <= atom_cdf).argmax(axis=1)].T
                         hit = counts > j + 1
                         if not hit.any():
                             break
-                        ids, u, atom_cdf, counts = ids[hit], u[hit], atom_cdf[hit], counts[hit]
+                        ids, u, atom_cdf, counts = ids[hit], u[:, hit], atom_cdf[hit], counts[hit]
 
             clamps += int(np.count_nonzero((X[:m] < 0.0) & alive))
             np.maximum(X[:m], 0.0, out=X[:m])
-
-        for i in np.flatnonzero(lived <= n_steps):   # dead paths kept stepping
-            states[lived[i]:, :, paths.start + i] = np.nan
         return clamps, jump_overflows
 
-    clamps, jump_overflows = (sum(c) for c in zip(*_in_blocks(seed, n_paths, draw, advance)))
+    clamps, jump_overflows = map(sum, zip(*_in_blocks(seed, n_paths, n_steps, draw, advance,
+                                                      ((), (1,)))))
+    for i in np.flatnonzero(alive_until <= n_steps):   # dead paths kept stepping
+        states[alive_until[i]:, :, i] = np.nan
     return Ensemble(times=times, states=states.transpose(2, 0, 1), alive_until=alive_until,
                     jump_overflows=jump_overflows, clamps=clamps)
 
@@ -400,7 +401,7 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
     """Exact sampler for the parabola-supported process: (w, w^2) on the grid.
 
     No discretization error: the Brownian increments over the grid intervals
-    are a path's row of its block's normals (simulate_ensemble's stream rule),
+    are a path's column of its block's normals (simulate_ensemble's stream rule),
     and the second coordinate is the exact square of the first.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
@@ -411,20 +412,20 @@ def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:
         raise ValueError("times must be an increasing grid starting at 0")
     scale = np.sqrt(np.diff(times))[:, None]
     states = np.empty((len(times), 2, n_paths))      # time-major; w's increments wait in w
+    states[0] = np.array([x0[0], x0[0] * x0[0]])[:, None]
 
     def draw(block, steps, rng):
-        dw = states[1:, 0, block]
-        dw[...] = rng.standard_normal((_BLOCK, len(scale)))[:dw.shape[1]].T
+        dw = states[1 + steps.start:1 + steps.stop, 0, block]
+        dw[...] = rng.standard_normal((len(steps), _BLOCK))[:, :dw.shape[1]]
 
     def advance(paths, steps):
-        w = states[:, 0, paths]
-        w[1:] *= scale
-        w[0] = x0[0]
-        np.cumsum(w[1:], axis=0, out=w[1:])
-        w[1:] += x0[0]
-        np.multiply(w, w, out=states[:, 1, paths])
+        # the running sum from w at steps.start: its bytes do not depend on the chunks
+        w = states[steps.start:steps.stop + 1, 0, paths]
+        w[1:] *= scale[steps.start:steps.stop]
+        np.cumsum(w, axis=0, out=w)
+        np.multiply(w[1:], w[1:], out=states[steps.start + 1:steps.stop + 1, 1, paths])
 
-    _in_blocks(seed, n_paths, draw, advance)
+    _in_blocks(seed, n_paths, len(scale), draw, advance)
     return Ensemble(times=times, states=states.transpose(2, 0, 1),
                     alive_until=np.full(n_paths, len(times), dtype=np.int64),
                     sampler="parabola_exact")

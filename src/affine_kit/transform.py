@@ -73,6 +73,9 @@ MAX_STEPS = 10 ** 6
 # a proposal h with _LANDING_MARGIN * h >= gap steps onto the next stop; kept
 # below 1/0.9 (see _integrate)
 _LANDING_MARGIN = 1.1
+# the probes' noise floor: fd_regularity and cp_limit_check read an error of at
+# most _NOISE_FLOOR * tol * (1 + the limit's size) as integrator noise
+_NOISE_FLOOR = 1e3
 
 # Dormand-Prince 8(5,3) tableau (Hairer's DOP853), complex like the stages; no
 # nodes, since the system is autonomous.  _A[i] is stage i's row over stages
@@ -148,11 +151,6 @@ class TransformResult:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
-
-    @property
-    def rho(self) -> np.ndarray:
-        """psi(t,u) - u, the state-coefficient increment."""
-        return self.psi - self.u
 
 
 @dataclass(frozen=True)
@@ -500,7 +498,7 @@ def fd_regularity(p: AffineParams, u, h_list, tol: float = 1e-10) -> RegularityP
     F_ref = p.F_eval(u, R_out=R_ref)
 
     err = np.abs(Fq - F_ref) + np.linalg.norm(Rq - R_ref, axis=1)
-    floor = 1e3 * tol * (1.0 + abs(F_ref) + float(np.linalg.norm(R_ref)))
+    floor = _NOISE_FLOOR * tol * (1.0 + abs(F_ref) + float(np.linalg.norm(R_ref)))
     live = err > floor
     if live.sum() < 2:
         order = math.inf
@@ -544,6 +542,7 @@ class CpLimitTable:
     values: np.ndarray          # complex D(t)
     target: complex
     errors: np.ndarray          # |D(t) - target|
+    at_limit: bool              # under two errors above _NOISE_FLOOR * tol * (1 + |target|)
 
 
 def cp_limit_check(p: AffineParams, x, u, t_list, tol: float = 1e-10) -> CpLimitTable:
@@ -561,4 +560,6 @@ def cp_limit_check(p: AffineParams, x, u, t_list, tol: float = 1e-10) -> CpLimit
                tol).require_ok()
     vals = np.array([(np.exp(-(x @ u)) * ft_u - ft_0) / t
                      for (ft_u, ft_0), t in zip(b.value(x).reshape(-1, 2), t_arr)], dtype=complex)
-    return CpLimitTable(vals, complex(target), np.abs(vals - target))
+    errors, target = np.abs(vals - target), complex(target)
+    at_limit = bool(np.sum(errors > _NOISE_FLOOR * tol * (1 + abs(target))) < 2)
+    return CpLimitTable(vals, target, errors, at_limit)

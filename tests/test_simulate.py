@@ -70,17 +70,21 @@ def diagonal_plane():
     )
 
 
-def pinned_stream(seed, n_paths, *draws):
-    """The documented draws of paths 0..n_paths-1, one array per (method, shape)
-    of draws: block k reads Generator(SFC64(SeedSequence(seed, spawn_key=(k,))))
-    and makes each draw, in order, of shape (_BLOCK, *shape); path i is row
-    i % _BLOCK of block i // _BLOCK's draws."""
+def pinned_stream(seed, n_paths, key, *draws):
+    """The documented draws of paths 0..n_paths-1, one array per
+    (method, shape, *args) of draws: block k reads
+    Generator(SFC64(SeedSequence(seed, spawn_key=(k, *key)))) and makes each
+    draw, in order and whole, time-major: method(*args, size=(*shape, _BLOCK)).
+    Path i is column i % _BLOCK of block i // _BLOCK's draws.  Each array is
+    returned path-major and C-contiguous, (n_paths, *shape): einsum's bits
+    depend on strides."""
     out = [[] for _ in draws]
     for k in range((n_paths + _BLOCK - 1) // _BLOCK):
-        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,))))
-        for arrays, (method, shape) in zip(out, draws):
-            arrays.append(getattr(rng, method)((_BLOCK, *shape)))
-    return [np.concatenate(arrays)[:n_paths] for arrays in out]
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            seed, spawn_key=(k, *key))))
+        for arrays, (method, shape, *args) in zip(out, draws):
+            arrays.append(np.moveaxis(getattr(rng, method)(*args, size=(*shape, _BLOCK)), -1, 0))
+    return [np.ascontiguousarray(np.concatenate(arrays)[:n_paths]) for arrays in out]
 
 
 def eigh_root(mats):
@@ -94,12 +98,13 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     """Step-by-step Euler ensemble in the sampler's documented order, every
     path stepped on every step, from the tables of p times dt.
 
-    Draws: a path's normals, then its jump uniforms if p has atoms, then its
-    kill clock if p kills (pinned_stream).  The drift is the net drift
-    B - int h dnu, (b - (W * small) @ L) dt + sum_i x_i (row 1+i of it).  If
-    at most one of the rows a, alpha^1..alpha^d is nonzero, A_r, the noise is
-    sqrt(max(x_r dt, 0)) (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z)
-    for r = 0; otherwise it is root(a dt + sum_i x_i (alpha^i dt)) z.  With
+    Draws (pinned_stream): from spawn_key (k,), a path's kill clock if p
+    kills, then its normals; from (k, 1), its jump uniforms if p has atoms.
+    The drift is the net drift B - int h dnu, (b - (W * small) @ L) dt +
+    sum_i x_i (row 1+i of it).  If at most one of the rows a,
+    alpha^1..alpha^d is nonzero, A_r, the noise is sqrt(max(x_r dt, 0))
+    (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z) for r = 0; otherwise
+    it is root(a dt + sum_i x_i (alpha^i dt)) z.  With
     w = max(W(X) dt, 0) and lam = w_1 + w_2 + ... in atom order, the count
     is the least N with the path's first uniform <= P(N) of Poisson(lam),
     cut at _JUMPS_PER_STEP_CAP (a live cut step is an overflow), and jump j
@@ -110,12 +115,10 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     coordinates moved up to 0."""
     d, cap = p.dim, _JUMPS_PER_STEP_CAP
     dt = T / n_steps
-    draws = [("standard_normal", (n_steps, d))]
-    draws += [("random", (n_steps, 1 + cap))] * p.has_jumps
-    draws += [("standard_exponential", ())] * p.has_killing
-    z, *rest = pinned_stream(seed, n_paths, *draws)
-    uniforms = rest.pop(0) if p.has_jumps else None
-    clocks = rest.pop(0) if p.has_killing else np.full(n_paths, np.inf)
+    *clocks, z = pinned_stream(seed, n_paths, (), *[("standard_exponential", ())] * p.has_killing,
+                               ("standard_normal", (n_steps, d)))
+    clocks = clocks[0] if p.has_killing else np.full(n_paths, np.inf)
+    [uniforms] = pinned_stream(seed, n_paths, (1,), ("random", (n_steps, 1 + cap)))
     orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
                            else int(isinstance(p.space, HalfLine)))
     rows = [r for r, A_r in enumerate([p.a, *p.alpha]) if A_r.any()] or [0]
@@ -188,7 +191,7 @@ def textbook_euler(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     jump- and killing-free tuple, with full truncation."""
     d = p.dim
     dt = T / n_steps
-    [normals] = pinned_stream(seed, n_paths, ("standard_normal", (n_steps, d)))
+    [normals] = pinned_stream(seed, n_paths, (), ("standard_normal", (n_steps, d)))
     orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
                            else int(isinstance(p.space, HalfLine)))
     X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
@@ -428,9 +431,7 @@ class TestKilling:
         seed, n_steps, dt = 7, 200, 1.0 / 200
         ens = simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=seed, n_paths=400)
         assert 0 < np.count_nonzero(ens.alive_until <= n_steps) < ens.n_paths
-        *_, clocks = pinned_stream(seed, ens.n_paths, ("standard_normal", (n_steps, 2)),
-                                   ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)),
-                                   ("standard_exponential", ()))
+        [clocks] = pinned_stream(seed, ens.n_paths, (), ("standard_exponential", ()))
         for i in range(ens.n_paths):
             clock, hazard, want = clocks[i], 0.0, n_steps + 1
             for k in range(1, n_steps + 1):
@@ -511,8 +512,9 @@ class TestCharacteristicsCheck:
 
 
 class TestPathStreams:
-    """Path i reads its row of block i // _BLOCK's whole-block draws: its
-    normals, then its jump uniforms, then its kill clock (pinned_stream)."""
+    """Path i reads its column of block i // _BLOCK's whole-block draws: its
+    kill clock, then its normals, and from the second generator its jump
+    uniforms (pinned_stream)."""
 
     @pytest.mark.parametrize("make, x0", [(cbi_with_killing, [1.0]),
                                           (levy_jump_diffusion, [0.0]),
@@ -542,9 +544,10 @@ class TestPathStreams:
             m_measure=LevyMeasure.from_atoms([(w, [xi]) for w, xi in atoms]))
         ens = simulate_ensemble(p, [0.0], 1.0, n_steps, seed=seed, n_paths=6)
         lam = sum(w for w, _ in atoms) * dt
-        normals, uniforms, clocks = pinned_stream(
-            seed, ens.n_paths, ("standard_normal", (n_steps, 1)),
-            ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)), ("standard_exponential", ()))
+        clocks, normals = pinned_stream(seed, ens.n_paths, (), ("standard_exponential", ()),
+                                        ("standard_normal", (n_steps, 1)))
+        [uniforms] = pinned_stream(seed, ens.n_paths, (1,),
+                                   ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)))
         for i in range(ens.n_paths):
             z, u, clock = normals[i, :, 0], uniforms[i], clocks[i]
             want = np.full(n_steps + 1, np.nan)
@@ -572,9 +575,9 @@ class TestPathStreams:
     def test_parabola_path_reads_its_own_counter_block(self):
         seed, times = 8, np.linspace(0.0, 1.0, 10)
         ens = simulate_parabola_ensemble([0.5, 0.25], times, seed=seed, n_paths=4)
-        [normals] = pinned_stream(seed, ens.n_paths, ("standard_normal", (len(times) - 1,)))
+        [normals] = pinned_stream(seed, ens.n_paths, (), ("standard_normal", (len(times) - 1,)))
         for i, z in enumerate(normals):
-            w = 0.5 + np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(times)) * z)])
+            w = np.cumsum([0.5, *np.sqrt(np.diff(times)) * z])
             np.testing.assert_array_equal(ens.states[i], np.stack([w, w * w], axis=1))
 
 
@@ -789,8 +792,8 @@ def recount_jump_overflows(p, ens, seed):
     n_steps = len(ens.times) - 1
     dt = ens.times[1] - ens.times[0]
     mu_mass = np.array([mu.weights.sum() for mu in p.mu_measures])
-    _, uniforms = pinned_stream(seed, ens.n_paths, ("standard_normal", (n_steps, p.dim)),
-                                ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)))
+    [uniforms] = pinned_stream(seed, ens.n_paths, (1,),
+                               ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)))
     total = 0
     for i, u in enumerate(uniforms[:, :, 0]):
         for k in range(min(n_steps, ens.alive_until[i] - 1)):
@@ -837,22 +840,17 @@ def square_root_moments(x0, t, b, kappa, sigma2):
 
 
 def block_reference(seed, x0, times, b, kappa, sigma2, n_paths):
-    """Path by path: path i = k _BLOCK + col reads column col of block k's
-    whole draws, Z of shape (n, _BLOCK) from
-    Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))) and G of shape
-    (n, _BLOCK) from the generator of spawn_key=(k, 1), and steps
-    X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G]."""
+    """Path by path: path i reads its Z (n,) from spawn_key (k,) and its G (n,)
+    from (k, 1) (pinned_stream), and steps X' = c [(Z + sqrt(X e^{-kappa h}/c))^2 + 2G]."""
     h = np.diff(times)
     n = len(h)
     decay = np.exp(-kappa * h)
     c = -sigma2 * np.expm1(-kappa * h) / (4.0 * kappa)
     out = np.empty((n_paths, n + 1))
-    for i in range(n_paths):
-        k, col = divmod(i, _BLOCK)
-        rng_z, rng_g = (np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-            seed, spawn_key=key))) for key in ((k,), (k, 1)))
-        z = rng_z.standard_normal((n, _BLOCK))[:, col]
-        g = rng_g.standard_gamma(0.5 * (4.0 * b / sigma2 - 1.0), (n, _BLOCK))[:, col]
+    [Z] = pinned_stream(seed, n_paths, (), ("standard_normal", (n,)))
+    [G] = pinned_stream(seed, n_paths, (1,),
+                        ("standard_gamma", (n,), 0.5 * (4.0 * b / sigma2 - 1.0)))
+    for i, (z, g) in enumerate(zip(Z, G)):
         out[i, 0] = x = x0
         for j in range(n):
             w = z[j] + math.sqrt(x * (decay[j] / c[j]))
@@ -941,22 +939,6 @@ class TestCirExact:
         np.testing.assert_array_equal(ens.states[:, :, 0], ref)
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_bytes_do_not_depend_on_the_chunk_length(self, monkeypatch, cpus):
-        # consecutive row chunks of a generator's normals and gammas are its whole draws
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        b, kappa, sigma2, seed, n_steps = 0.5, 1.2, 0.6, 8, 23
-        times = np.linspace(0.0, 1.0, n_steps + 1)
-        runs = set()
-        for steps in (1, 7, n_steps, n_steps + 5):
-            monkeypatch.setattr(simulate, "_STEPS", steps)
-            ens = _cir_exact(np.array([0.4]), times, seed, 2 * _BLOCK + 9, kappa, sigma2,
-                             4.0 * b / sigma2)
-            runs.add(ens.states.tobytes())
-        ref = block_reference(seed, 0.4, times, b, kappa, sigma2, 2 * _BLOCK + 9)
-        assert runs == {ref.tobytes()}
-
-    @pytest.mark.parametrize("cpus", [1, 3])
     def test_holds_little_beyond_its_states(self, monkeypatch, cpus):
         # G of one _STEPS chunk and one chunk's draws per run, not a second states-sized array
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -1032,14 +1014,51 @@ class TestThreadedBlocks:
         assert small.alive_until.tobytes() == large.alive_until[:300].tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("make, x0", [
+        (cir, [0.4]), (parabola, [0.5, 0.25]), ("svj", [0.04, 0.0]),
+        ("single_factor", [0.04, 0.0]), (plane_3d, [0.2, 0.0, 0.0]),
+        (lambda: cir(sigma=3.0), [0.04])],
+        ids=["cir", "parabola", "svj", "svj_diffusion", "plane_3d", "cir_sigma3"])
+    def test_bytes_do_not_depend_on_the_chunk_length(self, monkeypatch, cpus, make, x0, svj):
+        # row chunks of a generator's draws are its whole draws, and every running state
+        # steps on across a chunk boundary; svj has jumps, deaths and clamps, and
+        # cir(sigma=3.0) has df < 1, so Euler draws it and clamps
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        p = svj if make == "svj" else svj_diffusion(svj) if make == "single_factor" else make()
+        seed, n_steps, n_paths = 8, 23, 2 * _BLOCK + 9
+        runs = set()
+        for steps in (1, 7, n_steps, n_steps + 5):
+            monkeypatch.setattr(simulate, "_STEPS", steps)
+            ens = simulate_ensemble(p, x0, 1.0, n_steps, seed=seed, n_paths=n_paths)
+            runs.add((ens.states.tobytes(), ens.alive_until.tobytes(), ens.clamps,
+                      ens.jump_overflows))
+        if ens.sampler == "cir_exact":
+            ref = block_reference(seed, x0[0], ens.times, p.b[0], -p.beta[0, 0],
+                                  p.alpha[0, 0, 0], n_paths)[:, :, None]
+            ref = Ensemble(ens.times, ref, ens.alive_until, sampler="cir_exact")
+        elif ens.sampler == "parabola_exact":
+            [z] = pinned_stream(seed, n_paths, (), ("standard_normal", (n_steps,)))
+            w = np.cumsum(np.hstack([np.full((n_paths, 1), x0[0]),
+                                     np.sqrt(np.diff(ens.times)) * z]), axis=1)
+            ref = Ensemble(ens.times, np.stack([w, w * w], axis=2), ens.alive_until)
+        else:
+            ref = euler_reference(p, x0, 1.0, n_steps, seed, n_paths)
+            if make == "svj":
+                assert ref.clamps > 0
+                assert np.count_nonzero(ref.alive_until <= n_steps) > 0
+        assert runs == {(ref.states.tobytes(), ref.alive_until.tobytes(), ref.clamps,
+                         ref.jump_overflows)}
+
+    @pytest.mark.parametrize("cpus", [1, 3])
     def test_euler_holds_little_beyond_its_documented_arrays(self, monkeypatch, cpus, svj):
-        # each run may hold at most 2 MB besides the normals, jump uniforms, kill clocks,
-        # states and alive_until: R_r z over a whole run's normals at once would not fit
+        # at most 2 MB besides one chunk's normals and jump uniforms, the kill clocks and
+        # hazards, the states and alive_until: whole-grid draws would not fit
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         n_paths, n_steps = 2600, 200
-        n_pad = -(-n_paths // _BLOCK) * _BLOCK
-        documented = 8 * (n_pad * n_steps * (2 + 1 + _JUMPS_PER_STEP_CAP) + n_pad
+        chunk = min(simulate._STEPS, n_steps)
+        documented = 8 * (chunk * n_paths * (2 + 1 + _JUMPS_PER_STEP_CAP) + 2 * n_paths
                           + n_paths * (n_steps + 1) * 2 + n_paths)
         simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=1, n_paths=n_paths)
         tracemalloc.start()
@@ -1048,7 +1067,7 @@ class TestThreadedBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - documented <= cpus * 2 * 2**20, (peak - documented) / 2**20
+        assert peak - documented <= 2 * 2**20, (peak - documented) / 2**20
 
     def test_no_thread_outlives_the_call(self, monkeypatch, svj):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

@@ -799,6 +799,7 @@ class TestCpLimit:
         table = cp_limit_check(cir, [1.0], [0.0], self.T_LIST)
         assert table.target == 0.0
         np.testing.assert_allclose(table.values, 0.0, atol=1e-9)
+        assert table.at_limit is True       # every error sits at the noise floor
 
     def test_brownian_scalar_expansion(self, brownian):
         # D(t) = (e^{-t/2} - 1)/t -> -1/2 at u = (i, 0), x = 0
@@ -815,6 +816,7 @@ class TestCpLimit:
         corr = np.corrcoef(np.log(self.T_LIST), np.log(table.errors))[0, 1]
         assert corr > 0.99
         assert table.errors[-1] < 0.05 * table.errors[0]
+        assert table.at_limit is False
 
 
 class TestProbeBatches:
@@ -861,7 +863,7 @@ class TestProbeBatches:
         for i, hi in enumerate(h):
             r = evaluate(p, hi, u)
             assert probe.F_quotients[i] == r.phi / hi
-            assert probe.R_quotients[i].tobytes() == (r.rho / hi).tobytes()
+            assert probe.R_quotients[i].tobytes() == ((r.psi - r.u) / hi).tobytes()
 
     @pytest.mark.parametrize("name, x", [("parabola", [1.0, 1.0]), ("cir", [0.7]),
                                          ("brownian", [0.2, -0.1]), ("svj", [0.04, 0.0])])
