@@ -237,11 +237,6 @@ class RunConfig:
         return self.params.space
 
     @functools.cached_property
-    def admissibility(self):
-        """The run's one validate report, read by load_config and levy_structure."""
-        return self.params.validate()
-
-    @functools.cached_property
     def ensemble(self):
         """The run's one ensemble on the mc grid (module docstring); every
         Monte Carlo suite reads its arrays, and none may write them."""
@@ -356,7 +351,7 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigValidationError(f"grid point x={x} is not in the state space")
     if not (math.isfinite(cfg.ode_tol) and cfg.ode_tol > 0):
         raise ConfigValidationError(f"the ODE tolerance must be finite and > 0, got {cfg.ode_tol}")
-    report = cfg.admissibility
+    report = cfg.params.validate()
     if not report.valid:
         raise ConfigValidationError(f"parameters are not admissible:\n{report}")
     if cfg.n_paths < 2 or cfg.n_steps < 1 or not 0 < cfg.horizon < math.inf:
@@ -465,8 +460,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 def _ensemble_summary(ens) -> str:
     """How an ensemble was drawn, as simulate and verify print it."""
-    return (f"sampler {ens.sampler}, clamps {ens.clamps}, jump-cap overflows "
-            f"{ens.jump_overflows}, killed share {np.mean(ens.alive_until < len(ens.times)):.4g}")
+    return (f"sampler {ens.sampler}, clamps {ens.clamps}, "
+            f"killed share {np.mean(ens.alive_until < len(ens.times)):.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +543,7 @@ def _suite_cp_limit(cfg: RunConfig) -> list:
 
 
 def _suite_levy_structure(cfg: RunConfig) -> list:
-    report = cfg.admissibility
+    report = cfg.params.validate()
     return [_check("levy_structure", "admissibility of the state-affine "
                    "characteristics (PSD diffusion, nonnegative jump weights, "
                    "nonnegative killing rate, jumps that land in D)",

@@ -106,7 +106,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    violations: list
+    violations: tuple
     checked_points: int
     notes: tuple
 
@@ -297,8 +297,14 @@ class AffineParams:
         along each direction (0, r), each row of one sign table holds, in its
         order: A is PSD (min eigenvalue >= -1e-10), C and every weight are
         >= -1e-12.  Then an atom that lands outside D from some state is a
-        violation at every row where its weight exceeds 1e-12.
+        violation at every row where its weight exceeds 1e-12.  The report is
+        made once and kept on the tuple, whose tables are read-only.
         """
+        if "_report" not in self.__dict__:
+            object.__setattr__(self, "_report", self._admissibility())
+        return self._report
+
+    def _admissibility(self) -> ValidationReport:
         rows = self.space.generators()
         states, pts = rows[:, 0] != 0.0, rows[:, 1:]
         w = rows @ self.W                                   # (rows, atoms)
@@ -331,4 +337,4 @@ class AffineParams:
             "nonnegative on D (equivalently F(0) = -c, R(0) = -gamma); the "
             "opposite sign for C(x) is rejected by this check",
         )
-        return ValidationReport(violations, len(rows), notes)
+        return ValidationReport(tuple(violations), len(rows), notes)

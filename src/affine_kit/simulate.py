@@ -40,10 +40,14 @@ bits depend neither on n_paths nor on the runs (below) that step it.
     the noise is sqrt(max(x_r dt, 0)) R_r z, or sqrt(dt) R_0 z for r = 0.
     Otherwise coef_A = A(X) dt is rooted per step, in closed form for d <= 2
     (no LAPACK call) and by a batched eigh for d >= 3;
-  * jumps on the paths whose uniform exceeds exp(-sum max(coef_W, 0)):
-    counts by inverse CDF of the frozen-rate Poisson law, capped at
-    _JUMPS_PER_STEP_CAP (the live path-steps cut are counted in
-    Ensemble.jump_overflows), atoms by categorical inverse CDF;
+  * jumps from one uniform u per path-step, w = max(coef_W, 0), lam = sum w:
+    N by sequential inverse CDF, uncapped (n rises while u > lo + p_n > lo,
+    lo = P(N < n), p_n = P(N = n)); v = (u - lo)/p_N lam picks each jump's
+    atom a by categorical inverse CDF, clipped into (0, lam], and is reused
+    as its place in a's interval, (v - below_a)/w_a lam.  An outcome of
+    probability P holds about P 2^53 of u's values (a one-jump step at
+    lam = 1.7e-3 uses 9 bits, each pick log2(lam/w_a) more): a live path
+    raises SamplerError below P = _OUTCOME_FLOOR = 2^-48;
   * killing by one Exp(1) clock per path against the running hazard
     sum max(coef_C, 0) (inverse CDF, exact given the path): a path is alive
     while hazard < clock.  Dead paths step on unfrozen; their cells from
@@ -67,17 +71,16 @@ last.  From (k,), in order: Euler's kill clocks (_BLOCK,), in the first chunk
 only; then, chunk by chunk, the normals: Euler's (steps, d, _BLOCK), the
 parabola sampler's (steps, _BLOCK) and the exact CIR sampler's Z
 (steps, _BLOCK).  From (k, 1), chunk by chunk: Euler's jump uniforms
-(steps, 1 + _JUMPS_PER_STEP_CAP, _BLOCK) and the exact CIR sampler's G
-(steps, _BLOCK).  Path i reads column i % _BLOCK of block i // _BLOCK's draws,
-so it depends only on (seed, i, grid).  The engine, _in_blocks, splits the
-blocks into one run per CPU in the process's affinity; a run makes its
-generators once, then per chunk of _STEPS steps draws its blocks and steps its
-own paths, so a sampler holds one chunk's draws only.  Row chunks of a
-generator's draws are the bytes of its whole draw, every running state (X,
-Euler's hazard, the parabola's w) steps on from the last row of the chunk
-before, and a run returns its own counts, so the bytes depend neither on the
-chunk length nor on the number of runs.  Two or more runs go on threads that
-end before it returns.
+(steps, _BLOCK) and the exact CIR sampler's G (steps, _BLOCK).  Path i reads
+column i % _BLOCK of block i // _BLOCK's draws, so it depends only on
+(seed, i, grid).  The engine, _in_blocks, splits the blocks into one run per
+CPU in the process's affinity; a run makes its generators once, then per chunk
+of _STEPS steps draws its blocks and steps its own paths, so a sampler holds
+one chunk's draws only.  Row chunks of a generator's draws are the bytes of
+its whole draw, every running state (X, Euler's hazard, the parabola's w)
+steps on from the last row of the chunk before, and a run returns its own
+counts, so the bytes depend neither on the chunk length nor on the number of
+runs.  Two or more runs go on threads that end before it returns.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ __all__ = [
     "CharacteristicsReport",
 ]
 
-_JUMPS_PER_STEP_CAP = 3  # overflow probability O((rate*dt)^4) per step
+_OUTCOME_FLOOR = 2.0 ** -48  # least probability of the jumps a live path-step draws
 _BLOCK = 256             # paths per block substream, the unit every sampler draws
 _STEPS = 32              # steps per chunk of every sampler's draws
 _EYE2 = np.eye(2)        # _psd_sqrt's identity, built once rather than per Euler step
@@ -134,19 +137,17 @@ class Ensemble:
 
     alive_until is per path 1 plus the number of steps it lived (n_times if
     never killed); its cells from alive_until on are nan.  stop_radius is
-    set by stopped_ensemble and consumed by the martingale test.
-    jump_overflows counts the live path-steps whose Poisson draw was above
-    the count cap and was truncated to it.  clamps counts the live (path,
-    step, coordinate) cells that Euler's full truncation moved from below 0
-    back to 0; the exact samplers record 0.  sampler names the sampler that
-    drew the paths: "euler", "cir_exact" or "parabola_exact".
+    set by stopped_ensemble and consumed by the martingale test.  clamps
+    counts the live (path, step, coordinate) cells that Euler's full
+    truncation moved from below 0 back to 0; the exact samplers record 0.
+    sampler names the sampler that drew the paths: "euler", "cir_exact" or
+    "parabola_exact".
     """
 
     times: np.ndarray
     states: np.ndarray
     alive_until: np.ndarray
     stop_radius: float | None = None
-    jump_overflows: int = 0
     clamps: int = 0
     sampler: str = "euler"
 
@@ -308,7 +309,7 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
 
     # one chunk's draws in the documented order, each run its own columns; per-path clocks
     normals = np.empty((min(_STEPS, n_steps), d, n_paths))
-    jump_u = np.empty((len(normals), 1 + _JUMPS_PER_STEP_CAP, n_paths)) if has_jumps else None
+    jump_u = np.empty((len(normals), n_paths)) if has_jumps else None
     kill_clock, hazard = np.empty(n_paths), np.zeros(n_paths)
     states = np.empty((n_steps + 1, d, n_paths))     # time-major; step k + 1 writes row k + 1
     states[0] = x0[:, None]
@@ -320,8 +321,7 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
             kill_clock[block] = rng.standard_exponential(_BLOCK)[:z.shape[-1]]
         z[...] = rng.standard_normal((len(steps), d, _BLOCK))[..., :z.shape[-1]]
         if has_jumps:
-            jump_u[:len(steps), :, block] = rng_u.random(
-                (len(steps), 1 + _JUMPS_PER_STEP_CAP, _BLOCK))[..., :z.shape[-1]]
+            jump_u[:len(steps), block] = rng_u.random((len(steps), _BLOCK))[:, :z.shape[-1]]
 
     def advance(paths, steps):
         n = paths.stop - paths.start
@@ -336,7 +336,7 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
         base = np.broadcast_to(table[0][:, None], (table.shape[1], n))
         X = states[steps.start, :, paths]   # the step state, coordinate-major (d, n)
         alive = np.ones(n, dtype=bool)
-        jump_overflows = clamps = 0
+        clamps = 0
 
         for step in steps:
             coef = base
@@ -360,41 +360,39 @@ def _euler(x0: np.ndarray, times: np.ndarray, seed: int, n_paths: int,
             if has_jumps:
                 w = np.maximum(coef[d + 1:d + 1 + k], 0.0)
                 lam = np.add.reduce(w, axis=0)     # w_1 + w_2 + ..., in atom order
-                pk = np.exp(-lam)
-                u = jump_u[step - steps.start, :, paths]
-                # the count, atom and cumsum work runs on the paths with N >= 1 only
-                ids = (u[0] > pk).nonzero()[0]
+                lo = np.exp(-lam)
+                u = jump_u[step - steps.start, paths]
+                ids = (u > lo).nonzero()[0]        # the paths with N >= 1
                 if len(ids):
-                    u, lam, probs = u[:, ids], lam[ids], [pk[ids]]
-                    # Poisson count by inverse CDF from one uniform per (path, step): the
-                    # levels P(N <= j), j <= cap, never decrease, so the count is how many
-                    # the uniform exceeds; cap + 1 is an overflow, and the atom loop cuts
-                    # it to cap jumps
-                    for j in range(1, _JUMPS_PER_STEP_CAP + 1):
-                        probs.append(probs[-1] * lam / j)
-                    counts = np.count_nonzero(u[0] > np.cumsum(probs, axis=0), axis=0)
-                    jump_overflows += int(np.count_nonzero(
-                        alive[ids] & (counts > _JUMPS_PER_STEP_CAP)))
-                    # atom j of each path still jumping, by categorical inverse CDF
-                    atom_cdf = np.cumsum(w[:, ids].T, axis=1)
-                    for j in range(_JUMPS_PER_STEP_CAP):
-                        v = u[1 + j] * atom_cdf[:, -1]
-                        X[:, ids] += p.L[(v[:, None] <= atom_cdf).argmax(axis=1)].T
-                        hit = counts > j + 1
-                        if not hit.any():
-                            break
-                        ids, u, atom_cdf, counts = ids[hit], u[:, hit], atom_cdf[hit], counts[hit]
+                    # N uncapped: past the tail lo + p_n rounds to lo, and N stops there
+                    u, lam, w, lo = u[ids], lam[ids], w[:, ids], lo[ids]
+                    count, pn = np.ones(len(ids), dtype=np.int64), lo * lam
+                    while (more := (u > lo + pn) & (lo + pn > lo)).any():
+                        count += more
+                        lo, pn = np.where(more, lo + pn, lo), np.where(more, pn * lam / count, pn)
+                    # a p_N below the floor fails a live path; on a dead one fmax keeps v finite
+                    v, prob = (u - lo) / np.fmax(pn, _OUTCOME_FLOOR) * lam, pn
+                    below = np.cumsum(np.vstack([np.zeros(len(ids)), w]), axis=0)
+                    for j in range(count.max()):
+                        run = (count > j).nonzero()[0]
+                        x = np.fmin(np.fmax(v[run], 5e-324), lam[run])
+                        a = (x <= below[1:, run]).argmax(axis=0)
+                        X[:, ids[run]] += p.L[a].T
+                        v[run] = (x - below[a, run]) / w[a, run] * lam[run]
+                        prob[run] *= w[a, run] / lam[run]
+                    if np.any(alive[ids] & (prob < _OUTCOME_FLOOR)):
+                        raise SamplerError(f"Euler step {step + 1} of {n_steps} drew jumps "
+                                           "of probability < 2^-48: refine mc.steps")
 
             clamps += int(np.count_nonzero((X[:m] < 0.0) & alive))
             np.maximum(X[:m], 0.0, out=X[:m])
-        return clamps, jump_overflows
+        return clamps
 
-    clamps, jump_overflows = map(sum, zip(*_in_blocks(seed, n_paths, n_steps, draw, advance,
-                                                      ((), (1,)))))
+    clamps = sum(_in_blocks(seed, n_paths, n_steps, draw, advance, ((), (1,))))
     for i in np.flatnonzero(alive_until <= n_steps):   # dead paths kept stepping
         states[alive_until[i]:, :, i] = np.nan
     return Ensemble(times=times, states=states.transpose(2, 0, 1), alive_until=alive_until,
-                    jump_overflows=jump_overflows, clamps=clamps)
+                    clamps=clamps)
 
 
 def simulate_parabola_ensemble(x0, times, seed: int, n_paths: int) -> Ensemble:

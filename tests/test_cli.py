@@ -114,13 +114,17 @@ class TestVerifyTask:
         assert entry["statistic"] == len(report.violations)
 
     def test_levy_structure_reports_the_validation_load_config_made(self, tmp_path, monkeypatch):
-        # one validate call per run; a fresh report per reader writes the same bytes
-        calls, validate = [], AffineParams.validate
-        monkeypatch.setattr(AffineParams, "validate", lambda p: calls.append(p) or validate(p))
-        payload = {"task": "verify", "preset": "cir", "verify_suite": ["levy_structure"]}
+        # one report per run, kept on the tuple: load_config, the ensemble and levy_structure
+        # read it; a fresh report per reader writes the same bytes
+        made, admissibility = [], AffineParams._admissibility
+        monkeypatch.setattr(AffineParams, "_admissibility",
+                            lambda p: made.append(p) or admissibility(p))
+        payload = {"task": "verify", "preset": "cir", "verify_suite": ["levy_structure",
+                                                                       "affine_mc"],
+                   "mc": {"paths": 200, "steps": 20}}
         assert run(tmp_path, "verify", payload, out="once")[0] == EXIT_OK
-        assert len(calls) == 1
-        monkeypatch.setattr(cli.RunConfig, "admissibility", property(lambda c: validate(c.params)))
+        assert len(made) == 1
+        monkeypatch.setattr(AffineParams, "validate", lambda p: admissibility(p))
         assert run(tmp_path, "verify", payload, out="fresh")[0] == EXIT_OK
         once, fresh = (re.sub(r'"generated_at": "[^"]*"', "", (tmp_path / d / "report.json")
                               .read_text()) for d in ("once", "fresh"))
@@ -384,8 +388,8 @@ class TestOneEnsemble:
         ens = simulate_ensemble(cli.load_config(str(tmp_path / "verify.json")).params,
                                 [0.04, 0.0], 0.5, 40, 2, 200)
         killed = np.mean(ens.alive_until < 41)
-        assert lines[-2] == (f"ensemble: sampler euler, clamps {ens.clamps}, jump-cap "
-                             f"overflows {ens.jump_overflows}, killed share {killed:.4g}")
+        assert lines[-2] == (f"ensemble: sampler euler, clamps {ens.clamps}, "
+                             f"killed share {killed:.4g}")
         assert "ensemble" not in (out_dir / "report.json").read_text()
 
     def test_verify_without_monte_carlo_prints_no_ensemble(self, tmp_path, capsys):
@@ -915,8 +919,8 @@ class TestSimulateTask:
                 w.writerow([i, t, *states[i, j].tolist(), int(j < ens.alive_until[i])])
         assert (out_dir / "paths.csv").read_bytes() == want.getvalue().encode()
 
-    def test_summary_counts_jump_cap_overflows_and_killed_paths(self, tmp_path, capsys):
-        # rate 200 per unit time at dt = 0.1: most steps draw more jumps than the cap
+    def test_summary_reports_the_killed_share(self, tmp_path, capsys):
+        # rate 200 per unit time at dt = 0.1: about 20 jumps a step, none capped
         code, _ = run(tmp_path, "simulate", {
             "task": "simulate",
             "space": {"kind": "full", "d": 1},
@@ -926,16 +930,14 @@ class TestSimulateTask:
             "mc": {"paths": 50, "steps": 10, "seed": 1, "T": 1.0},
         })
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        overflows = int(out.split("jump-cap overflows ")[1].split(",")[0])
-        killed = float(out.split("killed share ")[1].split(")")[0])
-        assert overflows > 0 and 0.0 < killed < 1.0
+        killed = float(capsys.readouterr().out.split("killed share ")[1].split(")")[0])
+        assert 0.0 < killed < 1.0
 
         code, _ = run(tmp_path, "simulate", {
             "task": "simulate", "preset": "cir", "grids": {"x": [[1.0]]},
             "mc": {"paths": 20, "steps": 10, "seed": 1, "T": 1.0}}, out="cir")
         assert code == EXIT_OK
-        assert "jump-cap overflows 0, killed share 0)" in capsys.readouterr().out
+        assert "sampler cir_exact, clamps 0, killed share 0)" in capsys.readouterr().out
 
     def test_summary_counts_euler_clamps(self, tmp_path, capsys):
         # sigma = 3 on the half-line: df = 4/9 < 1, so Euler draws it and clamps at 0

@@ -14,8 +14,9 @@ from affine_kit.presets import brownian, cir, parabola
 from affine_kit.simulate import (
     Ensemble,
     McEstimate,
+    SamplerError,
     _BLOCK,
-    _JUMPS_PER_STEP_CAP,
+    _OUTCOME_FLOOR,
     _cir_exact,
     _psd_sqrt,
     characteristics_check,
@@ -94,31 +95,47 @@ def eigh_root(mats):
     return np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(np.maximum(w, 0.0)), v)
 
 
+def drawn_jumps(u, p0, lam, w):
+    """The atoms, in jump order, of one path-step with N >= 1, scalar by
+    scalar: n rises from 1 while u > P(N <= n) and that level still moves;
+    v = (u - P(N < n))/max(p_N, _OUTCOME_FLOOR) lam, each jump picks the
+    first atom whose cumulative weight is >= v, clipped into [5e-324, lam],
+    and v becomes (v - weight below the atom)/w_atom lam."""
+    n, lo, pn = 1, p0, p0 * lam
+    while u > lo + pn and lo + pn > lo:
+        n, lo, pn = n + 1, lo + pn, pn * lam / (n + 1)
+    v = (u - lo) / max(pn, _OUTCOME_FLOOR) * lam
+    below = np.concatenate([[0.0], np.cumsum(w)])
+    atoms = []
+    for _ in range(n):
+        v = min(max(v, 5e-324), lam)
+        atoms.append(a := int(np.argmax(v <= below[1:])))
+        v = (v - below[a]) / w[a] * lam
+    return atoms
+
+
 def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     """Step-by-step Euler ensemble in the sampler's documented order, every
     path stepped on every step, from the tables of p times dt.
 
     Draws (pinned_stream): from spawn_key (k,), a path's kill clock if p
-    kills, then its normals; from (k, 1), its jump uniforms if p has atoms.
-    The drift is the net drift B - int h dnu, (b - (W * small) @ L) dt +
-    sum_i x_i (row 1+i of it).  If at most one of the rows a,
+    kills, then its normals; from (k, 1), its jump uniform per step if p has
+    atoms.  The drift is the net drift B - int h dnu, (b - (W * small) @ L)
+    dt + sum_i x_i (row 1+i of it).  If at most one of the rows a,
     alpha^1..alpha^d is nonzero, A_r, the noise is sqrt(max(x_r dt, 0))
     (R_r z) with R_r = root(A_r), or sqrt(dt) (R_0 z) for r = 0; otherwise
-    it is root(a dt + sum_i x_i (alpha^i dt)) z.  With
-    w = max(W(X) dt, 0) and lam = w_1 + w_2 + ... in atom order, the count
-    is the least N with the path's first uniform <= P(N) of Poisson(lam),
-    cut at _JUMPS_PER_STEP_CAP (a live cut step is an overflow), and jump j
-    lands on the first atom whose cumulative weight is >= uniform 1 + j
-    times the total.  A path is alive after a step while sum max(C(X) dt, 0)
-    < its clock; alive_until counts 1 plus its live steps, and its cells
-    from there on are nan.  Clamps count the live cells of the orthant
-    coordinates moved up to 0."""
-    d, cap = p.dim, _JUMPS_PER_STEP_CAP
+    it is root(a dt + sum_i x_i (alpha^i dt)) z.  With w = max(W(X) dt, 0)
+    and lam = w_1 + w_2 + ... in atom order, a path whose uniform exceeds
+    exp(-lam) jumps by drawn_jumps' atoms, one after the other.  A path is
+    alive after a step while sum max(C(X) dt, 0) < its clock; alive_until
+    counts 1 plus its live steps, and its cells from there on are nan.
+    Clamps count the live cells of the orthant coordinates moved up to 0."""
+    d = p.dim
     dt = T / n_steps
     *clocks, z = pinned_stream(seed, n_paths, (), *[("standard_exponential", ())] * p.has_killing,
                                ("standard_normal", (n_steps, d)))
     clocks = clocks[0] if p.has_killing else np.full(n_paths, np.inf)
-    [uniforms] = pinned_stream(seed, n_paths, (1,), ("random", (n_steps, 1 + cap)))
+    [uniforms] = pinned_stream(seed, n_paths, (1,), ("random", (n_steps,)))
     orth = np.arange(d) < (p.space.m if isinstance(p.space, CanonicalOrthantPlane)
                            else int(isinstance(p.space, HalfLine)))
     rows = [r for r, A_r in enumerate([p.a, *p.alpha]) if A_r.any()] or [0]
@@ -131,7 +148,7 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     out = [X]
     hazard, lived = np.zeros(n_paths), np.ones(n_paths, dtype=np.int64)
-    clamps = jump_overflows = 0
+    clamps = 0
     for k in range(n_steps):
         drift, rate, weights = net_drift[0], p.c * dt, p.W[0] * dt
         for i in range(d):
@@ -152,23 +169,14 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
             noise = z[:, k]
         X = X + drift + noise
         if p.has_jumps:
-            u = uniforms[:, k]
             w = np.maximum(weights, 0.0)
             lam = w[:, 0]
             for j in range(1, len(p.L)):
                 lam = lam + w[:, j]
-            pk = np.exp(-lam)
-            counts = (u[:, 0] > pk).astype(np.int64)
-            cdf = pk + (pk := pk * lam)
-            for j in range(2, cap + 1):
-                counts[u[:, 0] > cdf] = j
-                pk = pk * lam / j
-                cdf = cdf + pk
-            jump_overflows += int(np.count_nonzero(alive & (u[:, 0] > cdf)))
-            atom_cdf = np.cumsum(w, axis=1)
-            for j in range(cap):
-                atom = (u[:, 1 + j, None] * atom_cdf[:, -1:] <= atom_cdf).argmax(axis=1)
-                X[counts > j] += p.L[atom[counts > j]]
+            p0 = np.exp(-lam)
+            for i in np.flatnonzero(uniforms[:, k] > p0):
+                for a in drawn_jumps(uniforms[i, k], p0[i], lam[i], w[i]):
+                    X[i] += p.L[a]
         clamps += int(np.count_nonzero((X[:, orth] < 0.0) & alive[:, None]))
         X[:, orth] = np.maximum(X[:, orth], 0.0)
         out.append(X)
@@ -176,12 +184,12 @@ def euler_reference(p, x0, T, n_steps, seed, n_paths, root=_psd_sqrt):
     for i in np.flatnonzero(lived <= n_steps):
         states[i, lived[i]:] = np.nan
     return Ensemble(times=np.linspace(0.0, T, n_steps + 1), states=states, alive_until=lived,
-                    jump_overflows=jump_overflows, clamps=clamps)
+                    clamps=clamps)
 
 
 def high_rate_jumps():
-    """d=1 tuple with one atom of rate 40: at dt = 0.1 its Poisson count often
-    reaches _JUMPS_PER_STEP_CAP."""
+    """d=1 tuple with one atom of rate 40: at dt = 0.1 its Poisson count is
+    often 4 or more."""
     return AffineParams.zeros(FullSpace(dim=1)).with_(
         m_measure=LevyMeasure.from_atoms([(40.0, [0.2])]))
 
@@ -543,11 +551,12 @@ class TestPathStreams:
             a=np.array([[1.0]]), c=c,
             m_measure=LevyMeasure.from_atoms([(w, [xi]) for w, xi in atoms]))
         ens = simulate_ensemble(p, [0.0], 1.0, n_steps, seed=seed, n_paths=6)
-        lam = sum(w for w, _ in atoms) * dt
+        w = [atoms[0][0] * dt, atoms[1][0] * dt]
+        lam = w[0] + w[1]
         clocks, normals = pinned_stream(seed, ens.n_paths, (), ("standard_exponential", ()),
                                         ("standard_normal", (n_steps, 1)))
-        [uniforms] = pinned_stream(seed, ens.n_paths, (1,),
-                                   ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)))
+        [uniforms] = pinned_stream(seed, ens.n_paths, (1,), ("random", (n_steps,)))
+        jumped = 0
         for i in range(ens.n_paths):
             z, u, clock = normals[i, :, 0], uniforms[i], clocks[i]
             want = np.full(n_steps + 1, np.nan)
@@ -559,18 +568,22 @@ class TestPathStreams:
                     alive_until = k + 1
                     break
                 x = x + math.sqrt(dt) * z[k]
-                count, pk = 0, math.exp(-lam)
-                cdf = pk
-                for j in range(1, _JUMPS_PER_STEP_CAP + 1):
-                    if u[k, 0] > cdf:
-                        count = j
-                    pk = pk * lam / j
-                    cdf += pk
-                for j in range(count):
-                    x += atoms[0][1] if u[k, 1 + j] * lam / dt <= atoms[0][0] else atoms[1][1]
+                p0 = math.exp(-lam)
+                if u[k] > p0:   # sequential inverse CDF of the count, then v recycled per atom
+                    count, lo, pn = 1, p0, p0 * lam
+                    while u[k] > lo + pn and lo + pn > lo:
+                        count, lo, pn = count + 1, lo + pn, pn * lam / (count + 1)
+                    v = (u[k] - lo) / pn * lam
+                    for _ in range(count):
+                        v = min(max(v, 5e-324), lam)
+                        a = 0 if v <= w[0] else 1
+                        x += atoms[a][1]
+                        v = (v - (0.0 if a == 0 else w[0])) / w[a] * lam
+                    jumped += count
                 want[k + 1] = x
             assert ens.alive_until[i] == alive_until
             np.testing.assert_array_equal(ens.states[i, :, 0], want)
+        assert jumped > 0
 
     def test_parabola_path_reads_its_own_counter_block(self):
         seed, times = 8, np.linspace(0.0, 1.0, 10)
@@ -758,7 +771,7 @@ class TestEulerMatchesTheReference:
         ref = euler_reference(p, x0, 1.0, n_steps, seed, n_paths)
         assert ens.states.tobytes() == ref.states.tobytes()
         assert ens.alive_until.tobytes() == ref.alive_until.tobytes()
-        assert (ens.clamps, ens.jump_overflows) == (ref.clamps, ref.jump_overflows)
+        assert ens.clamps == ref.clamps
         return ref
 
     @pytest.mark.parametrize("n_paths", [1, 255, 257])
@@ -771,8 +784,9 @@ class TestEulerMatchesTheReference:
 
     @pytest.mark.parametrize("n_paths", [1, 255, 257])
     def test_high_rate_tuple(self, n_paths):
+        # lam dt = 4: some steps make more than 3 jumps of 0.2 each, none is capped
         ref = self.assert_byte_equal(high_rate_jumps(), [0.0], 10, 4, n_paths)
-        assert ref.jump_overflows > 0 or n_paths == 1
+        assert np.abs(np.diff(ref.states, axis=1)).max() > 3.5 * 0.2 or n_paths == 1
 
     @pytest.mark.parametrize("make, x0", [
         ("single_factor", [0.04, 0.0]), (plane_3d, [0.2, 0.0, 0.0]),
@@ -786,44 +800,45 @@ class TestEulerMatchesTheReference:
         self.assert_byte_equal(p, x0, 40, 6, 257)
 
 
-def recount_jump_overflows(p, ens, seed):
-    """Live path-steps whose Poisson uniform lies above P(N <= cap), with the
-    per-step rate summed from the measures at the step's start state."""
-    n_steps = len(ens.times) - 1
-    dt = ens.times[1] - ens.times[0]
-    mu_mass = np.array([mu.weights.sum() for mu in p.mu_measures])
-    [uniforms] = pinned_stream(seed, ens.n_paths, (1,),
-                               ("random", (n_steps, 1 + _JUMPS_PER_STEP_CAP)))
-    total = 0
-    for i, u in enumerate(uniforms[:, :, 0]):
-        for k in range(min(n_steps, ens.alive_until[i] - 1)):
-            lam = (p.m_measure.weights.sum() + ens.states[i, k] @ mu_mass) * dt
-            cdf = math.exp(-lam) * sum(lam ** j / math.factorial(j)
-                                       for j in range(_JUMPS_PER_STEP_CAP + 1))
-            total += u[k] > cdf
-    return total
+class TestUncappedJumps:
+    """Euler's jump count is Poisson(lam dt) with no cap, its atoms a
+    categorical draw per jump from one recycled uniform, and a live outcome
+    finer than float64 resolves raises SamplerError."""
 
+    def test_atom_counts_are_independent_poisson(self):
+        # three atoms at 2 e_j (outside the unit ball: no compensating drift), lam dt = 4.5
+        # over one step: the joint law of the per-atom counts, each binned 0, 1, 2, >= 3,
+        # against that of independent Poisson(w_j dt) counts
+        weights = (1.0, 1.5, 2.0)
+        p = AffineParams.zeros(FullSpace(dim=3)).with_(m_measure=LevyMeasure.from_atoms(
+            [(wt, 2.0 * e) for wt, e in zip(weights, np.eye(3))]))
+        ens = simulate_ensemble(p, np.zeros(3), 1.0, 1, seed=0, n_paths=20000)
+        counts = np.rint(ens.states[:, 1] / 2.0).astype(np.int64)
+        np.testing.assert_array_equal(2.0 * counts, ens.states[:, 1])
+        observed = np.bincount(np.minimum(counts, 3) @ [16, 4, 1], minlength=64)
+        laws = [np.append(stats.poisson.pmf([0, 1, 2], wt), stats.poisson.sf(2, wt))
+                for wt in weights]
+        expected = np.einsum("i,j,k->ijk", *laws).ravel() * len(counts)
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
-class TestJumpOverflows:
-    def test_high_rate_tuple_overflows(self):
-        p = high_rate_jumps()
-        ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=200)
-        assert ens.jump_overflows > 0
-        assert ens.jump_overflows == recount_jump_overflows(p, ens, 4)
-
-    def test_svj_matches_recount(self, svj):
-        ens = simulate_ensemble(svj, [0.04, 0.0], 1.0, 100, seed=6, n_paths=100)
-        assert ens.jump_overflows == recount_jump_overflows(svj, ens, 6)
-
-    def test_jump_free_and_parabola_ensembles_have_none(self):
-        assert simulate_ensemble(cir(), [0.04], 1.0, 10, seed=1, n_paths=5).jump_overflows == 0
-        assert simulate_parabola_ensemble([0.0, 0.0], [0.0, 1.0], 1, 5).jump_overflows == 0
+    @pytest.mark.parametrize("atoms", [[(800.0, [0.01])],
+                                       [(50.0, [0.01]), (50.0, [-0.01])]],
+                             ids=["one_atom_800", "two_atoms_100"])
+    def test_an_outcome_float64_cannot_resolve_raises(self, atoms):
+        # exp(-800) is 0; about 100 picks between two atoms use up v's 53 bits
+        p = AffineParams.zeros(FullSpace(dim=1)).with_(m_measure=LevyMeasure.from_atoms(atoms))
+        with pytest.raises(SamplerError, match=r"step 1 of 1 .*refine mc\.steps"):
+            simulate_ensemble(p, [0.0], 1.0, 1, seed=0, n_paths=10)
+        # a finer grid resolves it; so does death, as dead paths are never checked
+        simulate_ensemble(p, [0.0], 1.0, 800, seed=0, n_paths=10)
+        dead = simulate_ensemble(p.with_(c=100.0), [0.0], 1.0, 1, seed=0, n_paths=10)
+        assert dead.alive_until.tolist() == [1] * 10
 
     @pytest.mark.parametrize("radius", [0.5, math.inf])
-    def test_stopped_ensemble_carries_the_count(self, radius):
-        p = high_rate_jumps()
-        ens = simulate_ensemble(p, [0.0], 1.0, 10, seed=4, n_paths=50)
-        assert stopped_ensemble(ens, radius).jump_overflows == ens.jump_overflows > 0
+    def test_stopped_ensemble_carries_the_clamps(self, radius):
+        # cir(sigma=3.0) has df < 1: Euler draws it and clamps at 0
+        ens = simulate_ensemble(cir(sigma=3.0), [0.04], 1.0, 10, seed=4, n_paths=50)
+        assert stopped_ensemble(ens, radius).clamps == ens.clamps > 0
 
 
 def square_root(b, kappa, sigma2):
@@ -1000,8 +1015,7 @@ class TestThreadedBlocks:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                                 raising=False)
             ens = simulate_ensemble(p, x0, 1.0, 30, seed=5, n_paths=3 * _BLOCK + 17)
-            runs.append((ens.states.tobytes(), ens.alive_until.tobytes(), ens.clamps,
-                         ens.jump_overflows))
+            runs.append((ens.states.tobytes(), ens.alive_until.tobytes(), ens.clamps))
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("make, x0", [(parabola, [0.5, 0.25]), ("svj", [0.04, 0.0])],
@@ -1031,8 +1045,7 @@ class TestThreadedBlocks:
         for steps in (1, 7, n_steps, n_steps + 5):
             monkeypatch.setattr(simulate, "_STEPS", steps)
             ens = simulate_ensemble(p, x0, 1.0, n_steps, seed=seed, n_paths=n_paths)
-            runs.add((ens.states.tobytes(), ens.alive_until.tobytes(), ens.clamps,
-                      ens.jump_overflows))
+            runs.add((ens.states.tobytes(), ens.alive_until.tobytes(), ens.clamps))
         if ens.sampler == "cir_exact":
             ref = block_reference(seed, x0[0], ens.times, p.b[0], -p.beta[0, 0],
                                   p.alpha[0, 0, 0], n_paths)[:, :, None]
@@ -1047,8 +1060,7 @@ class TestThreadedBlocks:
             if make == "svj":
                 assert ref.clamps > 0
                 assert np.count_nonzero(ref.alive_until <= n_steps) > 0
-        assert runs == {(ref.states.tobytes(), ref.alive_until.tobytes(), ref.clamps,
-                         ref.jump_overflows)}
+        assert runs == {(ref.states.tobytes(), ref.alive_until.tobytes(), ref.clamps)}
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_euler_holds_little_beyond_its_documented_arrays(self, monkeypatch, cpus, svj):
@@ -1058,7 +1070,7 @@ class TestThreadedBlocks:
                             raising=False)
         n_paths, n_steps = 2600, 200
         chunk = min(simulate._STEPS, n_steps)
-        documented = 8 * (chunk * n_paths * (2 + 1 + _JUMPS_PER_STEP_CAP) + 2 * n_paths
+        documented = 8 * (chunk * n_paths * (2 + 1) + 2 * n_paths
                           + n_paths * (n_steps + 1) * 2 + n_paths)
         simulate_ensemble(svj, [0.04, 0.0], 1.0, n_steps, seed=1, n_paths=n_paths)
         tracemalloc.start()
